@@ -44,6 +44,7 @@ from .classify import (
     ForestConfig,
     TreeConfig,
     feature_importance,
+    fit_and_score,
     gini,
     train_forest,
     train_linear_svm,

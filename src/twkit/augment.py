@@ -67,20 +67,32 @@ def categorical_penalty(table: Table, cls: Code) -> float:
     return 1.0
 
 
+def _squared_distances(rows: list[Row], schema: Schema, penalty: float) -> np.ndarray:
+    """Pairwise mixed-feature squared distances between complete rows: numeric
+    squared differences plus penalty^2 per categorical mismatch."""
+    feats = schema.features
+    cols = [schema.index_of(a.name) for a in feats]
+    numeric_mask = np.array([a.kind == NUMERIC for a in feats])
+    num = np.array(
+        [[float(r[j]) if numeric_mask[i] else 0.0 for i, j in enumerate(cols)] for r in rows]
+    )[:, numeric_mask]
+    cat_cols = [j for i, j in enumerate(cols) if not numeric_mask[i]]
+    cat = np.array(
+        [[schema.attributes[j].code_index(r[j]) for j in cat_cols] for r in rows], dtype=np.int64
+    )
+    dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
+    dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
+    return dist2
+
+
 def smotenc_distance(a: Row, b: Row, schema: Schema, penalty: float) -> float:
-    """Mixed-feature distance: numeric squared differences plus penalty^2 per
-    categorical mismatch, square-rooted."""
-    total = 0.0
+    """Mixed-feature distance between two complete rows: the square root of
+    numeric squared differences plus penalty^2 per categorical mismatch."""
     for attr in schema.features:
         j = schema.index_of(attr.name)
-        va, vb = a[j], b[j]
-        if va is None or vb is None:
+        if a[j] is None or b[j] is None:
             raise DataError("smotenc_distance requires complete rows")
-        if attr.kind == NUMERIC:
-            total += (float(va) - float(vb)) ** 2
-        elif va != vb:
-            total += penalty**2
-    return float(np.sqrt(total))
+    return float(np.sqrt(_squared_distances([a, b], schema, penalty)[0, 1]))
 
 
 def _class_rows(table: Table, cls: Code) -> list[Row]:
@@ -104,27 +116,16 @@ def smotenc_generate(table: Table, cls: Code, n_new: int, k: int, seed: int) -> 
         return []
 
     schema = table.schema
-    penalty = categorical_penalty(table, cls)
-    feats = schema.features
-    cols = [schema.index_of(a.name) for a in feats]
-    numeric_mask = np.array([a.kind == NUMERIC for a in feats])
-    num = np.array(
-        [[float(r[j]) if numeric_mask[i] else 0.0 for i, j in enumerate(cols)] for r in rows]
-    )[:, numeric_mask]
-    cat_cols = [j for i, j in enumerate(cols) if not numeric_mask[i]]
-    cat = np.array(
-        [[schema.attributes[j].code_index(r[j]) for j in cat_cols] for r in rows], dtype=np.int64
-    )
-
+    dist2 = _squared_distances(rows, schema, categorical_penalty(table, cls))
     m = len(rows)
-    dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
-    dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
     neighbor_lists = []
     for i in range(m):
         order = np.argsort(dist2[i], kind="stable")
         neighbor_lists.append([int(o) for o in order if o != i][:k])
 
     rng = np.random.default_rng(seed)
+    feats = schema.features
+    cols = [schema.index_of(a.name) for a in feats]
     label_idx = schema.label_index
     out: list[Row] = []
     for _ in range(n_new):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Codec
+from .encoding import Codec, encode, label_indices
 from .errors import DataError
+from .metrics import Metrics, compute_metrics
 from .nn import (
     AdamState,
     MLP,
@@ -27,6 +28,7 @@ from .nn import (
     _softmax,
 )
 from .seeds import derive_seed
+from .table import Table
 
 
 def gini(counts) -> float:
@@ -179,7 +181,6 @@ class Forest:
     trees: list[TreeNode]
     tree_seeds: list[int]
     config: ForestConfig
-    codec: Codec | None = None  # encoded-column layout, for importance aggregation
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -192,7 +193,7 @@ class Forest:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def train_forest(X, y, config: ForestConfig, seed: int = 0, codec: Codec | None = None) -> Forest:
+def train_forest(X, y, config: ForestConfig, seed: int = 0) -> Forest:
     """Bootstrap ensemble; per-tree seeds derive from the master seed, so
     parallel or serial training would build the identical forest."""
     X = np.asarray(X, dtype=np.float64)
@@ -219,7 +220,7 @@ def train_forest(X, y, config: ForestConfig, seed: int = 0, codec: Codec | None 
             trees.append(train_tree(X[boot], y[boot], tree_config, tree_seed))
         else:
             trees.append(train_tree(X, y, tree_config, tree_seed))
-    return Forest(trees, tree_seeds, config, codec)
+    return Forest(trees, tree_seeds, config)
 
 
 def _accumulate_importance(node: TreeNode, total_samples: int, acc: np.ndarray) -> None:
@@ -240,16 +241,15 @@ def column_importance(forest: Forest, n_columns: int) -> np.ndarray:
     return acc / len(forest.trees)
 
 
-def feature_importance(forest: Forest) -> list[tuple[str, float]]:
+def feature_importance(forest: Forest, codec: Codec) -> list[tuple[str, float]]:
     """Per-attribute Gini importance, one-hot columns aggregated, sum = 1.
 
-    Requires the forest to carry its training codec. Order follows the codec.
+    `codec` is the one the forest's training matrix was encoded with; the
+    order follows it.
     """
-    if forest.codec is None:
-        raise DataError("forest has no codec; train with codec= to aggregate importance")
-    cols = column_importance(forest, forest.codec.width)
+    cols = column_importance(forest, codec.width)
     pairs = []
-    for block in forest.codec.blocks:
+    for block in codec.blocks:
         pairs.append((block.attribute, float(cols[block.start : block.stop].sum())))
     total = sum(w for _, w in pairs)
     if total > 0:
@@ -421,3 +421,16 @@ CLASSIFIERS = {
     "mlp": train_mlp_classifier,
     "svm": train_linear_svm,
 }
+
+
+def fit_and_score(name: str, train: Table, test: Table, codec: Codec, seed: int) -> tuple[Metrics, object]:
+    """Fit classifier `name` on `train` and score it on `test`, both encoded
+    with `codec`. Returns the held-out metrics and the fitted model."""
+    classes = train.schema.class_codes
+    X_train = encode(train, codec_source=codec).values
+    X_test = encode(test, codec_source=codec).values
+    model = CLASSIFIERS[name](X_train, label_indices(train), len(classes), seed)
+    proba = model.predict_proba(X_test)
+    predicted = [classes[i] for i in np.argmax(proba, axis=1)]
+    truth = [classes[i] for i in label_indices(test)]
+    return compute_metrics(predicted, proba, truth, classes), model

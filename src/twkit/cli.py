@@ -29,16 +29,15 @@ from .augment import (
     load_plan,
     two_stage_augment,
 )
-from .classify import CLASSIFIERS, ForestConfig, feature_importance, train_forest
-from .encoding import build_codec, encode, label_indices
+from .classify import CLASSIFIERS, feature_importance, fit_and_score
+from .encoding import build_codec
 from .errors import DataError, TwkitError
 from .impute import GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
-from .metrics import compute_metrics
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
 from .seeds import derive_seed
 from .synth import default_synthesis_spec, load_spec, synthesize_corpus
-from .table import class_histogram, load_augmented_csv, save_csv, split_stratified
+from .table import class_histogram, kfold_stratified, load_augmented_csv, save_csv, split_stratified
 from .analyze import CorrelationMatrix
 
 
@@ -79,7 +78,7 @@ def cmd_impute(args) -> int:
     if args.method == "sta":
         out = impute_sta(table)
     elif args.method == "mice":
-        out = impute_mice(table, rounds=args.rounds, seed=args.seed)
+        out = impute_mice(table, rounds=args.rounds)
     elif args.method == "gain":
         config = GainConfig(epochs=args.epochs)
         out = gain_impute_table(table, config, seed=args.seed)
@@ -123,73 +122,45 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _train_and_report(table, seed, test_fraction, model="rf"):
-    schema = table.schema
+def _feature_codec(train):
+    return build_codec(train, attributes=tuple(a.name for a in train.schema.features))
+
+
+def _ranked_importance(forest, codec):
+    return sorted(feature_importance(forest, codec), key=lambda kv: -kv[1])
+
+
+def _single_split_fit(table, model, seed, test_fraction):
     train, test = split_stratified(table, test_fraction, derive_seed(seed, "split"))
-    feature_names = tuple(a.name for a in schema.features)
-    codec = build_codec(train, attributes=feature_names)
-    X_train = encode(train, codec_source=codec).values
-    X_test = encode(test, codec_source=codec).values
-    y_train, y_test = label_indices(train), label_indices(test)
-    classes = schema.class_codes
-    if model == "rf":
-        forest = train_forest(
-            X_train, y_train, ForestConfig(n_classes=len(classes)),
-            seed=derive_seed(seed, "rf"), codec=codec,
-        )
-        fitted = forest
-    else:
-        fitted = CLASSIFIERS[model](X_train, y_train, len(classes), derive_seed(seed, model))
-    proba = fitted.predict_proba(X_test)
-    predicted = [classes[i] for i in np.argmax(proba, axis=1)]
-    truth = [classes[i] for i in y_test]
-    metrics = compute_metrics(predicted, proba, truth, classes)
-    importance = None
-    if model == "rf":
-        importance = sorted(feature_importance(fitted), key=lambda kv: -kv[1])
-    return metrics, importance
+    codec = _feature_codec(train)
+    metrics, fitted = fit_and_score(model, train, test, codec, derive_seed(seed, model))
+    return metrics, fitted, codec
 
 
 def cmd_train(args) -> int:
     schema = default_schema()
     table = _load_table(args.infile, schema)
     if args.folds:
-        from .table import kfold_stratified
-
-        classes = schema.class_codes
-        feature_names = tuple(a.name for a in schema.features)
         fold_docs = []
         for f, (train, test) in enumerate(kfold_stratified(table, args.folds, derive_seed(args.seed, "folds"))):
-            codec = build_codec(train, attributes=feature_names)
-            X_train = encode(train, codec_source=codec).values
-            X_test = encode(test, codec_source=codec).values
-            model = (
-                train_forest(X_train, label_indices(train), ForestConfig(n_classes=len(classes)),
-                             seed=derive_seed(args.seed, f"rf-fold-{f}"), codec=codec)
-                if args.model == "rf"
-                else CLASSIFIERS[args.model](X_train, label_indices(train), len(classes),
-                                             derive_seed(args.seed, f"{args.model}-fold-{f}"))
+            metrics, _ = fit_and_score(
+                args.model, train, test, _feature_codec(train),
+                derive_seed(args.seed, f"{args.model}-fold-{f}"),
             )
-            proba = model.predict_proba(X_test)
-            predicted = [classes[i] for i in np.argmax(proba, axis=1)]
-            truth = [classes[i] for i in label_indices(test)]
-            fold_docs.append(compute_metrics(predicted, proba, truth, classes).to_dict())
+            fold_docs.append(metrics.to_dict())
         summary = {
             "folds": fold_docs,
             "mean_accuracy": float(np.mean([d["accuracy"] for d in fold_docs])),
             "mean_macro_auc": float(np.mean([d["macro_auc"] for d in fold_docs])),
         }
         _write_json(args.report, summary)
-        if args.importance:
-            raise DataError("--importance is a single-split report; drop --folds")
         print(f"{args.folds}-fold accuracy {summary['mean_accuracy']:.4f}  "
               f"macro AUC {summary['mean_macro_auc']:.4f}")
         return 0
-    metrics, importance = _train_and_report(table, args.seed, args.test_fraction, args.model)
+    metrics, fitted, codec = _single_split_fit(table, args.model, args.seed, args.test_fraction)
     _write_json(args.report, metrics.to_dict())
     if args.importance:
-        if importance is None:
-            raise DataError("--importance requires --model rf")
+        importance = _ranked_importance(fitted, codec)
         _write_json(args.importance, {"importance": [[a, w] for a, w in importance]})
     print(f"accuracy {metrics.accuracy:.4f}  macro AUC {metrics.macro_auc:.4f}")
     return 0
@@ -198,7 +169,8 @@ def cmd_train(args) -> int:
 def cmd_importance(args) -> int:
     schema = default_schema()
     table = _load_table(args.infile, schema)
-    _, importance = _train_and_report(table, args.seed, args.test_fraction, "rf")
+    _, forest, codec = _single_split_fit(table, "rf", args.seed, args.test_fraction)
+    importance = _ranked_importance(forest, codec)
     _write_json(args.out, {"importance": [[a, w] for a, w in importance]})
     print("\n".join(f"{a:<12} {w:.4f}" for a, w in importance))
     return 0
@@ -421,31 +393,22 @@ def cmd_pipeline(args) -> int:
 
         importance = None
         if "train" in config.stages:
-            feature_names = tuple(a.name for a in schema.features)
-            classes = schema.class_codes
             reports = {}
             for name, train_table in (("before", train_real), ("after", augmented_train)):
-                codec = build_codec(train_table, attributes=feature_names)
-                X_train = encode(train_table, codec_source=codec).values
-                X_test = encode(test_real, codec_source=codec).values
-                forest = train_forest(
-                    X_train, label_indices(train_table),
-                    ForestConfig(n_classes=len(classes)),
-                    seed=derive_seed(seed, f"rf-{name}"), codec=codec,
+                codec = _feature_codec(train_table)
+                metrics, forest = fit_and_score(
+                    "rf", train_table, test_real, codec, derive_seed(seed, f"rf-{name}")
                 )
-                proba = forest.predict_proba(X_test)
-                predicted = [classes[i] for i in np.argmax(proba, axis=1)]
-                truth = [classes[i] for i in label_indices(test_real)]
-                reports[name] = compute_metrics(predicted, proba, truth, classes).to_dict()
-                if name == "after":
-                    importance = sorted(feature_importance(forest), key=lambda kv: -kv[1])
+                reports[name] = metrics.to_dict()
+            # importance comes from the last forest, the one fit on the augmented split
+            importance = _ranked_importance(forest, codec)
             path = out / "reports" / "classification.json"
             _write_json(
                 path,
                 {
-                    "before": reports.get("before"),
-                    "after": reports.get("after"),
-                    "importance": [[a, w] for a, w in (importance or [])],
+                    "before": reports["before"],
+                    "after": reports["after"],
+                    "importance": [[a, w] for a, w in importance],
                 },
             )
             artifacts.append(path)
@@ -552,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sorted(CLASSIFIERS), default="rf")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--importance", help="also write importance JSON (rf only)")
+    p.add_argument("--importance", help="also write importance JSON (single split, --model rf only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--folds", type=int, default=0, help="stratified k-fold CV instead of one split")
@@ -594,7 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "train" and args.importance and (args.folds or args.model != "rf"):
+        parser.error("train --importance needs a single split (no --folds) and --model rf")
     try:
         return args.func(args)
     except TwkitError as exc:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import CLASSIFIERS
-from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask, label_indices
+from .classify import CLASSIFIERS, fit_and_score
+from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
 from .errors import CodecError, DataError, TrainingDiverged
-from .metrics import Metrics, compute_metrics
+from .metrics import Metrics
 from .nn import (
     MLP,
     AdamState,
@@ -114,7 +114,7 @@ def _logistic_ovr_predict(X_obs, y_codes, X_mis, codes, iters=200, lr=0.3, l2=1e
     return [codes[int(np.argmax(scores[i]))] for i in range(len(X_mis))]
 
 
-def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10, seed: int = 0) -> Table:
+def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) -> Table:
     """Chained-equation imputation (single chain, point predictions)."""
     if rounds < 1:
         raise DataError(f"rounds must be >= 1, got {rounds}")
@@ -368,8 +368,8 @@ def _method_sta(ctx: ImputationContext):
 
 def _method_mice(ctx: ImputationContext):
     return (
-        impute_mice(ctx.train_missing, rounds=10, seed=derive_seed(ctx.seed, "mice-train")),
-        impute_mice(ctx.test_missing, rounds=10, seed=derive_seed(ctx.seed, "mice-test")),
+        impute_mice(ctx.train_missing, rounds=10),
+        impute_mice(ctx.test_missing, rounds=10),
     )
 
 
@@ -452,19 +452,10 @@ class DiffReport:
 
 
 def _classifier_metrics(train: Table, test: Table, codec, classifiers, seed) -> dict[str, Metrics]:
-    X_train = encode(train, codec_source=codec).values
-    X_test = encode(test, codec_source=codec).values
-    y_train = label_indices(train)
-    y_test = label_indices(test)
-    classes = train.schema.class_codes
-    out = {}
-    for name in classifiers:
-        model = CLASSIFIERS[name](X_train, y_train, len(classes), derive_seed(seed, f"clf-{name}"))
-        proba = model.predict_proba(X_test)
-        predicted = [classes[i] for i in np.argmax(proba, axis=1)]
-        truth = [classes[i] for i in y_test]
-        out[name] = compute_metrics(predicted, proba, truth, classes)
-    return out
+    return {
+        name: fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
+        for name in classifiers
+    }
 
 
 def evaluate_imputation(

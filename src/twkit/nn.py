@@ -244,12 +244,6 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def check_finite(mlp: MLP, epoch: int, batch: int) -> None:
-    for w, b in zip(mlp.weights, mlp.biases):
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise TrainingDiverged("non-finite parameter", epoch=epoch, batch=batch)
-
-
 # -- JSON checkpoints ---------------------------------------------------------
 
 

@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, label: str | int) -> int:
     """Derive a 63-bit child seed from a master seed and a stream label."""
     digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def rng_for(master: int, label: str | int) -> np.random.Generator:
-    """A fresh Generator for the (master, label) stream."""
-    return np.random.default_rng(derive_seed(master, label))

@@ -21,10 +21,10 @@ from twkit.augment import (
     default_augment_plan,
     two_stage_augment,
 )
-from twkit.classify import ForestConfig, feature_importance, train_forest
-from twkit.encoding import build_codec, encode, label_indices
+from twkit.classify import feature_importance, fit_and_score
+from twkit.encoding import build_codec
 from twkit.impute import GainConfig, evaluate_imputation
-from twkit.metrics import auc_rank, compute_metrics
+from twkit.metrics import auc_rank
 from twkit.seeds import derive_seed
 from twkit.table import Table, class_histogram, split_stratified
 
@@ -58,16 +58,8 @@ def split(corpus):
 
 def _rf_eval(train_table, test_table, seed):
     codec = build_codec(train_table, attributes=FEATURE_NAMES)
-    X_train = encode(train_table, codec_source=codec).values
-    X_test = encode(test_table, codec_source=codec).values
-    forest = train_forest(
-        X_train, label_indices(train_table), ForestConfig(n_classes=len(CLASSES)),
-        seed=seed, codec=codec,
-    )
-    proba = forest.predict_proba(X_test)
-    predicted = [CLASSES[i] for i in np.argmax(proba, axis=1)]
-    truth = [CLASSES[i] for i in label_indices(test_table)]
-    return compute_metrics(predicted, proba, truth, CLASSES), forest
+    metrics, forest = fit_and_score("rf", train_table, test_table, codec, seed)
+    return metrics, forest, codec
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +176,8 @@ def test_criterion_05_minority_recovery(corpus, split, augmented_train):
     """Rarest-class F1 < 0.3 before augmentation, >= 0.8 after; accuracy and AUC move."""
     start = time.time()
     train, test = split
-    before, _ = _rf_eval(train, test, derive_seed(CORPUS_SEED, "rf-before"))
-    after, _ = _rf_eval(augmented_train.table, test, derive_seed(CORPUS_SEED, "rf-after"))
+    before, _, _ = _rf_eval(train, test, derive_seed(CORPUS_SEED, "rf-before"))
+    after, _, _ = _rf_eval(augmented_train.table, test, derive_seed(CORPUS_SEED, "rf-after"))
     assert before.f1["HR"] < 0.3, before.f1["HR"]
     assert after.f1["HR"] >= 0.8, after.f1["HR"]
     assert after.accuracy >= 0.95, after.accuracy
@@ -203,8 +195,8 @@ def test_criterion_06_importance_ranking(split, augmented_train):
     """armor_type and headgear above c_id, t_id, height across 3 forest seeds."""
     _, test = split
     for s in (1, 2, 3):
-        _, forest = _rf_eval(augmented_train.table, test, derive_seed(CORPUS_SEED, f"rf-imp-{s}"))
-        importance = dict(feature_importance(forest))
+        _, forest, codec = _rf_eval(augmented_train.table, test, derive_seed(CORPUS_SEED, f"rf-imp-{s}"))
+        importance = dict(feature_importance(forest, codec))
         assert abs(sum(importance.values()) - 1.0) <= 1e-9
         for strong in ("armor_type", "headgear"):
             for weak in ("c_id", "t_id", "height"):

@@ -8,6 +8,7 @@ from twkit.classify import (
     TreeConfig,
     column_importance,
     feature_importance,
+    fit_and_score,
     gini,
     train_forest,
     train_linear_svm,
@@ -18,6 +19,8 @@ from twkit.classify import (
 )
 from twkit.encoding import build_codec, encode, label_indices
 from twkit.errors import DataError
+from twkit.metrics import compute_metrics
+from twkit.table import split_stratified
 from twkit.seeds import derive_seed
 
 
@@ -174,17 +177,11 @@ class TestImportance:
         codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
         X = encode(corpus_200, codec_source=codec).values
         y = label_indices(corpus_200)
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=15), seed=4, codec=codec)
-        imp = feature_importance(forest)
+        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=15), seed=4)
+        imp = feature_importance(forest, codec)
         assert {a for a, _ in imp} == {a.name for a in schema.features}
         assert sum(w for _, w in imp) == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0 for _, w in imp)
-
-    def test_requires_codec(self):
-        forest = train_forest(np.zeros((4, 2)), np.array([0, 0, 1, 1]),
-                              ForestConfig(n_classes=2, n_trees=1), seed=0)
-        with pytest.raises(DataError):
-            feature_importance(forest)
 
 
 def _separable_blobs(n=60, seed=0):
@@ -227,3 +224,22 @@ class TestCompanions:
         for trainer in (train_logreg, train_mlp_classifier, train_linear_svm):
             with pytest.raises(DataError):
                 trainer(X, y, 2, 0)
+
+
+class TestFitAndScore:
+    @pytest.mark.parametrize("name", ["dt", "lr"])
+    def test_scores_registry_model_on_held_out_rows(self, corpus_200, schema, name):
+        train, test = split_stratified(corpus_200, 0.25, seed=1)
+        codec = build_codec(train, attributes=tuple(a.name for a in schema.features))
+        metrics, model = fit_and_score(name, train, test, codec, seed=3)
+        X_train = encode(train, codec_source=codec).values
+        X_test = encode(test, codec_source=codec).values
+        expected_model = CLASSIFIERS[name](X_train, label_indices(train), 7, 3)
+        proba = expected_model.predict_proba(X_test)
+        np.testing.assert_array_equal(model.predict_proba(X_test), proba)
+        classes = schema.class_codes
+        expected = compute_metrics(
+            [classes[i] for i in np.argmax(proba, axis=1)], proba,
+            [classes[i] for i in label_indices(test)], classes,
+        )
+        assert metrics.to_dict() == expected.to_dict()

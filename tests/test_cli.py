@@ -146,6 +146,19 @@ def test_train_with_folds(tmp_path, schema):
     assert 0.0 <= doc["mean_accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("flags", [["--folds", 3], ["--model", "lr"]])
+def test_train_importance_needs_single_split_rf(tmp_path, corpus_200, flags):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--in", src, "--report", report, "--importance", tmp_path / "imp.json", *flags])
+    assert exc.value.code == 2
+    assert not report.exists()
+
+
 def test_pipeline_failure_writes_partial_manifest(tmp_path):
     # an unknown injected feature fails the eval stage after synth completed
     config = tmp_path / "config.json"

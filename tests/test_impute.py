@@ -88,7 +88,7 @@ class TestMice:
                          "RW" if rng.random() < 0.5 else "AW"))
         table = Table(schema, tuple(rows))
         injected, _ = inject_missing(table, ["height"], 0.3, seed=1)
-        out = impute_mice(injected, rounds=3, seed=2)
+        out = impute_mice(injected, rounds=3)
         i_h, i_t = schema.index_of("height"), schema.index_of("t_id")
         for row in out.rows:
             assert row[i_h] == pytest.approx(2.0 * row[i_t], abs=1e-6)
@@ -96,7 +96,7 @@ class TestMice:
     def test_observed_cells_untouched(self, schema):
         table = small_corpus(80, seed=3)
         injected, mask = inject_missing(table, ["headgear", "height"], 0.3, seed=4)
-        out = impute_mice(injected, rounds=2, seed=5)
+        out = impute_mice(injected, rounds=2)
         for i, row in enumerate(injected.rows):
             for j, cell in enumerate(row):
                 if cell is not None:
@@ -105,7 +105,7 @@ class TestMice:
     def test_imputed_values_schema_valid(self, schema):
         table = small_corpus(80, seed=6)
         injected, _ = inject_missing(table, ["headgear", "weapon", "height"], 0.3, seed=7)
-        out = impute_mice(injected, rounds=2, seed=8)
+        out = impute_mice(injected, rounds=2)
         assert out.is_complete()
         heights = [r[schema.index_of("height")] for r in table.rows]
         for row in out.rows:
