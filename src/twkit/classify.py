@@ -3,7 +3,16 @@ classifiers (softmax regression, one-hidden-layer MLP, linear one-vs-rest SVM).
 
 All models train on the encoded feature matrix (one-hot categorical view plus
 scaled numerics) and integer class indices. Categorical splits are one-vs-rest
-per code, which in the one-hot view is just a threshold at 0.5.
+per code, which in the one-hot view sends the rows at 0 left.
+
+The tree split search has two paths, chosen per column from the tree's
+training matrix. For the columns that hold only 0 and 1 (every one-hot
+column), one product of the node's rows of those columns with the node's
+one-hot labels gives each column's class counts at 1; the counts at 0 are the
+node's counts minus those. Every other column (the scaled numerics) sorts the
+node's values and scans the cumulative class counts at each boundary. Both
+paths score splits with the same Gini expression, so a tree does not depend on
+which path scored a column.
 """
 
 from __future__ import annotations
@@ -68,52 +77,78 @@ class TreeConfig:
     feature_subset_size: int | None = None  # None = all features
 
 
-def _best_split(X, y, idx, candidates, n_classes, min_leaf):
+def _best_split(X, y, idx, candidates, counts, min_leaf, binary):
     """Max Gini-decrease split over candidate columns.
 
-    Ties break toward the lowest feature index, then the lowest threshold
-    (strict `>` while scanning ascending candidates and thresholds).
+    `counts` are the node's class counts and `binary` flags the columns that
+    hold only 0 and 1 in the tree's training matrix. Binary candidates get
+    their class counts for the rows at 1 from one product, and their only
+    split sends the 0s left. The other candidates scan every boundary between
+    their sorted distinct values. Ties break toward the lowest feature index,
+    then the lowest threshold.
+
+    The stored threshold is the midpoint of the sorted values at positions r
+    and r + 1, where r is the best boundary's rank among the column's
+    boundaries. It is the boundary's own midpoint only when the values up to
+    it are distinct; for a 0/1 column it is 0.0 when two or more rows are 0
+    and 0.5 otherwise.
     """
-    parent_counts = np.bincount(y[idx], minlength=n_classes)
     n = len(idx)
-    parent_gini = gini(parent_counts)
-    best = None  # (decrease, feature, threshold, left_idx, right_idx)
-    for f in candidates:
-        values = X[idx, f]
+    parent_gini = gini(counts)
+    onehot = np.zeros((n, len(counts)))
+    onehot[np.arange(n), y[idx]] = 1.0
+    decrease = np.full(len(candidates), -np.inf)
+    threshold = np.empty(len(candidates))
+    is_binary = binary[candidates]
+    if is_binary.any():
+        right_counts = X[idx[:, None], candidates[is_binary]].T @ onehot
+        right_n = right_counts.sum(axis=1)
+        left_n = n - right_n
+        valid = np.minimum(left_n, right_n) >= max(min_leaf, 1)
+        # rows are selected before dividing, so an empty side is never divided by
+        right_counts = right_counts[valid]
+        positions = np.nonzero(is_binary)[0]
+        decrease[positions[valid]] = _gini_decrease(
+            parent_gini, n, counts - right_counts, right_counts, left_n[valid], right_n[valid]
+        )
+        threshold[positions] = np.where(left_n >= 2, 0.0, 0.5)
+    for c in np.nonzero(~is_binary)[0]:
+        values = X[idx, candidates[c]]
         order = np.argsort(values, kind="stable")
         sv = values[order]
-        sy = y[idx][order]
-        # cumulative class counts after each prefix
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sy] = 1.0
-        cum = onehot.cumsum(axis=0)
         boundaries = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position b
-        if len(boundaries) == 0:
-            continue
         left_n = boundaries + 1.0
         right_n = n - left_n
         valid = (left_n >= min_leaf) & (right_n >= min_leaf)
         if not valid.any():
             continue
-        left_counts = cum[boundaries]
-        right_counts = parent_counts - left_counts
-        gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
-        decrease = parent_gini - (left_n / n) * gl - (right_n / n) * gr
-        decrease[~valid] = -np.inf
-        b = int(np.argmax(decrease))  # first max = lowest threshold
-        # zero-gain splits are allowed on impure nodes (XOR-style patterns
-        # need them); recursion still terminates because children shrink
-        if decrease[b] < 0:
-            continue
-        if best is None or decrease[b] > best[0]:
-            threshold = 0.5 * (sv[b] + sv[b + 1])
-            mask = values <= threshold
-            best = (float(decrease[b]), int(f), float(threshold), idx[mask], idx[~mask])
-    return best
+        left_counts = onehot[order].cumsum(axis=0)[boundaries]  # counts up to each boundary
+        scan = _gini_decrease(parent_gini, n, left_counts, counts - left_counts, left_n, right_n)
+        scan[~valid] = -np.inf
+        b = int(np.argmax(scan))  # first max = lowest threshold
+        decrease[c] = scan[b]
+        threshold[c] = 0.5 * (sv[b] + sv[b + 1])
+    # zero-gain splits are allowed on impure nodes (XOR-style patterns need
+    # them); recursion still terminates because children shrink
+    decrease[decrease < 0] = -np.inf
+    if not (decrease > -np.inf).any():
+        return None
+    c = int(np.argmax(decrease))  # first max = lowest feature
+    f = int(candidates[c])
+    mask = X[idx, f] <= threshold[c]
+    return (float(decrease[c]), f, float(threshold[c]), idx[mask], idx[~mask])
 
 
-def _build(X, y, idx, depth, config, rng):
+def _gini_decrease(parent_gini, n, left_counts, right_counts, left_n, right_n):
+    """Gini decrease of each candidate split, one per row of the (splits x
+    classes) count arrays. The arrays are C-contiguous, so every row sums its
+    classes in the same order whichever path built it."""
+    gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
+    return parent_gini - (left_n / n) * gl - (right_n / n) * gr
+
+
+def _build(X, y, idx, depth, config, rng, binary):
     counts = np.bincount(y[idx], minlength=config.n_classes)
     node_kwargs = dict(n_samples=len(idx), counts=tuple(int(c) for c in counts))
     if (
@@ -127,7 +162,7 @@ def _build(X, y, idx, depth, config, rng):
         candidates = np.sort(rng.choice(d, size=config.feature_subset_size, replace=False))
     else:
         candidates = np.arange(d)
-    best = _best_split(X, y, idx, candidates, config.n_classes, config.min_samples_leaf)
+    best = _best_split(X, y, idx, candidates, counts, config.min_samples_leaf, binary)
     if best is None:
         return TreeNode(**node_kwargs)
     decrease, f, threshold, left_idx, right_idx = best
@@ -136,8 +171,8 @@ def _build(X, y, idx, depth, config, rng):
         feature=f,
         threshold=threshold,
         decrease=decrease,
-        left=_build(X, y, left_idx, depth + 1, config, rng),
-        right=_build(X, y, right_idx, depth + 1, config, rng),
+        left=_build(X, y, left_idx, depth + 1, config, rng, binary),
+        right=_build(X, y, right_idx, depth + 1, config, rng, binary),
     )
 
 
@@ -148,7 +183,8 @@ def train_tree(X, y, config: TreeConfig, seed: int = 0) -> TreeNode:
     if len(X) == 0:
         raise DataError("cannot train a tree on an empty dataset")
     rng = np.random.default_rng(seed)
-    return _build(X, y, np.arange(len(X)), 0, config, rng)
+    binary = ((X == 0) | (X == 1)).all(axis=0)
+    return _build(X, y, np.arange(len(X)), 0, config, rng, binary)
 
 
 def _tree_leaf(node: TreeNode, row) -> TreeNode:

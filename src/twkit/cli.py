@@ -561,6 +561,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "train" and args.importance and (args.folds or args.model != "rf"):
         parser.error("train --importance needs a single split (no --folds) and --model rf")
+    if args.command == "train" and (args.folds < 0 or args.folds == 1):
+        parser.error(f"--folds must be 0 (single split) or >= 2, got {args.folds}")
+    if args.command in ("train", "importance") and not 0 < args.test_fraction < 1:
+        parser.error(f"--test-fraction must be in (0, 1), got {args.test_fraction}")
     try:
         return args.func(args)
     except TwkitError as exc:

@@ -127,18 +127,23 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
     incomplete = [j for j, rows in missing.items() if rows]
     if not incomplete:
         return table
+    observed = {
+        j: [i for i, row in enumerate(table.rows) if row[j] is not None]
+        for j in incomplete
+    }
     working = impute_sta(table, schema)
     columns = [list(working.column(a.name)) for a in attrs]
     for _ in range(rounds):
         for j in incomplete:
             attr = attrs[j]
             design = _design_matrix(columns, attrs, skip=j)
-            obs = [i for i in range(len(table)) if i not in set(missing[j])]
+            obs = observed[j]
             mis = missing[j]
             X_obs, X_mis = design[obs], design[mis]
             if attr.kind == CATEGORICAL:
                 y_codes = [columns[j][i] for i in obs]
-                seen = [c for c in attr.codes if c in set(y_codes)]
+                present = set(y_codes)
+                seen = [c for c in attr.codes if c in present]
                 predicted = _logistic_ovr_predict(X_obs, y_codes, X_mis, seen)
             else:
                 y = np.array([columns[j][i] for i in obs], dtype=np.float64)

@@ -32,18 +32,20 @@ class AttributeSpec:
             raise SchemaError(f"{self.name}: unknown kind {self.kind!r}")
         if self.role not in ("feature", "label"):
             raise SchemaError(f"{self.name}: unknown role {self.role!r}")
+        codes = tuple(c for c, _ in self.categories)
         if self.kind == CATEGORICAL:
-            codes = [c for c, _ in self.categories]
             if len(codes) < 2:
                 raise SchemaError(f"{self.name}: categorical needs >=2 codes")
             if len(set(codes)) != len(codes):
                 raise SchemaError(f"{self.name}: duplicate codes")
         elif self.categories:
             raise SchemaError(f"{self.name}: numeric attribute cannot declare codes")
+        # not a field: equality and repr ignore it, and dataclasses.replace rebuilds it
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def codes(self) -> tuple[Code, ...]:
-        return tuple(c for c, _ in self.categories)
+        return self._codes
 
     def code_index(self, code: Code) -> int:
         try:

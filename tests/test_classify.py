@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from twkit.classify import (
     Forest,
     ForestConfig,
     TreeConfig,
+    TreeNode,
+    _best_split,
     column_importance,
     feature_importance,
     fit_and_score,
@@ -103,6 +107,132 @@ class TestTree:
         y = np.array([0, 0, 1, 1])
         tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
         assert tree.feature == 0
+
+
+def _reference_best_split(X, y, idx, candidates, n_classes, min_leaf):
+    """The split search before the count-based path: one stable-argsort
+    cumsum scan per candidate column. The oracle for `_best_split`."""
+    parent_counts = np.bincount(y[idx], minlength=n_classes)
+    n = len(idx)
+    parent_gini = gini(parent_counts)
+    best = None  # (decrease, feature, threshold, left_idx, right_idx)
+    for f in candidates:
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = y[idx][order]
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), sy] = 1.0
+        cum = onehot.cumsum(axis=0)
+        boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
+        if len(boundaries) == 0:
+            continue
+        left_n = boundaries + 1.0
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        left_counts = cum[boundaries]
+        right_counts = parent_counts - left_counts
+        gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
+        decrease = parent_gini - (left_n / n) * gl - (right_n / n) * gr
+        decrease[~valid] = -np.inf
+        b = int(np.argmax(decrease))
+        if decrease[b] < 0:
+            continue
+        if best is None or decrease[b] > best[0]:
+            threshold = 0.5 * (sv[b] + sv[b + 1])
+            mask = values <= threshold
+            best = (float(decrease[b]), int(f), float(threshold), idx[mask], idx[~mask])
+    return best
+
+
+def _reference_tree(X, y, config, seed):
+    """`train_tree` built on `_reference_best_split`, drawing candidates in the
+    same pre-order."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+
+    def build(idx, depth):
+        counts = np.bincount(y[idx], minlength=config.n_classes)
+        kwargs = dict(n_samples=len(idx), counts=tuple(int(c) for c in counts))
+        if (
+            (counts > 0).sum() <= 1
+            or (config.max_depth is not None and depth >= config.max_depth)
+            or len(idx) < 2 * config.min_samples_leaf
+        ):
+            return TreeNode(**kwargs)
+        d = X.shape[1]
+        if config.feature_subset_size is not None and config.feature_subset_size < d:
+            candidates = np.sort(rng.choice(d, size=config.feature_subset_size, replace=False))
+        else:
+            candidates = np.arange(d)
+        best = _reference_best_split(X, y, idx, candidates, config.n_classes, config.min_samples_leaf)
+        if best is None:
+            return TreeNode(**kwargs)
+        decrease, f, threshold, left_idx, right_idx = best
+        return TreeNode(
+            **kwargs, feature=f, threshold=threshold, decrease=decrease,
+            left=build(left_idx, depth + 1), right=build(right_idx, depth + 1),
+        )
+
+    return build(np.arange(len(X)), 0)
+
+
+def _mixed_matrix(rng, n):
+    """0/1 columns of several densities, real columns with repeated values,
+    constant columns and exact duplicates of both kinds."""
+    binary = [(rng.random(n) < p).astype(float) for p in (0.02, 0.1, 0.3, 0.5, 0.8, 0.97)]
+    real = [np.round(rng.random(n), 1), rng.normal(size=n), np.round(rng.random(n) * 3) / 3]
+    constant = [np.zeros(n), np.ones(n), np.full(n, 0.25)]
+    columns = binary + real + constant + [binary[2], real[0]]
+    order = rng.permutation(len(columns))
+    return np.column_stack([columns[i] for i in order])
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("n_classes", [2, 7, 9])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_matches_sort_and_scan(self, n_classes, min_leaf):
+        rng = np.random.default_rng(1000 * n_classes + min_leaf)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(40):
+                n_rows = int(rng.integers(2, 80))
+                X = _mixed_matrix(rng, n_rows)
+                y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n_rows)
+                binary = ((X == 0) | (X == 1)).all(axis=0)
+                for _ in range(5):
+                    idx = np.sort(rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False))
+                    size = int(rng.integers(1, X.shape[1] + 1))
+                    candidates = np.sort(rng.choice(X.shape[1], size=size, replace=False))
+                    counts = np.bincount(y[idx], minlength=n_classes)
+                    got = _best_split(X, y, idx, candidates, counts, min_leaf, binary)
+                    want = _reference_best_split(X, y, idx, candidates, n_classes, min_leaf)
+                    assert (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    assert got[:3] == want[:3]
+                    np.testing.assert_array_equal(got[3], want[3])
+                    np.testing.assert_array_equal(got[4], want[4])
+                    checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("subset, bootstrap", [(None, False), (7, False), (7, True), (3, True)])
+    def test_corpus_trees_match(self, corpus_200, schema, subset, bootstrap):
+        codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
+        X = encode(corpus_200, codec_source=codec).values
+        y = label_indices(corpus_200)
+        if bootstrap:
+            boot = np.random.default_rng(11).integers(0, len(X), size=len(X))
+            X, y = X[boot], y[boot]
+        config = TreeConfig(n_classes=7, feature_subset_size=subset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(3):
+                assert train_tree(X, y, config, seed=seed) == _reference_tree(X, y, config, seed)
 
 
 class TestForest:

@@ -159,6 +159,26 @@ def test_train_importance_needs_single_split_rf(tmp_path, corpus_200, flags):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--folds", 1],
+    ["train", "--folds", -2],
+    ["train", "--test-fraction", 0],
+    ["train", "--test-fraction", 1.5],
+    ["importance", "--test-fraction", 1],
+])
+def test_train_range_errors_are_usage_errors(tmp_path, corpus_200, argv):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    report = tmp_path / "report.json"
+    out_flag = "--report" if argv[0] == "train" else "--out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--in", src, out_flag, report])
+    assert exc.value.code == 2
+    assert not report.exists()
+
+
 def test_pipeline_failure_writes_partial_manifest(tmp_path):
     # an unknown injected feature fails the eval stage after synth completed
     config = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from twkit.errors import SchemaError
@@ -18,6 +20,21 @@ def test_default_schema_codes(schema):
     assert schema.attribute("t_id").codes == (1, 2, 10, 19, 20)
     assert schema.attribute("c_id").codes == tuple(range(1, 12)) + ("K",)
     assert schema.attribute("height").unit == "centimeters"
+
+
+def test_codes_follow_categories_through_replace():
+    spec = AttributeSpec(name="x", kind=CATEGORICAL, categories=((0, "a"), ("K", "b")))
+    assert spec.codes == (0, "K")
+    assert spec.code_index("K") == 1
+    wider = dataclasses.replace(spec, categories=spec.categories + ((5, "c"),))
+    assert wider.codes == (0, "K", 5)
+    assert spec == AttributeSpec(name="x", kind=CATEGORICAL, categories=((0, "a"), ("K", "b")))
+    assert spec != wider
+    assert repr(spec) == (
+        "AttributeSpec(name='x', kind='categorical', categories=((0, 'a'), ('K', 'b')), "
+        "unit='', role='feature')"
+    )
+    assert AttributeSpec(name="h", kind=NUMERIC).codes == ()
 
 
 def test_categorical_needs_two_codes():
