@@ -144,6 +144,11 @@ class BoxStats:
             "outliers": list(self.outliers),
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "BoxStats":
+        return cls(doc["q1"], doc["median"], doc["q3"], doc["whisker_low"], doc["whisker_high"],
+                   tuple(doc["outliers"]))
+
 
 def _quantile(sorted_values: np.ndarray, p: float) -> float:
     # linear interpolation on order statistics (numpy's default convention)
@@ -195,6 +200,11 @@ class ViolinStats:
             "min": self.min,
             "max": self.max,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ViolinStats":
+        return cls(tuple(doc["grid"]), tuple(doc["density"]), doc["q1"], doc["median"], doc["q3"],
+                   doc["min"], doc["max"])
 
 
 def kde(values, bandwidth: float | None = None, grid_size: int = 128) -> ViolinStats:

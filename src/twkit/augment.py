@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Codec, EncodedMatrix, decode_cells, encode
+from .encoding import Codec, EncodedMatrix, decode_cells, encode, label_indices
 from .errors import DataError, TrainingDiverged
 from .nn import (
     MLP,
@@ -28,10 +28,11 @@ from .nn import (
     forward,
     init_mlp,
     iter_batches,
+    one_hot,
     softmax_cross_entropy,
 )
 from .schema import NUMERIC, Code, Schema
-from .table import Row, Table
+from .table import Row, Table, class_histogram
 from .seeds import derive_seed
 
 ORIGIN_REAL = "real"
@@ -53,9 +54,7 @@ def categorical_penalty(table: Table, cls: Code) -> float:
     numeric = [a.name for a in table.schema.features if a.kind == NUMERIC]
     if not numeric:
         return 1.0
-    label_idx = table.schema.label_index
-    class_rows = [row for row in table.rows if row[label_idx] == cls]
-    for rows in (class_rows, list(table.rows)):
+    for rows in (_class_rows(table, cls), list(table.rows)):
         stds = []
         for name in numeric:
             j = table.schema.index_of(name)
@@ -176,12 +175,6 @@ class TableCganModel:
     noise_dim: int
 
 
-def _one_hot(indices: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(indices), k))
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
-
-
 def train_table_cgan(
     encoded: EncodedMatrix,
     labels: np.ndarray,
@@ -229,7 +222,7 @@ def train_table_cgan(
     for epoch in range(config.epochs):
         for b_i, batch in enumerate(iter_batches(n, config.batch_size, rng)):
             xb, yb = x[batch], y[batch]
-            y1h = _one_hot(yb, k)
+            y1h = one_hot(yb, k)
             z = rng.standard_normal((len(batch), config.noise_dim))
             gen_in = np.hstack([z, y1h])
 
@@ -297,7 +290,7 @@ def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> li
     cls_idx = schema.class_codes.index(cls)
     rng = np.random.default_rng(derive_seed(seed, f"cgan-sample-{cls}"))
     z = rng.standard_normal((n, model.noise_dim))
-    y1h = _one_hot(np.full(n, cls_idx), k)
+    y1h = one_hot(np.full(n, cls_idx), k)
     fake, _ = forward(model.generator, np.hstack([z, y1h]))
     label_name = schema.label.name
     rows = []
@@ -360,10 +353,13 @@ def load_plan(path, schema: Schema) -> AugmentPlan:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     label = schema.label
-    return AugmentPlan(
-        stage1={label.parse_token(c): int(t) for c, t in doc["stage1"].items()},
-        stage2={label.parse_token(c): int(t) for c, t in doc["stage2"].items()},
-    )
+    try:
+        return AugmentPlan(
+            stage1={label.parse_token(c): int(t) for c, t in doc["stage1"].items()},
+            stage2={label.parse_token(c): int(t) for c, t in doc["stage2"].items()},
+        )
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed plan: {exc!r}") from exc
 
 
 def default_augment_plan(
@@ -414,9 +410,9 @@ def two_stage_augment(
     `real`; synthetic rows are flagged by the stage that produced them.
     """
     schema = table.schema
-    counts = {c: 0 for c in schema.class_codes}
-    for label in table.labels():
-        counts[label] += 1
+    if any(label is None for label in table.labels()):
+        raise DataError("augmentation needs a class label on every row")
+    counts = class_histogram(table)
     if plan is None:
         plan = default_augment_plan(counts, schema.class_codes)
     plan.validate(counts)
@@ -441,11 +437,9 @@ def two_stage_augment(
     if any(g > 0 for g in gaps.values()):
         feature_names = tuple(a.name for a in schema.features)
         encoded = encode(stage1_table, attributes=feature_names)
-        labels = np.array(
-            [schema.class_codes.index(c) for c in stage1_table.labels()], dtype=np.int64
-        )
         model = train_table_cgan(
-            encoded, labels, cgan_config or CganConfig(), derive_seed(seed, "cgan"), schema
+            encoded, label_indices(stage1_table), cgan_config or CganConfig(),
+            derive_seed(seed, "cgan"), schema,
         )
         for cls in schema.class_codes:
             if gaps[cls] <= 0:

@@ -32,6 +32,7 @@ from .nn import (
     forward,
     init_mlp,
     iter_batches,
+    one_hot,
     softmax_cross_entropy,
     _sigmoid,
     _softmax,
@@ -95,8 +96,7 @@ def _best_split(X, y, idx, candidates, counts, min_leaf, binary):
     """
     n = len(idx)
     parent_gini = gini(counts)
-    onehot = np.zeros((n, len(counts)))
-    onehot[np.arange(n), y[idx]] = 1.0
+    onehot = one_hot(y[idx], len(counts))
     decrease = np.full(len(candidates), -np.inf)
     threshold = np.empty(len(candidates))
     is_binary = binary[candidates]
@@ -215,7 +215,6 @@ class ForestConfig:
 @dataclass
 class Forest:
     trees: list[TreeNode]
-    tree_seeds: list[int]
     config: ForestConfig
 
     def predict_proba(self, X) -> np.ndarray:
@@ -246,17 +245,16 @@ def train_forest(X, y, config: ForestConfig, seed: int = 0) -> Forest:
         min_samples_leaf=config.min_samples_leaf,
         feature_subset_size=min(subset, d),
     )
-    trees, tree_seeds = [], []
+    trees = []
     n = len(X)
     for t in range(config.n_trees):
         tree_seed = derive_seed(seed, f"tree-{t}")
-        tree_seeds.append(tree_seed)
         if config.bootstrap:
             boot = np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n)
             trees.append(train_tree(X[boot], y[boot], tree_config, tree_seed))
         else:
             trees.append(train_tree(X, y, tree_config, tree_seed))
-    return Forest(trees, tree_seeds, config)
+    return Forest(trees, config)
 
 
 def _accumulate_importance(node: TreeNode, total_samples: int, acc: np.ndarray) -> None:

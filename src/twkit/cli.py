@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .analyze import box_stats, correlation_matrix, group_by_class, kde
+from . import __version__, theme
+from .analyze import BoxStats, CorrelationMatrix, ViolinStats, box_stats, correlation_matrix, group_by_class, kde
 from .augment import (
     CganConfig,
     SmotencConfig,
@@ -38,7 +38,6 @@ from .schema import default_schema
 from .seeds import derive_seed
 from .synth import default_synthesis_spec, load_spec, synthesize_corpus
 from .table import class_histogram, kfold_stratified, load_augmented_csv, save_csv, split_stratified
-from .analyze import CorrelationMatrix
 
 
 def _write_json(path, payload) -> None:
@@ -126,8 +125,10 @@ def _feature_codec(train):
     return build_codec(train, attributes=tuple(a.name for a in train.schema.features))
 
 
-def _ranked_importance(forest, codec):
-    return sorted(feature_importance(forest, codec), key=lambda kv: -kv[1])
+def _importance_payload(forest, codec) -> dict:
+    """The importance document: [attribute, weight] pairs, heaviest first."""
+    ranked = sorted(feature_importance(forest, codec), key=lambda kv: -kv[1])
+    return {"importance": [[a, w] for a, w in ranked]}
 
 
 def _single_split_fit(table, model, seed, test_fraction):
@@ -160,8 +161,7 @@ def cmd_train(args) -> int:
     metrics, fitted, codec = _single_split_fit(table, args.model, args.seed, args.test_fraction)
     _write_json(args.report, metrics.to_dict())
     if args.importance:
-        importance = _ranked_importance(fitted, codec)
-        _write_json(args.importance, {"importance": [[a, w] for a, w in importance]})
+        _write_json(args.importance, _importance_payload(fitted, codec))
     print(f"accuracy {metrics.accuracy:.4f}  macro AUC {metrics.macro_auc:.4f}")
     return 0
 
@@ -170,9 +170,9 @@ def cmd_importance(args) -> int:
     schema = default_schema()
     table = _load_table(args.infile, schema)
     _, forest, codec = _single_split_fit(table, "rf", args.seed, args.test_fraction)
-    importance = _ranked_importance(forest, codec)
-    _write_json(args.out, {"importance": [[a, w] for a, w in importance]})
-    print("\n".join(f"{a:<12} {w:.4f}" for a, w in importance))
+    payload = _importance_payload(forest, codec)
+    _write_json(args.out, payload)
+    print("\n".join(f"{a:<12} {w:.4f}" for a, w in payload["importance"]))
     return 0
 
 
@@ -211,59 +211,42 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _panels_from_payload(payload, key):
-    from .analyze import BoxStats, ViolinStats
+# `plot --kind` -> (PlotSpec kind, width, height, default title)
+FIGURES = {
+    "importance": ("importance_bar", theme.DEFAULT_WIDTH, theme.DEFAULT_HEIGHT, "Feature importance"),
+    "box": ("box_grid", 900, 560, "Per-class distributions"),
+    "violin": ("violin_grid", 900, 560, "Per-class densities"),
+    "heatmap": ("heatmap", 640, 560, "Attribute correlation"),
+}
 
+
+def _render_figure(kind: str, payload: dict, title: str) -> str:
+    """One SVG figure from the document its producing command writes: the
+    `importance` payload, the `stats` payload (box, violin) or the `correlate`
+    payload (heatmap)."""
+    spec_kind, width, height, _ = FIGURES[kind]
+    spec = PlotSpec(kind=spec_kind, title=title, width=width, height=height)
+    if kind == "importance":
+        return render_importance_bar([(a, w) for a, w in payload["importance"]], spec)
+    if kind == "heatmap":
+        values = np.array(payload["matrix_full_precision"], dtype=np.float64)
+        return render_heatmap(CorrelationMatrix(tuple(payload["attributes"]), values), spec)
+    stats = BoxStats if kind == "box" else ViolinStats
     classes = payload["classes"]
-    panels = []
-    for panel in payload["panels"]:
-        per_class = {}
-        for cls in classes:
-            doc = panel[key][cls]
-            if key == "box":
-                per_class[cls] = BoxStats(
-                    q1=doc["q1"], median=doc["median"], q3=doc["q3"],
-                    whisker_low=doc["whisker_low"], whisker_high=doc["whisker_high"],
-                    outliers=tuple(doc["outliers"]),
-                )
-            else:
-                per_class[cls] = ViolinStats(
-                    grid=tuple(doc["grid"]), density=tuple(doc["density"]),
-                    q1=doc["q1"], median=doc["median"], q3=doc["q3"],
-                    min=doc["min"], max=doc["max"],
-                )
-        panels.append((panel["attribute"], per_class))
-    return classes, panels
+    panels = [
+        (p["attribute"], {c: stats.from_dict(p[kind][c]) for c in classes}) for p in payload["panels"]
+    ]
+    if kind == "box":
+        return render_box_grid(panels, classes, spec)
+    return render_violin_grid(panels, classes, spec)
 
 
 def cmd_plot(args) -> int:
     payload = _read_json(args.infile)
-    if args.kind == "importance":
-        doc = render_importance_bar(
-            [(a, w) for a, w in payload["importance"]],
-            PlotSpec(kind="importance_bar", title=args.title or "Feature importance"),
-        )
-    elif args.kind == "box":
-        classes, panels = _panels_from_payload(payload, "box")
-        doc = render_box_grid(
-            panels, classes,
-            PlotSpec(kind="box_grid", title=args.title or "Per-class distributions", width=900, height=560),
-        )
-    elif args.kind == "violin":
-        classes, panels = _panels_from_payload(payload, "violin")
-        doc = render_violin_grid(
-            panels, classes,
-            PlotSpec(kind="violin_grid", title=args.title or "Per-class densities", width=900, height=560),
-        )
-    elif args.kind == "heatmap":
-        matrix = CorrelationMatrix(
-            tuple(payload["attributes"]),
-            np.array(payload["matrix_full_precision"], dtype=np.float64),
-        )
-        doc = render_heatmap(matrix, PlotSpec(kind="heatmap", title=args.title or "Attribute correlation",
-                                              width=640, height=560))
-    else:
-        raise DataError(f"unknown plot kind {args.kind!r}")
+    try:
+        doc = _render_figure(args.kind, payload, args.title or FIGURES[args.kind][3])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.infile}: malformed {args.kind} payload: {exc!r}") from exc
     Path(args.out).write_text(doc, encoding="utf-8")
     print(f"wrote {args.kind} figure to {args.out}")
     return 0
@@ -365,31 +348,28 @@ def cmd_pipeline(args) -> int:
             artifacts.append(path)
             completed.append("eval_impute")
 
+        def augment(table, label):
+            plan = default_augment_plan(
+                class_histogram(table), schema.class_codes, config.total, config.smote_cap
+            )
+            return two_stage_augment(
+                table, plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
+                seed=derive_seed(seed, label),
+            )
+
         train_real, test_real = split_stratified(
             corpus, config.test_fraction, derive_seed(seed, "split")
         )
         augmented_train = train_real
         if "augment" in config.stages:
-            counts = class_histogram(corpus)
-            plan = default_augment_plan(counts, schema.class_codes, config.total, config.smote_cap)
-            result = two_stage_augment(
-                corpus, plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
-                seed=derive_seed(seed, "augment"),
-            )
+            result = augment(corpus, "augment")
             tws_path = out / "tws.csv"
             save_csv(result.table, tws_path, origins=list(result.origins))
             artifacts.append(tws_path)
             completed.append("augment")
             # the metrics protocol augments only the training split, so the
             # held-out real rows never appear in any training set
-            train_counts = class_histogram(train_real)
-            train_plan = default_augment_plan(
-                train_counts, schema.class_codes, config.total, config.smote_cap
-            )
-            augmented_train = two_stage_augment(
-                train_real, train_plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
-                seed=derive_seed(seed, "augment-train"),
-            ).table
+            augmented_train = augment(train_real, "augment-train").table
 
         importance = None
         if "train" in config.stages:
@@ -401,16 +381,9 @@ def cmd_pipeline(args) -> int:
                 )
                 reports[name] = metrics.to_dict()
             # importance comes from the last forest, the one fit on the augmented split
-            importance = _ranked_importance(forest, codec)
+            importance = _importance_payload(forest, codec)
             path = out / "reports" / "classification.json"
-            _write_json(
-                path,
-                {
-                    "before": reports["before"],
-                    "after": reports["after"],
-                    "importance": [[a, w] for a, w in importance],
-                },
-            )
+            _write_json(path, {**reports, **importance})
             artifacts.append(path)
             completed.append("train")
 
@@ -418,7 +391,9 @@ def cmd_pipeline(args) -> int:
         if "analyze" in config.stages:
             target = augmented_train if "augment" in config.stages else corpus
             matrix = correlation_matrix(target)
-            ranked = [a for a, _ in (importance or [])] or [a.name for a in schema.features]
+            ranked = (
+                [a for a, _ in importance["importance"]] if importance else [a.name for a in schema.features]
+            )
             box_attrs = ranked[: config.box_panels]
             violin_attrs = ranked[config.box_panels :] or ranked[-4:]
             analysis = {
@@ -433,26 +408,13 @@ def cmd_pipeline(args) -> int:
 
         if "plot" in config.stages and analysis is not None and importance is not None:
             figures = {
-                "importance.svg": render_importance_bar(
-                    importance, PlotSpec(kind="importance_bar", title="Feature importance")
-                ),
-                "box.svg": render_box_grid(
-                    _panels_from_payload(analysis["box"], "box")[1],
-                    analysis["box"]["classes"],
-                    PlotSpec(kind="box_grid", title="Key attribute distributions", width=900, height=560),
-                ),
-                "violin.svg": render_violin_grid(
-                    _panels_from_payload(analysis["violin"], "violin")[1],
-                    analysis["violin"]["classes"],
-                    PlotSpec(kind="violin_grid", title="Attribute densities", width=900, height=560),
-                ),
-                "heatmap.svg": render_heatmap(
-                    CorrelationMatrix(
-                        tuple(analysis["correlation"]["attributes"]),
-                        np.array(analysis["correlation"]["matrix_full_precision"]),
-                    ),
-                    PlotSpec(kind="heatmap", title="Attribute correlation", width=640, height=560),
-                ),
+                name: _render_figure(kind, payload, title)
+                for name, kind, payload, title in (
+                    ("importance.svg", "importance", importance, "Feature importance"),
+                    ("box.svg", "box", analysis["box"], "Key attribute distributions"),
+                    ("violin.svg", "violin", analysis["violin"], "Attribute densities"),
+                    ("heatmap.svg", "heatmap", analysis["correlation"], "Attribute correlation"),
+                )
             }
             for name, doc in figures.items():
                 path = out / name
@@ -567,7 +529,7 @@ def main(argv=None) -> int:
         parser.error(f"--test-fraction must be in (0, 1), got {args.test_fraction}")
     try:
         return args.func(args)
-    except TwkitError as exc:
+    except (TwkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError
+from .nn import one_hot
 from .schema import CATEGORICAL, Code, Schema
 from .table import Cell, MaskMatrix, Table
 
@@ -76,10 +77,6 @@ class EncodedMatrix:
             raise CodecError(
                 f"matrix width {self.values.shape} does not match codec width {self.codec.width}"
             )
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.values.shape[0])
 
 
 def build_codec(table: Table, attributes: tuple[str, ...] | None = None) -> Codec:
@@ -202,10 +199,7 @@ def label_indices(table: Table) -> np.ndarray:
 
 
 def one_hot_labels(table: Table) -> np.ndarray:
-    idx = label_indices(table)
-    out = np.zeros((len(idx), len(table.schema.class_codes)), dtype=np.float64)
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
+    return one_hot(label_indices(table), len(table.schema.class_codes))
 
 
 def codec_to_dict(codec: Codec) -> dict:

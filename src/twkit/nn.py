@@ -37,15 +37,6 @@ class MLP:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
-    def copy(self) -> "MLP":
-        return MLP(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.hidden_activation,
-            self.output_activation,
-            tuple(self.output_blocks),
-        )
-
 
 def init_mlp(
     layer_sizes,
@@ -222,13 +213,19 @@ def mse(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
     return float((diff**2).sum() / count), 2.0 * diff / count
 
 
+def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) float64 rows holding 1.0 at each row's index and 0.0 elsewhere."""
+    out = np.zeros((len(indices), k))
+    out[np.arange(len(indices)), indices] = 1.0
+    return out
+
+
 def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray):
     """`y` is integer class indices or a one-hot matrix; gradient is wrt logits."""
     probs = _softmax(logits)
     n = logits.shape[0]
     if y.ndim == 1:
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(n), y.astype(int)] = 1.0
+        onehot = one_hot(y.astype(int), probs.shape[1])
     else:
         if y.shape != logits.shape:
             raise ValueError(f"shape mismatch {logits.shape} vs {y.shape}")

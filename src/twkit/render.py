@@ -19,8 +19,6 @@ from .errors import DataError
 class PlotSpec:
     kind: str
     title: str = ""
-    x_label: str = ""
-    y_label: str = ""
     width: int = theme.DEFAULT_WIDTH
     height: int = theme.DEFAULT_HEIGHT
     palette: tuple[str, ...] = theme.PALETTE
@@ -106,8 +104,6 @@ def render_importance_bar(importances, spec: PlotSpec) -> str:
         svg.text(x0 - 6, y + bar_h / 2 + 4, name, anchor="end")
         svg.text(x0 + length + 4, y + bar_h / 2 + 4, f"{weight:.3f}")
     svg.line(x0, y0, x0, y0 + plot_h)
-    if spec.x_label:
-        svg.text(x0 + plot_w / 2, spec.height - 16, spec.x_label, anchor="middle")
     return svg.finish()
 
 

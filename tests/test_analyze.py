@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,13 @@ class TestBoxStats:
             iqr = s.q3 - s.q1
             for v in s.outliers:
                 assert v < s.q1 - 1.5 * iqr or v > s.q3 + 1.5 * iqr
+
+
+def test_stats_from_dict_inverts_to_dict():
+    # the round trip goes through JSON, as `plot` reads what `stats` writes
+    for stats in (box_stats([1, 2, 3, 4, 100]), kde([1.0, 2.0, 3.5])):
+        doc = json.loads(json.dumps(stats.to_dict()))
+        assert type(stats).from_dict(doc) == stats
 
 
 class TestKde:

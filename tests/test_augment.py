@@ -259,3 +259,11 @@ class TestTwoStage:
         result = two_stage_augment(table, plan, SmotencConfig(), FAST_CGAN, seed=24)
         Table(schema, result.table.rows)
         assert result.table.is_complete()
+
+    def test_missing_label_rejected(self, schema):
+        table = small_corpus(120, seed=21)
+        label_idx = schema.label_index
+        rows = list(table.rows)
+        rows[0] = rows[0][:label_idx] + (None,) + rows[0][label_idx + 1:]
+        with pytest.raises(DataError, match="class label"):
+            two_stage_augment(Table(schema, tuple(rows)), seed=22)

@@ -268,7 +268,7 @@ class TestForest:
     def test_tie_break_lowest_class(self):
         t1 = train_tree(np.zeros((1, 1)), np.array([0]), TreeConfig(n_classes=2), seed=0)
         t2 = train_tree(np.zeros((1, 1)), np.array([1]), TreeConfig(n_classes=2), seed=0)
-        forest = Forest([t1, t2], [0, 0], ForestConfig(n_classes=2, n_trees=2))
+        forest = Forest([t1, t2], ForestConfig(n_classes=2, n_trees=2))
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
         assert forest.predict(np.zeros((1, 1)))[0] == 0

@@ -199,3 +199,89 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path):
     config.write_text(json.dumps({"not_a_real_knob": 1}), encoding="utf-8")
     code = run(["pipeline", "--out", tmp_path / "out", "--seed", 3, "--config", config])
     assert code == 1
+
+
+_BOX = {"q1": 1.0, "median": 2.0, "q3": 3.0, "whisker_low": 0.0, "whisker_high": 4.0, "outliers": []}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("box", {"classes": ["RW"], "panels": [{"attribute": "height", "violin": {"RW": _BOX}}]}),
+    ("box", {"classes": ["RW", "HR"], "panels": [{"attribute": "height", "box": {"RW": _BOX}}]}),
+    ("violin", {"classes": ["RW"], "panels": [{"attribute": "height", "violin": {"RW": {
+        "grid": [], "density": [], "q1": 1.0, "median": 1.0, "q3": 1.0, "min": 1.0, "max": 1.0}}}]}),
+    ("importance", {"importance": [["height"]]}),
+    ("importance", {"importance": [["height", "heavy"]]}),
+    ("importance", [["height", 0.5]]),
+    ("heatmap", {"attributes": ["a", "b"], "matrix_full_precision": [[1.0, 0.2], [0.2]]}),
+    ("augment", {"stage1": {"RW": 10}}),
+    ("augment", {"stage1": ["RW"], "stage2": {}}),
+    ("augment", {"stage1": {"RW": "ten"}, "stage2": {}}),
+], ids=[
+    "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
+    "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
+    "plan-stage1-list", "plan-text-target",
+])
+def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, command, document):
+    from twkit.table import save_csv
+
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "augment":
+        src = tmp_path / "tw.csv"
+        save_csv(corpus_200, src)
+        argv = ["augment", "--in", src, "--plan", doc_path, "--out", out]
+    else:
+        argv = ["plot", "--kind", command, "--in", doc_path, "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")]
+    assert str(doc_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "correlate", "plot"])
+def test_unwritable_output_exits_1(tmp_path, capsys, corpus_200, command):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    importance = tmp_path / "importance.json"
+    importance.write_text(json.dumps({"importance": [["height", 1.0]]}), encoding="utf-8")
+    out = tmp_path / "missing" / "x.out"
+    argv = {
+        "synth": ["synth", "--n", 20],
+        "correlate": ["correlate", "--in", src],
+        "plot": ["plot", "--kind", "importance", "--in", importance],
+    }[command]
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_plot_reproduces_pipeline_figures(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bench_rows": 200, "gain_epochs": 5, "cgan_epochs": 2, "methods": ["sta"], "classifiers": ["dt"],
+    }), encoding="utf-8")
+    out = tmp_path / "pipeline"
+    assert run(["pipeline", "--out", out, "--seed", 7, "--config", config]) == 0
+    analysis = json.loads((out / "reports" / "analysis.json").read_text())
+    payloads = {"importance": out / "reports" / "classification.json"}
+    for kind, key in (("box", "box"), ("violin", "violin"), ("heatmap", "correlation")):
+        payloads[kind] = tmp_path / f"{kind}.json"
+        payloads[kind].write_text(json.dumps(analysis[key]), encoding="utf-8")
+    titles = {
+        "importance": "Feature importance",
+        "box": "Key attribute distributions",
+        "violin": "Attribute densities",
+        "heatmap": "Attribute correlation",
+    }
+    for kind, title in titles.items():
+        fig = tmp_path / f"{kind}.svg"
+        assert run(["plot", "--kind", kind, "--in", payloads[kind], "--out", fig, "--title", title]) == 0
+        assert fig.read_bytes() == (out / f"{kind}.svg").read_bytes()
