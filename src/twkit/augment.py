@@ -11,7 +11,6 @@ every row carries an origin flag: real, smotenc, or cgan.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .encoding import Codec, EncodedMatrix, decode_cells, encode, label_indices
 from .errors import DataError, TrainingDiverged
+from .jsonio import read_json
 from .nn import (
     MLP,
     AdamState,
@@ -347,19 +347,15 @@ class AugmentPlan:
 
 
 def load_plan(path, schema: Schema) -> AugmentPlan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
     label = schema.label
-    try:
+
+    def parse(doc) -> AugmentPlan:
         return AugmentPlan(
             stage1={label.parse_token(c): int(t) for c, t in doc["stage1"].items()},
             stage2={label.parse_token(c): int(t) for c, t in doc["stage2"].items()},
         )
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{path}: malformed plan: {exc!r}") from exc
+
+    return read_json(path, parse, "plan")
 
 
 def default_augment_plan(
@@ -410,8 +406,8 @@ def two_stage_augment(
     `real`; synthetic rows are flagged by the stage that produced them.
     """
     schema = table.schema
-    if any(label is None for label in table.labels()):
-        raise DataError("augmentation needs a class label on every row")
+    if not table.is_complete():
+        raise DataError("augmentation needs a class label and every feature on every row")
     counts = class_histogram(table)
     if plan is None:
         plan = default_augment_plan(counts, schema.class_codes)

@@ -3,8 +3,8 @@
 Individual commands mirror the library operations; `pipeline` chains them
 (corpus -> imputation benchmark -> augmentation -> metrics -> figures) from a
 single master seed and writes a manifest with the sha256 of every artifact.
-Per-stage seeds derive from hash(master seed, stage name), so any stage can be
-re-run in isolation with identical results.
+Each stage draws from its own seed, derived from hash(master seed, stage
+name), so the stages' random streams are independent of one another.
 
 Exit codes: 0 success, 1 data/compute error, 2 usage error.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,25 +32,12 @@ from .classify import CLASSIFIERS, feature_importance, fit_and_score
 from .encoding import build_codec
 from .errors import DataError, TwkitError
 from .impute import GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
+from .jsonio import read_json, write_json
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
 from .seeds import derive_seed
 from .synth import default_synthesis_spec, load_spec, synthesize_corpus
 from .table import class_histogram, kfold_stratified, load_augmented_csv, save_csv, split_stratified
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _read_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def _load_table(path, schema):
@@ -100,7 +86,7 @@ def cmd_eval_impute(args) -> int:
         seed=args.seed,
         gain_config=GainConfig(epochs=args.epochs),
     )
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     print(report.format_text())
     return 0
 
@@ -154,14 +140,14 @@ def cmd_train(args) -> int:
             "mean_accuracy": float(np.mean([d["accuracy"] for d in fold_docs])),
             "mean_macro_auc": float(np.mean([d["macro_auc"] for d in fold_docs])),
         }
-        _write_json(args.report, summary)
+        write_json(args.report, summary)
         print(f"{args.folds}-fold accuracy {summary['mean_accuracy']:.4f}  "
               f"macro AUC {summary['mean_macro_auc']:.4f}")
         return 0
     metrics, fitted, codec = _single_split_fit(table, args.model, args.seed, args.test_fraction)
-    _write_json(args.report, metrics.to_dict())
+    write_json(args.report, metrics.to_dict())
     if args.importance:
-        _write_json(args.importance, _importance_payload(fitted, codec))
+        write_json(args.importance, _importance_payload(fitted, codec))
     print(f"accuracy {metrics.accuracy:.4f}  macro AUC {metrics.macro_auc:.4f}")
     return 0
 
@@ -171,7 +157,7 @@ def cmd_importance(args) -> int:
     table = _load_table(args.infile, schema)
     _, forest, codec = _single_split_fit(table, "rf", args.seed, args.test_fraction)
     payload = _importance_payload(forest, codec)
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print("\n".join(f"{a:<12} {w:.4f}" for a, w in payload["importance"]))
     return 0
 
@@ -181,7 +167,7 @@ def cmd_correlate(args) -> int:
     table = _load_table(args.infile, schema)
     attrs = args.attrs.split(",") if args.attrs else None
     matrix = correlation_matrix(table, attrs)
-    _write_json(args.out, matrix.to_dict())
+    write_json(args.out, matrix.to_dict())
     print(f"wrote {len(matrix.attributes)}x{len(matrix.attributes)} correlation matrix to {args.out}")
     return 0
 
@@ -206,7 +192,7 @@ def cmd_stats(args) -> int:
     schema = default_schema()
     table = _load_table(args.infile, schema)
     attrs = args.attrs.split(",")
-    _write_json(args.out, _stats_payload(table, attrs))
+    write_json(args.out, _stats_payload(table, attrs))
     print(f"wrote box/violin statistics for {len(attrs)} attribute(s) to {args.out}")
     return 0
 
@@ -242,11 +228,10 @@ def _render_figure(kind: str, payload: dict, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
-    payload = _read_json(args.infile)
-    try:
-        doc = _render_figure(args.kind, payload, args.title or FIGURES[args.kind][3])
-    except (LookupError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.infile}: malformed {args.kind} payload: {exc!r}") from exc
+    title = args.title or FIGURES[args.kind][3]
+    doc = read_json(
+        args.infile, lambda payload: _render_figure(args.kind, payload, title), f"{args.kind} payload"
+    )
     Path(args.out).write_text(doc, encoding="utf-8")
     print(f"wrote {args.kind} figure to {args.out}")
     return 0
@@ -257,8 +242,6 @@ def cmd_plot(args) -> int:
 
 @dataclass
 class PipelineConfig:
-    out_dir: str = "out"
-    seed: int = 7
     n_rows: int = 1087
     bench_rows: int = 520
     features: tuple[str, ...] = ("hairstyle", "headgear", "weapon", "height")
@@ -273,19 +256,32 @@ class PipelineConfig:
     gain_hidden: tuple[int, int] = (16, 16)
     cgan_epochs: int = 250
     box_panels: int = 6
-    stages: tuple[str, ...] = ("synth", "eval_impute", "augment", "train", "analyze", "plot")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        doc = _read_json(path)
-        config = cls()
-        for key, value in doc.items():
-            if not hasattr(config, key):
-                raise DataError(f"unknown pipeline config key {key!r}")
-            if isinstance(getattr(config, key), tuple):
-                value = tuple(value)
-            setattr(config, key, value)
-        return config
+        """Any subset of the fields, each of its default's type: an int field
+        takes an integer (not a bool), a float field any number, a tuple field
+        a list of items of the default's item type."""
+
+        def typed(key, default, value):
+            if isinstance(default, tuple):
+                if not isinstance(value, list):
+                    raise TypeError(f"{key}: expected a list, got {value!r}")
+                return tuple(typed(key, default[0], v) for v in value)
+            accepted = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise TypeError(f"{key}: expected {type(default).__name__}, got {value!r}")
+            return value
+
+        def parse(doc) -> PipelineConfig:
+            config = cls()
+            for key, value in doc.items():
+                if key not in vars(config):
+                    raise ValueError(f"unknown key {key!r}")
+                setattr(config, key, typed(key, getattr(config, key), value))
+            return config
+
+        return read_json(path, parse, "pipeline config")
 
 
 def _sha256(path: Path) -> str:
@@ -294,15 +290,11 @@ def _sha256(path: Path) -> str:
 
 def cmd_pipeline(args) -> int:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.out:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    out = Path(config.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
     schema = default_schema()
-    seed = config.seed
+    seed = args.seed
     artifacts: list[Path] = []
     completed: list[str] = []
     manifest_path = out / "manifest.json"
@@ -315,112 +307,96 @@ def cmd_pipeline(args) -> int:
                 {"path": str(p.relative_to(out)), "sha256": _sha256(p)} for p in artifacts
             ],
         }
-        _write_json(manifest_path, manifest)
+        write_json(manifest_path, manifest)
         return status
+
+    def report(name: str, doc) -> None:
+        path = out / "reports" / name
+        write_json(path, doc)
+        artifacts.append(path)
+
+    def augment(table, label):
+        plan = default_augment_plan(
+            class_histogram(table), schema.class_codes, config.total, config.smote_cap
+        )
+        return two_stage_augment(
+            table, plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
+            seed=derive_seed(seed, label),
+        )
 
     try:
         spec = default_synthesis_spec()
+        corpus = synthesize_corpus(spec, config.n_rows, derive_seed(seed, "synth"), schema)
         corpus_path = out / "tw.csv"
-        if "synth" in config.stages:
-            corpus = synthesize_corpus(spec, config.n_rows, derive_seed(seed, "synth"), schema)
-            save_csv(corpus, corpus_path)
-            artifacts.append(corpus_path)
-            completed.append("synth")
-        else:
-            corpus = _load_table(corpus_path, schema)
+        save_csv(corpus, corpus_path)
+        artifacts.append(corpus_path)
+        completed.append("synth")
 
-        if "eval_impute" in config.stages:
-            bench = synthesize_corpus(spec, config.bench_rows, derive_seed(seed, "bench"), schema)
-            report = evaluate_imputation(
-                bench,
-                features=list(config.features),
-                rate=config.rate,
-                methods=list(config.methods),
-                classifiers=list(config.classifiers),
-                seed=derive_seed(seed, "eval-impute"),
-                gain_config=GainConfig(
-                    epochs=config.gain_epochs, alpha=config.gain_alpha,
-                    hidden=tuple(config.gain_hidden),
-                ),
-            )
-            path = out / "reports" / "imputation.json"
-            _write_json(path, report.to_dict())
-            artifacts.append(path)
-            completed.append("eval_impute")
-
-        def augment(table, label):
-            plan = default_augment_plan(
-                class_histogram(table), schema.class_codes, config.total, config.smote_cap
-            )
-            return two_stage_augment(
-                table, plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
-                seed=derive_seed(seed, label),
-            )
+        bench = synthesize_corpus(spec, config.bench_rows, derive_seed(seed, "bench"), schema)
+        imputation = evaluate_imputation(
+            bench,
+            features=list(config.features),
+            rate=config.rate,
+            methods=list(config.methods),
+            classifiers=list(config.classifiers),
+            seed=derive_seed(seed, "eval-impute"),
+            gain_config=GainConfig(
+                epochs=config.gain_epochs, alpha=config.gain_alpha, hidden=config.gain_hidden
+            ),
+        )
+        report("imputation.json", imputation.to_dict())
+        completed.append("eval_impute")
 
         train_real, test_real = split_stratified(
             corpus, config.test_fraction, derive_seed(seed, "split")
         )
-        augmented_train = train_real
-        if "augment" in config.stages:
-            result = augment(corpus, "augment")
-            tws_path = out / "tws.csv"
-            save_csv(result.table, tws_path, origins=list(result.origins))
-            artifacts.append(tws_path)
-            completed.append("augment")
-            # the metrics protocol augments only the training split, so the
-            # held-out real rows never appear in any training set
-            augmented_train = augment(train_real, "augment-train").table
+        result = augment(corpus, "augment")
+        tws_path = out / "tws.csv"
+        save_csv(result.table, tws_path, origins=list(result.origins))
+        artifacts.append(tws_path)
+        completed.append("augment")
+        # the metrics protocol augments only the training split, so the
+        # held-out real rows never appear in any training set
+        augmented_train = augment(train_real, "augment-train").table
 
-        importance = None
-        if "train" in config.stages:
-            reports = {}
-            for name, train_table in (("before", train_real), ("after", augmented_train)):
-                codec = _feature_codec(train_table)
-                metrics, forest = fit_and_score(
-                    "rf", train_table, test_real, codec, derive_seed(seed, f"rf-{name}")
-                )
-                reports[name] = metrics.to_dict()
-            # importance comes from the last forest, the one fit on the augmented split
-            importance = _importance_payload(forest, codec)
-            path = out / "reports" / "classification.json"
-            _write_json(path, {**reports, **importance})
-            artifacts.append(path)
-            completed.append("train")
-
-        analysis = None
-        if "analyze" in config.stages:
-            target = augmented_train if "augment" in config.stages else corpus
-            matrix = correlation_matrix(target)
-            ranked = (
-                [a for a, _ in importance["importance"]] if importance else [a.name for a in schema.features]
+        reports = {}
+        for name, train_table in (("before", train_real), ("after", augmented_train)):
+            codec = _feature_codec(train_table)
+            metrics, forest = fit_and_score(
+                "rf", train_table, test_real, codec, derive_seed(seed, f"rf-{name}")
             )
-            box_attrs = ranked[: config.box_panels]
-            violin_attrs = ranked[config.box_panels :] or ranked[-4:]
-            analysis = {
-                "correlation": matrix.to_dict(),
-                "box": _stats_payload(target, box_attrs),
-                "violin": _stats_payload(target, violin_attrs),
-            }
-            path = out / "reports" / "analysis.json"
-            _write_json(path, analysis)
-            artifacts.append(path)
-            completed.append("analyze")
+            reports[name] = metrics.to_dict()
+        # importance comes from the last forest, the one fit on the augmented split
+        importance = _importance_payload(forest, codec)
+        report("classification.json", {**reports, **importance})
+        completed.append("train")
 
-        if "plot" in config.stages and analysis is not None and importance is not None:
-            figures = {
-                name: _render_figure(kind, payload, title)
-                for name, kind, payload, title in (
-                    ("importance.svg", "importance", importance, "Feature importance"),
-                    ("box.svg", "box", analysis["box"], "Key attribute distributions"),
-                    ("violin.svg", "violin", analysis["violin"], "Attribute densities"),
-                    ("heatmap.svg", "heatmap", analysis["correlation"], "Attribute correlation"),
-                )
-            }
-            for name, doc in figures.items():
-                path = out / name
-                path.write_text(doc, encoding="utf-8")
-                artifacts.append(path)
-            completed.append("plot")
+        matrix = correlation_matrix(augmented_train)
+        ranked = [a for a, _ in importance["importance"]]
+        box_attrs = ranked[: config.box_panels]
+        violin_attrs = ranked[config.box_panels :] or ranked[-4:]
+        analysis = {
+            "correlation": matrix.to_dict(),
+            "box": _stats_payload(augmented_train, box_attrs),
+            "violin": _stats_payload(augmented_train, violin_attrs),
+        }
+        report("analysis.json", analysis)
+        completed.append("analyze")
+
+        figures = {
+            name: _render_figure(kind, payload, title)
+            for name, kind, payload, title in (
+                ("importance.svg", "importance", importance, "Feature importance"),
+                ("box.svg", "box", analysis["box"], "Key attribute distributions"),
+                ("violin.svg", "violin", analysis["violin"], "Attribute densities"),
+                ("heatmap.svg", "heatmap", analysis["correlation"], "Attribute correlation"),
+            )
+        }
+        for name, doc in figures.items():
+            path = out / name
+            path.write_text(doc, encoding="utf-8")
+            artifacts.append(path)
+        completed.append("plot")
     except TwkitError as exc:
         print(f"pipeline failed after {completed}: {exc}", file=sys.stderr)
         return finish(1)
@@ -510,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("pipeline", help="run every stage and write a manifest")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.set_defaults(func=cmd_pipeline)
 

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import CLASSIFIERS, fit_and_score
-from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
+from .encoding import Codec, EncodedMatrix, build_codec, codec_from_dict, codec_to_dict, decode, encode, expand_mask
 from .errors import CodecError, DataError, TrainingDiverged
+from .jsonio import read_json, write_json
 from .metrics import Metrics
 from .nn import (
     MLP,
@@ -40,6 +41,8 @@ from .nn import (
     forward,
     init_mlp,
     iter_batches,
+    mlp_from_dict,
+    mlp_to_dict,
     mse,
 )
 from .schema import CATEGORICAL, Schema
@@ -308,11 +311,6 @@ def gain_impute_table(
 
 def save_gain_model(model: GainModel, path) -> None:
     """Version-tagged JSON checkpoint: both networks plus the codec descriptor."""
-    import json
-
-    from .encoding import codec_to_dict
-    from .nn import mlp_to_dict
-
     doc = {
         "format": "twkit-gain",
         "version": 1,
@@ -323,30 +321,24 @@ def save_gain_model(model: GainModel, path) -> None:
         "alpha": model.alpha,
         "noise_seed": model.noise_seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def load_gain_model(path, schema: Schema) -> GainModel:
-    import json
+    def parse(doc) -> GainModel:
+        if doc.get("format") != "twkit-gain":
+            raise DataError(f"{path}: not a twkit-gain checkpoint")
+        return GainModel(
+            generator=mlp_from_dict(doc["generator"]),
+            discriminator=mlp_from_dict(doc["discriminator"]),
+            codec=codec_from_dict(doc["codec"], schema),
+            schema=schema,
+            hint_rate=doc["hint_rate"],
+            alpha=doc["alpha"],
+            noise_seed=doc["noise_seed"],
+        )
 
-    from .encoding import codec_from_dict
-    from .nn import mlp_from_dict
-
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "twkit-gain":
-        raise DataError(f"{path}: not a twkit-gain checkpoint")
-    return GainModel(
-        generator=mlp_from_dict(doc["generator"]),
-        discriminator=mlp_from_dict(doc["discriminator"]),
-        codec=codec_from_dict(doc["codec"], schema),
-        schema=schema,
-        hint_rate=doc["hint_rate"],
-        alpha=doc["alpha"],
-        noise_seed=doc["noise_seed"],
-    )
+    return read_json(path, parse, "GAIN checkpoint")
 
 
 # -- evaluation harness ---------------------------------------------------------

@@ -12,12 +12,12 @@ through another (generator through discriminator). Output activations:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDiverged
+from .jsonio import read_json, write_json
 
 EPS = 1e-7  # probability clamp before any log
 
@@ -276,11 +276,8 @@ def mlp_from_dict(doc: dict) -> MLP:
 
 
 def save_mlp(mlp: MLP, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mlp_to_dict(mlp), fh)
-        fh.write("\n")
+    write_json(path, mlp_to_dict(mlp), indent=None)
 
 
 def load_mlp(path) -> MLP:
-    with open(path, encoding="utf-8") as fh:
-        return mlp_from_dict(json.load(fh))
+    return read_json(path, mlp_from_dict, "MLP checkpoint")

@@ -1,8 +1,8 @@
 """Deterministic seed derivation.
 
 Every stage, tree, or per-feature stream gets its own generator seeded from
-(master seed, label) so stages can be re-run in isolation and parallel or
-serial execution produce identical results.
+(master seed, label), so the streams are independent of one another and
+parallel or serial execution produce identical results.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ not a learned model so it can serve as ground truth in tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .jsonio import read_json, write_json
 from .schema import CATEGORICAL, Code, Schema, default_schema
 from .table import Table
 
@@ -257,45 +257,43 @@ def save_spec(spec: SynthesisSpec, path) -> None:
             for c in spec.couplings
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_spec(path, schema: Schema | None = None) -> SynthesisSpec:
     schema = schema or default_schema()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
     label = schema.label
-    spec = SynthesisSpec(
-        class_weights=_dist_from_json(doc["class_weights"], label),
-        conditionals={
-            attr: {
-                label.parse_token(cls): _dist_from_json(dist, schema.attribute(attr))
-                for cls, dist in per_class.items()
-            }
-            for attr, per_class in doc["conditionals"].items()
-        },
-        height_model={
-            label.parse_token(cls): (float(ms[0]), float(ms[1]))
-            for cls, ms in doc["height_model"].items()
-        },
-        couplings=tuple(
-            Coupling(
-                target=c["target"],
-                source=c["source"],
-                mapping={
-                    schema.attribute(c["source"]).parse_token(src): _dist_from_json(
-                        d, schema.attribute(c["target"])
-                    )
-                    for src, d in c["mapping"].items()
-                },
-            )
-            for c in doc.get("couplings", [])
-        ),
-    )
-    spec.validate(schema)
-    return spec
+
+    def parse(doc) -> SynthesisSpec:
+        spec = SynthesisSpec(
+            class_weights=_dist_from_json(doc["class_weights"], label),
+            conditionals={
+                attr: {
+                    label.parse_token(cls): _dist_from_json(dist, schema.attribute(attr))
+                    for cls, dist in per_class.items()
+                }
+                for attr, per_class in doc["conditionals"].items()
+            },
+            height_model={
+                label.parse_token(cls): (float(ms[0]), float(ms[1]))
+                for cls, ms in doc["height_model"].items()
+            },
+            couplings=tuple(
+                Coupling(
+                    target=c["target"],
+                    source=c["source"],
+                    mapping={
+                        schema.attribute(c["source"]).parse_token(src): _dist_from_json(
+                            d, schema.attribute(c["target"])
+                        )
+                        for src, d in c["mapping"].items()
+                    },
+                )
+                for c in doc.get("couplings", [])
+            ),
+        )
+        # inside parse, so that a mistyped probability also names the file
+        spec.validate(schema)
+        return spec
+
+    return read_json(path, parse, "synthesis spec")

@@ -111,7 +111,7 @@ def _read_csv(path, schema, allow_origin):
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             raw_rows = list(reader)
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
         raise DataError(f"{path}: {exc}") from exc
 
     header = [h.strip() for h in header]

@@ -267,3 +267,14 @@ class TestTwoStage:
         rows[0] = rows[0][:label_idx] + (None,) + rows[0][label_idx + 1:]
         with pytest.raises(DataError, match="class label"):
             two_stage_augment(Table(schema, tuple(rows)), seed=22)
+
+    @pytest.mark.parametrize("attribute", ["height", "headgear"])
+    def test_missing_feature_rejected(self, schema, attribute):
+        # SMOTENC measures distances over every feature, so a blank cell is
+        # rejected up front, not met as a TypeError or an undeclared code
+        table = small_corpus(120, seed=21)
+        i = schema.index_of(attribute)
+        rows = list(table.rows)
+        rows[0] = rows[0][:i] + (None,) + rows[0][i + 1:]
+        with pytest.raises(DataError, match="every feature on every row"):
+            two_stage_augment(Table(schema, tuple(rows)), seed=22)

@@ -184,7 +184,6 @@ def test_pipeline_failure_writes_partial_manifest(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "n_rows": 60, "bench_rows": 60, "features": ["no_such_attribute"],
-        "stages": ["synth", "eval_impute"],
     }), encoding="utf-8")
     out = tmp_path / "out"
     code = run(["pipeline", "--out", out, "--seed", 3, "--config", config])
@@ -202,6 +201,7 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path):
 
 
 _BOX = {"q1": 1.0, "median": 2.0, "q3": 3.0, "whisker_low": 0.0, "whisker_high": 4.0, "outliers": []}
+_NOT_UTF8 = b'{"stage1": "\xff"}'
 
 
 @pytest.mark.parametrize("command, document", [
@@ -216,24 +216,54 @@ _BOX = {"q1": 1.0, "median": 2.0, "q3": 3.0, "whisker_low": 0.0, "whisker_high":
     ("augment", {"stage1": {"RW": 10}}),
     ("augment", {"stage1": ["RW"], "stage2": {}}),
     ("augment", {"stage1": {"RW": "ten"}, "stage2": {}}),
+    # synthesis specs: edits of the default spec's document
+    ("synth", lambda d: {k: v for k, v in d.items() if k != "height_model"}),
+    ("synth", lambda d: {**d, "class_weights": list(d["class_weights"].values())}),
+    ("synth", lambda d: [d]),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178]}}),
+    ("synth", lambda d: {**d, "class_weights": {c: str(p) for c, p in d["class_weights"].items()}}),
+    ("pipeline", {"features": 5}),
+    ("pipeline", [1]),
+    ("pipeline", {"n_rows": "50"}),
+    ("pipeline", {"rate": "0.3"}),
+    ("pipeline", {"stages": ["synth"]}),
+    ("box", _NOT_UTF8),
+    ("augment", _NOT_UTF8),
+    ("synth", _NOT_UTF8),
+    ("pipeline", _NOT_UTF8),
+    ("impute", b"height\n\xff\n"),
+    ("impute", b"height\n" + b"1" * 131073 + b"\n"),
 ], ids=[
     "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
-    "plan-stage1-list", "plan-text-target",
+    "plan-stage1-list", "plan-text-target", "spec-without-height-model", "spec-class-weights-list",
+    "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "config-features-number",
+    "config-top-level-array", "config-text-int", "config-text-float", "config-stages-unknown",
+    "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8", "csv-not-utf8",
+    "csv-field-over-limit",
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, command, document):
+    from twkit.synth import default_synthesis_spec, save_spec
     from twkit.table import save_csv
 
-    doc_path = tmp_path / "doc.json"
-    doc_path.write_text(json.dumps(document), encoding="utf-8")
-    out = tmp_path / "out"
-    if command == "augment":
-        src = tmp_path / "tw.csv"
-        save_csv(corpus_200, src)
-        argv = ["augment", "--in", src, "--plan", doc_path, "--out", out]
+    doc_path = tmp_path / "doc"
+    if callable(document):
+        save_spec(default_synthesis_spec(), doc_path)
+        document = document(json.loads(doc_path.read_text(encoding="utf-8")))
+    if isinstance(document, bytes):
+        doc_path.write_bytes(document)
     else:
-        argv = ["plot", "--kind", command, "--in", doc_path, "--out", out]
-    assert run(argv) == 1
+        doc_path.write_text(json.dumps(document), encoding="utf-8")
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    out = tmp_path / "out"
+    argv = {
+        "augment": ["augment", "--in", src, "--plan", doc_path],
+        "synth": ["synth", "--spec", doc_path],
+        "pipeline": ["pipeline", "--config", doc_path],
+        "impute": ["impute", "--method", "sta", "--in", doc_path],
+    }.get(command, ["plot", "--kind", command, "--in", doc_path])
+    assert run([*argv, "--out", out]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")]

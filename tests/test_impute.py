@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,13 @@ def test_gain_checkpoint_round_trip(tmp_path, schema):
     back = load_gain_model(path, schema)
     assert back.codec == model.codec
     assert impute_gain(back, enc, mask).rows == impute_gain(model, enc, mask).rows
+
+
+def test_gain_checkpoint_without_networks_is_data_error(tmp_path, schema):
+    from twkit.impute import load_gain_model
+
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({"format": "twkit-gain", "version": 1}), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed GAIN checkpoint") as exc:
+        load_gain_model(path, schema)
+    assert str(path) in str(exc.value)

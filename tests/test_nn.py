@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from twkit.errors import TrainingDiverged
+from twkit.errors import DataError, TrainingDiverged
 from twkit.nn import (
     MLP,
     AdamState,
@@ -291,3 +293,11 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_rejects_other_formats():
     with pytest.raises(ValueError):
         mlp_from_dict({"format": "something-else"})
+
+
+def test_checkpoint_without_layer_sizes_is_data_error(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"format": "twkit-mlp", "version": 1}), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed MLP checkpoint") as exc:
+        load_mlp(path)
+    assert str(path) in str(exc.value)
