@@ -8,7 +8,6 @@ from .table import (
     class_histogram,
     inject_missing,
     load_augmented_csv,
-    load_csv,
     save_csv,
     split_stratified,
 )
@@ -23,18 +22,15 @@ from .impute import (
     impute_gain,
     impute_mice,
     impute_sta,
-    register_method,
     train_gain,
 )
 from .augment import (
     AugmentPlan,
     AugmentResult,
     CganConfig,
-    SmotencConfig,
     TableCganModel,
     default_augment_plan,
     sample_table_cgan,
-    smotenc_distance,
     smotenc_generate,
     train_table_cgan,
     two_stage_augment,

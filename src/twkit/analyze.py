@@ -71,7 +71,7 @@ def chi_square(ct: ContingencyTable) -> float:
     return float(((grid - expected) ** 2 / expected).sum())
 
 
-def cramers_v(ct: ContingencyTable, bias_corrected: bool = False) -> float:
+def cramers_v(ct: ContingencyTable) -> float:
     """Effect size sqrt(chi2 / (n * min(r-1, c-1))) in [0, 1]."""
     grid = _trimmed_grid(np.asarray(ct.grid, dtype=np.float64))
     r, c = grid.shape
@@ -80,13 +80,7 @@ def cramers_v(ct: ContingencyTable, bias_corrected: bool = False) -> float:
         return 0.0
     chi2 = chi_square(ct)
     n = grid.sum()
-    if not bias_corrected:
-        return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
-    phi2 = max(0.0, chi2 / n - (r - 1) * (c - 1) / (n - 1))
-    r_adj = r - (r - 1) ** 2 / (n - 1)
-    c_adj = c - (c - 1) ** 2 / (n - 1)
-    denom = min(r_adj - 1, c_adj - 1)
-    return float(np.sqrt(phi2 / denom)) if denom > 0 else 0.0
+    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
 
 
 @dataclass(frozen=True)

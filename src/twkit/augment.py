@@ -39,10 +39,7 @@ ORIGIN_REAL = "real"
 ORIGIN_SMOTENC = "smotenc"
 ORIGIN_CGAN = "cgan"
 
-
-@dataclass(frozen=True)
-class SmotencConfig:
-    k_neighbors: int = 5
+SMOTENC_K = 5  # nearest same-class neighbours per seed row
 
 
 def categorical_penalty(table: Table, cls: Code) -> float:
@@ -82,16 +79,6 @@ def _squared_distances(rows: list[Row], schema: Schema, penalty: float) -> np.nd
     dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
     dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
     return dist2
-
-
-def smotenc_distance(a: Row, b: Row, schema: Schema, penalty: float) -> float:
-    """Mixed-feature distance between two complete rows: the square root of
-    numeric squared differences plus penalty^2 per categorical mismatch."""
-    for attr in schema.features:
-        j = schema.index_of(attr.name)
-        if a[j] is None or b[j] is None:
-            raise DataError("smotenc_distance requires complete rows")
-    return float(np.sqrt(_squared_distances([a, b], schema, penalty)[0, 1]))
 
 
 def _class_rows(table: Table, cls: Code) -> list[Row]:
@@ -154,21 +141,20 @@ def smotenc_generate(table: Table, cls: Code, n_new: int, k: int, seed: int) -> 
 # -- conditional tabular GAN -----------------------------------------------------
 
 
+CGAN_LEARNING_RATE = 1e-3
+CGAN_NOISE_DIM = 32
+CGAN_HIDDEN = (128, 128)
+
+
 @dataclass(frozen=True)
 class CganConfig:
     epochs: int = 300
     batch_size: int = 128
-    learning_rate: float = 1e-3
-    noise_dim: int = 32
-    hidden: tuple[int, int] = (128, 128)
-    moment_weight: float = 1.0
-    class_weight: float = 1.0
 
 
 @dataclass
 class TableCganModel:
     generator: MLP
-    discriminator: MLP
     classifier: MLP
     codec: Codec  # feature columns only
     schema: Schema
@@ -184,7 +170,8 @@ def train_table_cgan(
 ) -> TableCganModel:
     """Alternating updates: D learns real-vs-fake conditioned on class; C learns
     classes on real rows; G fools D, matches per-class batch feature means, and
-    is penalized when C misclassifies its samples."""
+    is penalized when C misclassifies its samples. The three generator terms
+    are weighted equally."""
     x = encoded.values
     y = np.asarray(labels, dtype=np.int64)
     k = len(schema.class_codes)
@@ -195,27 +182,27 @@ def train_table_cgan(
     d = x.shape[1]
     spans = encoded.codec.categorical_spans()
     gen = init_mlp(
-        (config.noise_dim + k,) + config.hidden + (d,),
+        (CGAN_NOISE_DIM + k,) + CGAN_HIDDEN + (d,),
         seed=derive_seed(seed, "cgan-generator"),
         hidden_activation="tanh",
         output_activation="softmax_blocks",
         output_blocks=tuple(spans),
     )
     disc = init_mlp(
-        (d + k,) + config.hidden + (1,),
+        (d + k,) + CGAN_HIDDEN + (1,),
         seed=derive_seed(seed, "cgan-discriminator"),
         hidden_activation="tanh",
         output_activation="sigmoid",
     )
     clf = init_mlp(
-        (d,) + config.hidden + (k,),
+        (d,) + CGAN_HIDDEN + (k,),
         seed=derive_seed(seed, "cgan-classifier"),
         hidden_activation="tanh",
         output_activation="identity",
     )
-    g_state = AdamState.for_mlp(gen, learning_rate=config.learning_rate)
-    d_state = AdamState.for_mlp(disc, learning_rate=config.learning_rate)
-    c_state = AdamState.for_mlp(clf, learning_rate=config.learning_rate)
+    g_state = AdamState.for_mlp(gen, learning_rate=CGAN_LEARNING_RATE)
+    d_state = AdamState.for_mlp(disc, learning_rate=CGAN_LEARNING_RATE)
+    c_state = AdamState.for_mlp(clf, learning_rate=CGAN_LEARNING_RATE)
     rng = np.random.default_rng(derive_seed(seed, "cgan-batches"))
     n = x.shape[0]
 
@@ -223,7 +210,7 @@ def train_table_cgan(
         for b_i, batch in enumerate(iter_batches(n, config.batch_size, rng)):
             xb, yb = x[batch], y[batch]
             y1h = one_hot(yb, k)
-            z = rng.standard_normal((len(batch), config.noise_dim))
+            z = rng.standard_normal((len(batch), CGAN_NOISE_DIM))
             gen_in = np.hstack([z, y1h])
 
             # discriminator
@@ -258,16 +245,14 @@ def train_table_cgan(
                 mu_r = xb[sel].mean(axis=0)
                 diff = mu_f - mu_r
                 loss_moment += float((diff**2).mean())
-                fake_grad[sel] += (
-                    config.moment_weight * 2.0 * diff / (d * len(present) * int(sel.sum()))
-                )
+                fake_grad[sel] += 2.0 * diff / (d * len(present) * int(sel.sum()))
             loss_moment /= len(present)
 
             # semantic integrity: C should assign the conditioning class
             logits_f, cache_cf = forward(clf, fake)
             loss_sem, dlogits_f = softmax_cross_entropy(logits_f, yb)
             _, c_in_grad = backward(clf, cache_cf, dlogits_f)
-            fake_grad += config.class_weight * c_in_grad
+            fake_grad += c_in_grad
 
             grads_g, _ = backward(gen, cache_g, fake_grad)
             adam_step(gen, grads_g, g_state)
@@ -276,7 +261,7 @@ def train_table_cgan(
             if not all(np.isfinite(v) for v in losses):
                 raise TrainingDiverged("non-finite CGAN loss", epoch=epoch, batch=b_i)
 
-    return TableCganModel(gen, disc, clf, encoded.codec, schema, config.noise_dim)
+    return TableCganModel(gen, clf, encoded.codec, schema, CGAN_NOISE_DIM)
 
 
 def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> list[Row]:
@@ -324,10 +309,6 @@ def cgan_class_agreement(model: TableCganModel, rows_per_class: int = 200, seed:
 class AugmentPlan:
     stage1: dict[Code, int]
     stage2: dict[Code, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.stage2.values())
 
     def validate(self, counts: dict[Code, int]) -> None:
         for cls, count in counts.items():
@@ -396,7 +377,6 @@ class AugmentResult:
 def two_stage_augment(
     table: Table,
     plan: AugmentPlan | None = None,
-    smote_config: SmotencConfig | None = None,
     cgan_config: CganConfig | None = None,
     seed: int = 0,
 ) -> AugmentResult:
@@ -412,7 +392,6 @@ def two_stage_augment(
     if plan is None:
         plan = default_augment_plan(counts, schema.class_codes)
     plan.validate(counts)
-    smote_config = smote_config or SmotencConfig()
 
     rows: list[Row] = list(table.rows)
     origins: list[str] = [ORIGIN_REAL] * len(rows)
@@ -420,7 +399,7 @@ def two_stage_augment(
         need = plan.stage1.get(cls, counts[cls]) - counts[cls]
         if need <= 0:
             continue
-        k = min(smote_config.k_neighbors, counts[cls] - 1)
+        k = min(SMOTENC_K, counts[cls] - 1)
         new_rows = smotenc_generate(table, cls, need, k, derive_seed(seed, f"smote-{cls}"))
         rows.extend(new_rows)
         origins.extend([ORIGIN_SMOTENC] * len(new_rows))

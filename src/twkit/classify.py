@@ -224,9 +224,6 @@ class Forest:
             acc += tree_predict_proba(tree, X)
         return acc / len(self.trees)
 
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def train_forest(X, y, config: ForestConfig, seed: int = 0) -> Forest:
     """Bootstrap ensemble; per-tree seeds derive from the master seed, so
@@ -302,9 +299,6 @@ class LogisticModel:
     def predict_proba(self, X) -> np.ndarray:
         return _softmax(np.asarray(X) @ self.W + self.b)
 
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def train_logreg(
     X, y, n_classes: int, seed: int = 0, learning_rate: float = 0.5,
@@ -334,9 +328,6 @@ class MlpClassifier:
         logits, _ = forward(self.net, np.asarray(X, dtype=np.float64))
         return _softmax(logits)
 
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def train_mlp_classifier(
     X, y, n_classes: int, seed: int = 0, hidden: int = 64,
@@ -365,18 +356,12 @@ class LinearSvm:
     b: np.ndarray  # (k,)
     platt: np.ndarray  # (k, 2) logistic link (a, c): p = sigmoid(a * margin + c)
 
-    def margins(self, X) -> np.ndarray:
-        return np.asarray(X) @ self.W + self.b
-
     def predict_proba(self, X) -> np.ndarray:
-        m = self.margins(X)
+        m = np.asarray(X) @ self.W + self.b
         p = _sigmoid(self.platt[:, 0] * m + self.platt[:, 1])
         total = p.sum(axis=1, keepdims=True)
         total[total == 0] = 1.0
         return p / total
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.margins(X), axis=1)
 
 
 def _fit_platt(margins: np.ndarray, targets: np.ndarray, iters: int = 200, lr: float = 0.1):
@@ -443,9 +428,6 @@ class _TreeModel:
 
     def predict_proba(self, X) -> np.ndarray:
         return tree_predict_proba(self.tree, X)
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
 
 
 CLASSIFIERS = {

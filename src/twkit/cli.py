@@ -23,7 +23,6 @@ from . import __version__, theme
 from .analyze import BoxStats, CorrelationMatrix, ViolinStats, box_stats, correlation_matrix, group_by_class, kde
 from .augment import (
     CganConfig,
-    SmotencConfig,
     default_augment_plan,
     load_plan,
     two_stage_augment,
@@ -98,7 +97,6 @@ def cmd_augment(args) -> int:
     result = two_stage_augment(
         table,
         plan=plan,
-        smote_config=SmotencConfig(),
         cgan_config=CganConfig(epochs=args.epochs),
         seed=args.seed,
     )
@@ -239,6 +237,13 @@ def cmd_plot(args) -> int:
 
 # -- pipeline ---------------------------------------------------------------------
 
+# The least value of each count, size and weight in a pipeline config;
+# `rate` and `test_fraction` lie in (0, 1). Names are checked by their stages.
+CONFIG_MINIMUM = {
+    "n_rows": 1, "bench_rows": 1, "total": 1, "smote_cap": 0, "gain_epochs": 1,
+    "gain_alpha": 0, "gain_hidden": 1, "cgan_epochs": 1, "box_panels": 1,
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -261,7 +266,8 @@ class PipelineConfig:
     def from_file(cls, path) -> "PipelineConfig":
         """Any subset of the fields, each of its default's type: an int field
         takes an integer (not a bool), a float field any number, a tuple field
-        a list of items of the default's item type."""
+        a list of items of the default's item type. Each number must lie in
+        its field's range, so a bad config fails before any stage runs."""
 
         def typed(key, default, value):
             if isinstance(default, tuple):
@@ -273,12 +279,22 @@ class PipelineConfig:
                 raise TypeError(f"{key}: expected {type(default).__name__}, got {value!r}")
             return value
 
+        def check_range(key, value):
+            if key in ("rate", "test_fraction"):
+                if not 0 < value < 1:
+                    raise DataError(f"{key} must be in (0, 1), got {value}")
+            elif key in CONFIG_MINIMUM:
+                least = CONFIG_MINIMUM[key]
+                if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
+                    raise DataError(f"{key} must be >= {least}, got {value}")
+
         def parse(doc) -> PipelineConfig:
             config = cls()
             for key, value in doc.items():
                 if key not in vars(config):
                     raise ValueError(f"unknown key {key!r}")
                 setattr(config, key, typed(key, getattr(config, key), value))
+                check_range(key, getattr(config, key))
             return config
 
         return read_json(path, parse, "pipeline config")
@@ -320,7 +336,7 @@ def cmd_pipeline(args) -> int:
             class_histogram(table), schema.class_codes, config.total, config.smote_cap
         )
         return two_stage_augment(
-            table, plan, SmotencConfig(), CganConfig(epochs=config.cgan_epochs),
+            table, plan, CganConfig(epochs=config.cgan_epochs),
             seed=derive_seed(seed, label),
         )
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError
-from .nn import one_hot
 from .schema import CATEGORICAL, Code, Schema
 from .table import Cell, MaskMatrix, Table
 
@@ -109,12 +108,10 @@ def encode(
     table: Table,
     codec_source: EncodedMatrix | Codec | None = None,
     attributes: tuple[str, ...] | None = None,
-    strict: bool = False,
 ) -> EncodedMatrix:
     """Embed a table; reuse `codec_source` so two tables share one embedding.
 
-    With `strict`, a numeric value outside the reused codec range is an error;
-    otherwise it clamps to the range.
+    A numeric value outside the reused codec range clamps to the range.
     """
     if codec_source is not None:
         codec = codec_source.codec if isinstance(codec_source, EncodedMatrix) else codec_source
@@ -147,10 +144,6 @@ def encode(
                 if cell is None:
                     continue
                 v = float(cell)
-                if strict and not (lo <= v <= hi):
-                    raise CodecError(
-                        f"attribute {block.attribute!r}: value {v} outside codec range [{lo}, {hi}]"
-                    )
                 values[i, block.start] = 0.5 if span == 0 else min(max((v - lo) / span, 0.0), 1.0)
     return EncodedMatrix(values, codec)
 
@@ -197,41 +190,3 @@ def label_indices(table: Table) -> np.ndarray:
     order = {code: i for i, code in enumerate(table.schema.class_codes)}
     return np.array([order[label] for label in table.labels()], dtype=np.int64)
 
-
-def one_hot_labels(table: Table) -> np.ndarray:
-    return one_hot(label_indices(table), len(table.schema.class_codes))
-
-
-def codec_to_dict(codec: Codec) -> dict:
-    """JSON-friendly codec descriptor (code tokens keep their string form)."""
-    return {
-        "blocks": [
-            {
-                "attribute": b.attribute,
-                "start": b.start,
-                "table_column": b.table_column,
-                "codes": [str(c) for c in b.codes],
-                "lo": b.lo,
-                "hi": b.hi,
-            }
-            for b in codec.blocks
-        ]
-    }
-
-
-def codec_from_dict(doc: dict, schema: Schema) -> Codec:
-    blocks = []
-    for raw in doc["blocks"]:
-        attr = schema.attribute(raw["attribute"])
-        codes = tuple(attr.parse_token(tok) for tok in raw["codes"])
-        blocks.append(
-            Block(
-                attribute=raw["attribute"],
-                start=raw["start"],
-                table_column=raw["table_column"],
-                codes=codes,
-                lo=raw["lo"],
-                hi=raw["hi"],
-            )
-        )
-    return Codec(tuple(blocks))

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import CLASSIFIERS, fit_and_score
-from .encoding import Codec, EncodedMatrix, build_codec, codec_from_dict, codec_to_dict, decode, encode, expand_mask
+from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
 from .errors import CodecError, DataError, TrainingDiverged
-from .jsonio import read_json, write_json
 from .metrics import Metrics
 from .nn import (
     MLP,
@@ -41,8 +40,6 @@ from .nn import (
     forward,
     init_mlp,
     iter_batches,
-    mlp_from_dict,
-    mlp_to_dict,
     mse,
 )
 from .schema import CATEGORICAL, Schema
@@ -162,12 +159,14 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
 # -- GAIN ----------------------------------------------------------------------
 
 
+GAIN_LEARNING_RATE = 1e-3
+HINT_RATE = 0.9
+
+
 @dataclass(frozen=True)
 class GainConfig:
     epochs: int = 400
     batch_size: int = 128
-    learning_rate: float = 1e-3
-    hint_rate: float = 0.9
     alpha: float = 10.0
     hidden: tuple[int, ...] | None = None  # None -> (d, d)
 
@@ -175,11 +174,8 @@ class GainConfig:
 @dataclass
 class GainModel:
     generator: MLP
-    discriminator: MLP
     codec: Codec
     schema: Schema | None
-    hint_rate: float
-    alpha: float
     noise_seed: int
 
 
@@ -212,7 +208,7 @@ def train_gain(
 
     Per batch: noise unobserved inputs with z ~ U(0, 0.01); the generator maps
     (noised row, mask) to a full reconstruction; the discriminator sees the
-    imputed row plus a hint vector b*m + 0.5*(1-b) with b ~ Bernoulli(hint_rate)
+    imputed row plus a hint vector b*m + 0.5*(1-b) with b ~ Bernoulli(HINT_RATE)
     per entry, and its cross-entropy counts only concealed (b=0) entries. The
     generator minimizes adversarial loss on missing entries plus
     alpha * masked MSE on observed ones.
@@ -223,14 +219,12 @@ def train_gain(
     m = expand_mask(mask, encoded.codec)
     if m.shape != x.shape:
         raise DataError(f"mask shape {m.shape} does not match encoded shape {x.shape}")
-    if not 0 < config.hint_rate < 1:
-        raise DataError("hint_rate must be in (0, 1)")
     if config.alpha < 0:
         raise DataError("alpha must be >= 0")
     d = x.shape[1]
     gen, disc = _gain_nets(d, encoded.codec.categorical_spans(), config.hidden, seed)
-    g_state = AdamState.for_mlp(gen, learning_rate=config.learning_rate)
-    d_state = AdamState.for_mlp(disc, learning_rate=config.learning_rate)
+    g_state = AdamState.for_mlp(gen, learning_rate=GAIN_LEARNING_RATE)
+    d_state = AdamState.for_mlp(disc, learning_rate=GAIN_LEARNING_RATE)
     rng = np.random.default_rng(derive_seed(seed, "gain-batches"))
     n = x.shape[0]
     for epoch in range(config.epochs):
@@ -239,7 +233,7 @@ def train_gain(
             z = rng.uniform(0.0, 0.01, size=xb.shape)
             x_tilde = mb * xb + (1.0 - mb) * z
             gen_in = np.hstack([x_tilde, mb])
-            b_hint = (rng.random(size=xb.shape) < config.hint_rate).astype(np.float64)
+            b_hint = (rng.random(size=xb.shape) < HINT_RATE).astype(np.float64)
             hint = b_hint * mb + 0.5 * (1.0 - b_hint)
 
             # discriminator update (generator output treated as constant)
@@ -267,11 +261,8 @@ def train_gain(
                 raise TrainingDiverged("non-finite GAIN loss", epoch=epoch, batch=b_i)
     return GainModel(
         generator=gen,
-        discriminator=disc,
         codec=encoded.codec,
         schema=schema,
-        hint_rate=config.hint_rate,
-        alpha=config.alpha,
         noise_seed=derive_seed(seed, "gain-noise"),
     )
 
@@ -309,44 +300,12 @@ def gain_impute_table(
     return impute_gain(model, encoded, mask)
 
 
-def save_gain_model(model: GainModel, path) -> None:
-    """Version-tagged JSON checkpoint: both networks plus the codec descriptor."""
-    doc = {
-        "format": "twkit-gain",
-        "version": 1,
-        "generator": mlp_to_dict(model.generator),
-        "discriminator": mlp_to_dict(model.discriminator),
-        "codec": codec_to_dict(model.codec),
-        "hint_rate": model.hint_rate,
-        "alpha": model.alpha,
-        "noise_seed": model.noise_seed,
-    }
-    write_json(path, doc, indent=None)
-
-
-def load_gain_model(path, schema: Schema) -> GainModel:
-    def parse(doc) -> GainModel:
-        if doc.get("format") != "twkit-gain":
-            raise DataError(f"{path}: not a twkit-gain checkpoint")
-        return GainModel(
-            generator=mlp_from_dict(doc["generator"]),
-            discriminator=mlp_from_dict(doc["discriminator"]),
-            codec=codec_from_dict(doc["codec"], schema),
-            schema=schema,
-            hint_rate=doc["hint_rate"],
-            alpha=doc["alpha"],
-            noise_seed=doc["noise_seed"],
-        )
-
-    return read_json(path, parse, "GAIN checkpoint")
-
-
 # -- evaluation harness ---------------------------------------------------------
 
 
 @dataclass
 class ImputationContext:
-    """Everything a registered method may use to produce imputed tables."""
+    """Everything a method in `METHODS` may use to produce imputed tables."""
 
     train_missing: Table
     test_missing: Table
@@ -393,11 +352,6 @@ METHODS = {
     "gain": _method_gain,
     "oracle": _method_oracle,
 }
-
-
-def register_method(name: str, fn) -> None:
-    """Plug in an additional imputation method (e.g. other GAN variants)."""
-    METHODS[name] = fn
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,26 @@
-"""The JSON document format and its error contract: UTF-8 with a trailing
-newline, indented by two spaces (reports, specs, the manifest) or compact
-(checkpoints, ``indent=None``). A document that cannot be read or decoded, or
-that its reader's `parse` rejects, raises one `DataError` naming the file."""
+"""The JSON document format and its error contract: UTF-8, indented by two
+spaces, with a trailing newline (reports, specs, the manifest). A document
+that cannot be read or decoded, or that its reader's `parse` rejects, raises
+one `DataError` naming the file."""
 
 from __future__ import annotations
 
 import json
 
-from .errors import DataError
+from .errors import DataError, TwkitError
 
 
-def write_json(path, doc, indent: int | None = 2) -> None:
+def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=indent)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def read_json(path, parse=lambda doc: doc, what: str = "document"):
     """`parse(doc)` for the document at `path`. `parse` rejects a malformed
     document by raising LookupError, TypeError, ValueError or AttributeError,
-    as indexing, `int()` and `.items()` do on the wrong shape."""
+    as indexing, `int()` and `.items()` do on the wrong shape, or by raising
+    a twkit error, whose text the `DataError` keeps."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -27,5 +28,7 @@ def read_json(path, parse=lambda doc: doc, what: str = "document"):
         raise DataError(f"{path}: {exc}") from exc
     try:
         return parse(doc)
+    except TwkitError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed {what}: {exc!r}") from exc

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingDiverged
-from .jsonio import read_json, write_json
 
 EPS = 1e-7  # probability clamp before any log
-
-CHECKPOINT_FORMAT = "twkit-mlp"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -240,44 +236,3 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 
-
-# -- JSON checkpoints ---------------------------------------------------------
-
-
-def mlp_to_dict(mlp: MLP) -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": list(mlp.layer_sizes),
-        "hidden_activation": mlp.hidden_activation,
-        "output_activation": mlp.output_activation,
-        "output_blocks": [list(span) for span in mlp.output_blocks],
-        "weights": [w.ravel().tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-
-
-def mlp_from_dict(doc: dict) -> MLP:
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
-    sizes = doc["layer_sizes"]
-    weights = [
-        np.array(flat, dtype=np.float64).reshape(fan_in, fan_out)
-        for flat, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:])
-    ]
-    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    return MLP(
-        weights,
-        biases,
-        doc["hidden_activation"],
-        doc["output_activation"],
-        tuple(tuple(span) for span in doc["output_blocks"]),
-    )
-
-
-def save_mlp(mlp: MLP, path) -> None:
-    write_json(path, mlp_to_dict(mlp), indent=None)
-
-
-def load_mlp(path) -> MLP:
-    return read_json(path, mlp_from_dict, "MLP checkpoint")

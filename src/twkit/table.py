@@ -86,23 +86,12 @@ class MaskMatrix:
         return cls(grid)
 
 
-def load_csv(path, schema: Schema) -> Table:
-    """Read and validate a CSV whose header matches the schema attribute names.
-
-    Header order is free; `origin` columns written by the augmenter are
-    rejected here (use :func:`load_augmented_csv`). Errors name the offending
-    row and column.
-    """
-    table, origins = _read_csv(path, schema, allow_origin=False)
-    return table
-
-
 def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
-    """Like :func:`load_csv` but tolerates an extra `origin` column."""
-    return _read_csv(path, schema, allow_origin=True)
+    """Read and validate a CSV whose header matches the schema attribute names,
+    plus the `origin` column the augmenter writes, if present.
 
-
-def _read_csv(path, schema, allow_origin):
+    Header order is free. Errors name the offending row and column.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -116,7 +105,7 @@ def _read_csv(path, schema, allow_origin):
 
     header = [h.strip() for h in header]
     origin_col = None
-    if allow_origin and "origin" in header:
+    if "origin" in header:
         origin_col = header.index("origin")
     known = set(schema.names)
     for name in header:

@@ -17,7 +17,6 @@ from twkit import default_schema, default_synthesis_spec, synthesize_corpus
 from twkit.analyze import box_stats, contingency, cramers_v, chi_square, kde
 from twkit.augment import (
     CganConfig,
-    SmotencConfig,
     default_augment_plan,
     two_stage_augment,
 )
@@ -68,7 +67,7 @@ def augmented_train(split):
     counts = class_histogram(train)
     plan = default_augment_plan(counts, CLASSES, total=1800, smote_cap=SMOTE_CAP)
     result = two_stage_augment(
-        train, plan, SmotencConfig(), CganConfig(epochs=CGAN_EPOCHS),
+        train, plan, CganConfig(epochs=CGAN_EPOCHS),
         seed=derive_seed(CORPUS_SEED, "aug"),
     )
     return result
@@ -156,7 +155,7 @@ def test_criterion_04_augmentation_count_and_integrity(corpus):
     counts = class_histogram(corpus)
     plan = default_augment_plan(counts, CLASSES)  # built-in default plan
     result = two_stage_augment(
-        corpus, plan, SmotencConfig(), CganConfig(epochs=CGAN_EPOCHS),
+        corpus, plan, CganConfig(epochs=CGAN_EPOCHS),
         seed=derive_seed(CORPUS_SEED, "aug-full"),
     )
     assert len(result.table) == 1800

@@ -5,13 +5,12 @@ from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.augment import (
     AugmentPlan,
     CganConfig,
-    SmotencConfig,
+    _squared_distances,
     categorical_penalty,
     cgan_class_agreement,
     default_augment_plan,
     load_plan,
     sample_table_cgan,
-    smotenc_distance,
     smotenc_generate,
     train_table_cgan,
     two_stage_augment,
@@ -38,28 +37,29 @@ def make_row(schema, height=178.0, cls="HR", **overrides):
 class TestDistance:
     def test_identical_rows_zero(self, schema):
         row = make_row(schema)
-        assert smotenc_distance(row, row, schema, penalty=3.0) == 0.0
+        assert _squared_distances([row, row], schema, penalty=3.0)[0, 1] == 0.0
 
     def test_single_categorical_mismatch(self, schema):
         a = make_row(schema)
         b = make_row(schema, headgear=0)
-        assert smotenc_distance(a, b, schema, penalty=3.0) == pytest.approx(3.0)
+        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 9.0
 
     def test_three_four_five(self, schema):
         a = make_row(schema, height=178.0)
         b = make_row(schema, height=182.0, headgear=0)
-        assert smotenc_distance(a, b, schema, penalty=3.0) == pytest.approx(5.0)
-
-    def test_missing_cells_rejected(self, schema):
-        a = make_row(schema)
-        b = make_row(schema, height=None)
-        with pytest.raises(DataError):
-            smotenc_distance(a, b, schema, penalty=1.0)
+        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 25.0
 
     def test_label_excluded(self, schema):
         a = make_row(schema, cls="HR")
         b = make_row(schema, cls="MR")
-        assert smotenc_distance(a, b, schema, penalty=3.0) == 0.0
+        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 0.0
+
+    def test_symmetric_with_zero_diagonal(self, schema):
+        rows = small_corpus(40, seed=3).rows
+        dist2 = _squared_distances(list(rows), schema, penalty=2.5)
+        assert dist2.shape == (len(rows), len(rows))
+        assert (dist2 == dist2.T).all()
+        assert (np.diag(dist2) == 0.0).all()
 
 
 class TestGenerate:
@@ -136,7 +136,7 @@ class TestPlan:
         counts = {"RW": 396, "AW": 633, "CS": 8, "CT": 8, "HR": 5, "MR": 10, "LR": 27}
         order = ("RW", "AW", "CS", "CT", "HR", "MR", "LR")
         plan = default_augment_plan(counts, order)
-        assert plan.total == 1800
+        assert sum(plan.stage2.values()) == 1800
         assert plan.stage2["RW"] == 396 and plan.stage2["AW"] == 633
         minority_targets = sorted(plan.stage2[c] for c in ("CS", "CT", "HR", "MR", "LR"))
         assert minority_targets == [154, 154, 154, 154, 155]
@@ -225,7 +225,7 @@ class TestTwoStage:
         table = small_corpus(300, seed=19)
         counts = class_histogram(table)
         plan = default_augment_plan(counts, schema.class_codes, total=500, smote_cap=40)
-        result = two_stage_augment(table, plan, SmotencConfig(), FAST_CGAN, seed=20)
+        result = two_stage_augment(table, plan, FAST_CGAN, seed=20)
         assert len(result.table) == 500
         hist = class_histogram(result.table)
         for cls in schema.class_codes:
@@ -247,8 +247,8 @@ class TestTwoStage:
         table = small_corpus(400, seed=8)
         counts = class_histogram(table)
         plan = default_augment_plan(counts, schema.class_codes, total=400, smote_cap=30)
-        r1 = two_stage_augment(table, plan, SmotencConfig(), FAST_CGAN, seed=24)
-        r2 = two_stage_augment(table, plan, SmotencConfig(), FAST_CGAN, seed=24)
+        r1 = two_stage_augment(table, plan, FAST_CGAN, seed=24)
+        r2 = two_stage_augment(table, plan, FAST_CGAN, seed=24)
         assert r1.table.rows == r2.table.rows
         assert r1.origins == r2.origins
 
@@ -256,7 +256,7 @@ class TestTwoStage:
         table = small_corpus(400, seed=8)
         counts = class_histogram(table)
         plan = default_augment_plan(counts, schema.class_codes, total=400, smote_cap=30)
-        result = two_stage_augment(table, plan, SmotencConfig(), FAST_CGAN, seed=24)
+        result = two_stage_augment(table, plan, FAST_CGAN, seed=24)
         Table(schema, result.table.rows)
         assert result.table.is_complete()
 

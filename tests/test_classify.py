@@ -271,14 +271,14 @@ class TestForest:
         forest = Forest([t1, t2], ForestConfig(n_classes=2, n_trees=2))
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
-        assert forest.predict(np.zeros((1, 1)))[0] == 0
+        assert np.argmax(proba, axis=1)[0] == 0
 
     def test_training_accuracy_beats_average_tree(self, corpus_200, schema):
         codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
         X = encode(corpus_200, codec_source=codec).values
         y = label_indices(corpus_200)
         forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=20), seed=5)
-        forest_acc = (forest.predict(X) == y).mean()
+        forest_acc = (np.argmax(forest.predict_proba(X), axis=1) == y).mean()
         tree_accs = [
             (np.argmax(tree_predict_proba(t, X), axis=1) == y).mean() for t in forest.trees
         ]
@@ -328,8 +328,8 @@ class TestCompanions:
     def test_separable_blobs_fit(self, trainer):
         X, y = _separable_blobs()
         model = trainer(X, y, 2, 0)
-        assert (model.predict(X) == y).mean() == 1.0
         proba = model.predict_proba(X)
+        assert (np.argmax(proba, axis=1) == y).mean() == 1.0
         assert proba.shape == (len(X), 2)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-6)
 

@@ -5,7 +5,7 @@ import pytest
 
 from twkit.cli import main
 from twkit.schema import default_schema
-from twkit.table import class_histogram, load_augmented_csv, load_csv
+from twkit.table import class_histogram, load_augmented_csv
 
 
 def run(argv):
@@ -15,7 +15,7 @@ def run(argv):
 def test_synth_writes_rows(tmp_path, schema):
     out = tmp_path / "tw.csv"
     assert run(["synth", "--n", 200, "--seed", 7, "--out", out]) == 0
-    table = load_csv(out, schema)
+    table, _ = load_augmented_csv(out, schema)
     assert len(table) == 200
 
 
@@ -39,7 +39,7 @@ def test_impute_sta_round_trip(tmp_path, schema, corpus_200):
     save_csv(injected, src)
     out = tmp_path / "fixed.csv"
     assert run(["impute", "--method", "sta", "--in", src, "--out", out]) == 0
-    table = load_csv(out, schema)
+    table, _ = load_augmented_csv(out, schema)
     assert table.is_complete()
 
 
@@ -50,7 +50,7 @@ def test_impute_complete_passthrough(tmp_path, schema, corpus_200):
     save_csv(corpus_200, src)
     out = tmp_path / "out.csv"
     assert run(["impute", "--method", "gain", "--in", src, "--out", out, "--epochs", "5"]) == 0
-    table = load_csv(out, schema)
+    table, _ = load_augmented_csv(out, schema)
     assert table.rows == corpus_200.rows
 
 
@@ -216,6 +216,7 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("augment", {"stage1": {"RW": 10}}),
     ("augment", {"stage1": ["RW"], "stage2": {}}),
     ("augment", {"stage1": {"RW": "ten"}, "stage2": {}}),
+    ("augment", {"stage1": {"ZZ": 10}, "stage2": {}}),
     # synthesis specs: edits of the default spec's document
     ("synth", lambda d: {k: v for k, v in d.items() if k != "height_model"}),
     ("synth", lambda d: {**d, "class_weights": list(d["class_weights"].values())}),
@@ -227,6 +228,8 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("pipeline", {"n_rows": "50"}),
     ("pipeline", {"rate": "0.3"}),
     ("pipeline", {"stages": ["synth"]}),
+    ("pipeline", {"test_fraction": 0.0}),
+    ("pipeline", {"n_rows": -5}),
     ("box", _NOT_UTF8),
     ("augment", _NOT_UTF8),
     ("synth", _NOT_UTF8),
@@ -236,9 +239,10 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
 ], ids=[
     "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
-    "plan-stage1-list", "plan-text-target", "spec-without-height-model", "spec-class-weights-list",
+    "plan-stage1-list", "plan-text-target", "plan-undeclared-class", "spec-without-height-model", "spec-class-weights-list",
     "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "config-features-number",
     "config-top-level-array", "config-text-int", "config-text-float", "config-stages-unknown",
+    "config-test-fraction-zero", "config-negative-rows",
     "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8", "csv-not-utf8",
     "csv-field-over-limit",
 ])

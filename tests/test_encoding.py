@@ -8,7 +8,6 @@ from twkit.encoding import (
     encode,
     expand_mask,
     label_indices,
-    one_hot_labels,
 )
 from twkit.errors import CodecError
 from twkit.table import MaskMatrix, Table, inject_missing
@@ -74,8 +73,6 @@ def test_codec_reuse_and_strict(schema):
     enc_b = encode(tb, codec_source=enc_a)
     h = enc_a.codec.block("height")
     assert enc_b.values[0, h.start] == 1.0  # clamped into the training range
-    with pytest.raises(CodecError):
-        encode(tb, codec_source=enc_a, strict=True)
 
 
 def test_feature_only_codec(schema, corpus_200):
@@ -100,9 +97,7 @@ def test_expand_mask(schema, corpus_200):
 
 def test_label_helpers(schema, corpus_200):
     idx = label_indices(corpus_200)
-    onehot = one_hot_labels(corpus_200)
-    assert onehot.shape == (len(corpus_200), 7)
-    assert (onehot.sum(axis=1) == 1).all()
+    assert idx.shape == (len(corpus_200),)
     for i, row in enumerate(corpus_200.rows):
         assert schema.class_codes[idx[i]] == row[schema.label_index]
 

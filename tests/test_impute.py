@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,14 +6,12 @@ from twkit.encoding import build_codec, encode, expand_mask
 from twkit.errors import CodecError, DataError
 from twkit.impute import (
     GainConfig,
-    METHODS,
     evaluate_imputation,
     gain_impute_table,
     gain_reconstruction,
     impute_gain,
     impute_mice,
     impute_sta,
-    register_method,
     train_gain,
 )
 from twkit.schema import default_schema
@@ -242,45 +238,3 @@ class TestHarness:
         assert doc["methods"]["sta"]["avg_accuracy_diff"] >= 0.0
         text = report.format_text()
         assert "sta" in text and "Avg Accuracy" in text
-
-    def test_plugin_registry(self):
-        calls = []
-
-        def fake(ctx):
-            calls.append(ctx.seed)
-            return ctx.pristine_train, ctx.pristine_test
-
-        register_method("plugin-test", fake)
-        try:
-            table = small_corpus(100, seed=34)
-            report = evaluate_imputation(
-                table, ["height"], 0.3, methods=["plugin-test"], classifiers=["dt"], seed=35
-            )
-            assert calls
-            assert report.methods["plugin-test"].avg_accuracy_diff == 0.0
-        finally:
-            METHODS.pop("plugin-test")
-
-
-def test_gain_checkpoint_round_trip(tmp_path, schema):
-    from twkit.impute import load_gain_model, save_gain_model
-
-    table = small_corpus(60, seed=40)
-    injected, mask = inject_missing(table, ["headgear"], 0.3, seed=41)
-    enc = encode(injected)
-    model = train_gain(enc, mask, FAST_GAIN, seed=42, schema=schema)
-    path = tmp_path / "gain.json"
-    save_gain_model(model, path)
-    back = load_gain_model(path, schema)
-    assert back.codec == model.codec
-    assert impute_gain(back, enc, mask).rows == impute_gain(model, enc, mask).rows
-
-
-def test_gain_checkpoint_without_networks_is_data_error(tmp_path, schema):
-    from twkit.impute import load_gain_model
-
-    path = tmp_path / "gain.json"
-    path.write_text(json.dumps({"format": "twkit-gain", "version": 1}), encoding="utf-8")
-    with pytest.raises(DataError, match="malformed GAIN checkpoint") as exc:
-        load_gain_model(path, schema)
-    assert str(path) in str(exc.value)

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from twkit.errors import DataError, TrainingDiverged
+from twkit.errors import TrainingDiverged
 from twkit.nn import (
     MLP,
     AdamState,
@@ -13,11 +11,7 @@ from twkit.nn import (
     forward,
     init_mlp,
     iter_batches,
-    load_mlp,
-    mlp_from_dict,
-    mlp_to_dict,
     mse,
-    save_mlp,
     softmax_cross_entropy,
 )
 
@@ -278,26 +272,3 @@ def test_iter_batches_covers_everything_with_remainder():
     assert [len(b) for b in batches] == [4, 4, 2]
     assert sorted(np.concatenate(batches).tolist()) == list(range(10))
 
-
-def test_checkpoint_round_trip(tmp_path):
-    net = init_mlp((4, 6, 3), seed=5, output_activation="softmax_blocks", output_blocks=((0, 3),))
-    path = tmp_path / "net.json"
-    save_mlp(net, path)
-    back = load_mlp(path)
-    assert back.layer_sizes == net.layer_sizes
-    assert back.output_blocks == net.output_blocks
-    x = np.random.default_rng(1).normal(size=(3, 4))
-    np.testing.assert_allclose(forward(back, x)[0], forward(net, x)[0])
-
-
-def test_checkpoint_rejects_other_formats():
-    with pytest.raises(ValueError):
-        mlp_from_dict({"format": "something-else"})
-
-
-def test_checkpoint_without_layer_sizes_is_data_error(tmp_path):
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps({"format": "twkit-mlp", "version": 1}), encoding="utf-8")
-    with pytest.raises(DataError, match="malformed MLP checkpoint") as exc:
-        load_mlp(path)
-    assert str(path) in str(exc.value)

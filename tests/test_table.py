@@ -8,7 +8,6 @@ from twkit.table import (
     class_histogram,
     inject_missing,
     load_augmented_csv,
-    load_csv,
     round_half_up,
     save_csv,
     split_stratified,
@@ -25,7 +24,7 @@ def write_csv(tmp_path, lines, name="t.csv"):
 
 def test_load_simple_row(tmp_path, schema):
     path = write_csv(tmp_path, ["1,1,1,1,178.0,0,0,3,1,1,RW"])
-    table = load_csv(path, schema)
+    table, _ = load_augmented_csv(path, schema)
     row = table.rows[0]
     assert row[schema.index_of("height")] == 178.0
     assert row[schema.label_index] == "RW"
@@ -34,7 +33,7 @@ def test_load_simple_row(tmp_path, schema):
 
 def test_missing_tokens(tmp_path, schema):
     path = write_csv(tmp_path, ["1,1,1,1,178.0,0,,3,1,1,RW", "K,2,0,2,170.0,3,1,NA,1,6,CS"])
-    table = load_csv(path, schema)
+    table, _ = load_augmented_csv(path, schema)
     hair = schema.index_of("hairstyle")
     head = schema.index_of("headgear")
     assert table.rows[0][hair] is None
@@ -48,22 +47,22 @@ def test_missing_tokens(tmp_path, schema):
 def test_undeclared_code_names_row_and_column(tmp_path, schema):
     path = write_csv(tmp_path, ["1,1,1,1,178.0,0,0,9,1,1,RW"])
     with pytest.raises(DataError, match="headgear"):
-        load_csv(path, schema)
+        load_augmented_csv(path, schema)
     with pytest.raises(DataError, match="9"):
-        load_csv(path, schema)
+        load_augmented_csv(path, schema)
 
 
 def test_unknown_column_rejected(tmp_path, schema):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + ",extra\n" + "1,1,1,1,178.0,0,0,3,1,1,RW,x\n", encoding="utf-8")
     with pytest.raises(DataError, match="extra"):
-        load_csv(path, schema)
+        load_augmented_csv(path, schema)
 
 
 def test_non_numeric_height(tmp_path, schema):
     path = write_csv(tmp_path, ["1,1,1,1,tall,0,0,3,1,1,RW"])
     with pytest.raises(DataError, match="height"):
-        load_csv(path, schema)
+        load_augmented_csv(path, schema)
 
 
 def test_header_order_insensitive(tmp_path, schema):
@@ -74,14 +73,14 @@ def test_header_order_insensitive(tmp_path, schema):
     path.write_text(
         ",".join(reordered) + "\n" + ",".join(row[c] for c in reordered) + "\n", encoding="utf-8"
     )
-    table = load_csv(path, schema)
+    table, _ = load_augmented_csv(path, schema)
     assert table.rows[0][schema.index_of("height")] == 178.0
 
 
 def test_save_load_round_trip(tmp_path, corpus_200, schema):
     path = tmp_path / "out.csv"
     save_csv(corpus_200, path)
-    back = load_csv(path, schema)
+    back, _ = load_augmented_csv(path, schema)
     assert back.rows == corpus_200.rows
 
 
@@ -92,8 +91,6 @@ def test_save_load_with_origins(tmp_path, corpus_200, schema):
     back, got = load_augmented_csv(path, schema)
     assert got == origins
     assert back.rows == corpus_200.rows
-    with pytest.raises(DataError, match="origin"):
-        load_csv(path, schema)
 
 
 def test_round_half_up():
