@@ -213,27 +213,30 @@ def train_table_cgan(
             z = rng.standard_normal((len(batch), CGAN_NOISE_DIM))
             gen_in = np.hstack([z, y1h])
 
+            # G is not updated until the end of the step, so one forward
+            # serves both the discriminator and the generator update
+            fake, cache_g = forward(gen, gen_in)
+            fake_in = np.hstack([fake, y1h])
+
             # discriminator
-            fake, _ = forward(gen, gen_in)
             d_real, cache_r = forward(disc, np.hstack([xb, y1h]))
             loss_r, grad_r = binary_cross_entropy(d_real, np.ones_like(d_real))
-            d_fake, cache_f = forward(disc, np.hstack([fake, y1h]))
+            d_fake, cache_f = forward(disc, fake_in)
             loss_f, grad_f = binary_cross_entropy(d_fake, np.zeros_like(d_fake))
-            grads_r, _ = backward(disc, cache_r, 0.5 * grad_r)
-            grads_f, _ = backward(disc, cache_f, 0.5 * grad_f)
+            grads_r, _ = backward(disc, cache_r, 0.5 * grad_r, inputs=False)
+            grads_f, _ = backward(disc, cache_f, 0.5 * grad_f, inputs=False)
             adam_step(disc, [(gr + gf, br + bf) for (gr, br), (gf, bf) in zip(grads_r, grads_f)], d_state)
 
             # classifier on real rows
             logits, cache_c = forward(clf, xb)
             loss_c, dlogits = softmax_cross_entropy(logits, yb)
-            grads_c, _ = backward(clf, cache_c, dlogits)
+            grads_c, _ = backward(clf, cache_c, dlogits, inputs=False)
             adam_step(clf, grads_c, c_state)
 
             # generator
-            fake, cache_g = forward(gen, gen_in)
-            d_fake, cache_f = forward(disc, np.hstack([fake, y1h]))
+            d_fake, cache_f = forward(disc, fake_in)
             loss_adv, grad_adv = binary_cross_entropy(d_fake, np.ones_like(d_fake))
-            _, d_in_grad = backward(disc, cache_f, grad_adv)
+            _, d_in_grad = backward(disc, cache_f, grad_adv, params=False)
             fake_grad = d_in_grad[:, :d].copy()
 
             # per-class batch mean matching
@@ -251,10 +254,10 @@ def train_table_cgan(
             # semantic integrity: C should assign the conditioning class
             logits_f, cache_cf = forward(clf, fake)
             loss_sem, dlogits_f = softmax_cross_entropy(logits_f, yb)
-            _, c_in_grad = backward(clf, cache_cf, dlogits_f)
+            _, c_in_grad = backward(clf, cache_cf, dlogits_f, params=False)
             fake_grad += c_in_grad
 
-            grads_g, _ = backward(gen, cache_g, fake_grad)
+            grads_g, _ = backward(gen, cache_g, fake_grad, inputs=False)
             adam_step(gen, grads_g, g_state)
 
             losses = (loss_r, loss_f, loss_c, loss_adv, loss_moment, loss_sem)

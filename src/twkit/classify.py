@@ -290,6 +290,19 @@ def feature_importance(forest: Forest, codec: Codec) -> list[tuple[str, float]]:
 
 # -- companion classifiers ----------------------------------------------------
 
+# Every trainer is called as (X, y, n_classes, seed), so its settings are fixed.
+LOGREG_LEARNING_RATE = 0.5
+LOGREG_EPOCHS = 300
+LOGREG_L2 = 1e-4
+MLP_HIDDEN = 64
+MLP_EPOCHS = 200
+MLP_BATCH_SIZE = 64
+MLP_LEARNING_RATE = 1e-3
+SVM_EPOCHS = 30
+SVM_BATCH_SIZE = 32
+SVM_LEARNING_RATE = 0.1
+SVM_L2 = 1e-3
+
 
 @dataclass
 class LogisticModel:
@@ -300,10 +313,7 @@ class LogisticModel:
         return _softmax(np.asarray(X) @ self.W + self.b)
 
 
-def train_logreg(
-    X, y, n_classes: int, seed: int = 0, learning_rate: float = 0.5,
-    epochs: int = 300, l2: float = 1e-4,
-) -> LogisticModel:
+def train_logreg(X, y, n_classes: int, seed: int = 0) -> LogisticModel:
     """Multinomial softmax regression by full-batch gradient descent (zero init)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -312,11 +322,11 @@ def train_logreg(
     d = X.shape[1]
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
-    for _ in range(epochs):
+    for _ in range(LOGREG_EPOCHS):
         logits = X @ W + b
         _, dlogits = softmax_cross_entropy(logits, y)
-        W -= learning_rate * (X.T @ dlogits + l2 * W)
-        b -= learning_rate * dlogits.sum(axis=0)
+        W -= LOGREG_LEARNING_RATE * (X.T @ dlogits + LOGREG_L2 * W)
+        b -= LOGREG_LEARNING_RATE * dlogits.sum(axis=0)
     return LogisticModel(W, b)
 
 
@@ -329,23 +339,20 @@ class MlpClassifier:
         return _softmax(logits)
 
 
-def train_mlp_classifier(
-    X, y, n_classes: int, seed: int = 0, hidden: int = 64,
-    epochs: int = 200, batch_size: int = 64, learning_rate: float = 1e-3,
-) -> MlpClassifier:
+def train_mlp_classifier(X, y, n_classes: int, seed: int = 0) -> MlpClassifier:
     """One hidden relu layer, softmax head, Adam on minibatches."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise DataError("MLP classifier needs >=2 classes in training data")
-    net = init_mlp((X.shape[1], hidden, n_classes), seed=seed, output_activation="identity")
-    state = AdamState.for_mlp(net, learning_rate=learning_rate)
+    net = init_mlp((X.shape[1], MLP_HIDDEN, n_classes), seed=seed, output_activation="identity")
+    state = AdamState.for_mlp(net, learning_rate=MLP_LEARNING_RATE)
     rng = np.random.default_rng(derive_seed(seed, "mlp-batches"))
-    for _ in range(epochs):
-        for batch in iter_batches(len(X), batch_size, rng):
+    for _ in range(MLP_EPOCHS):
+        for batch in iter_batches(len(X), MLP_BATCH_SIZE, rng):
             logits, cache = forward(net, X[batch])
             _, dlogits = softmax_cross_entropy(logits, y[batch])
-            grads, _ = backward(net, cache, dlogits)
+            grads, _ = backward(net, cache, dlogits, inputs=False)
             adam_step(net, grads, state)
     return MlpClassifier(net)
 
@@ -375,10 +382,7 @@ def _fit_platt(margins: np.ndarray, targets: np.ndarray, iters: int = 200, lr: f
     return a, c
 
 
-def train_linear_svm(
-    X, y, n_classes: int, seed: int = 0, epochs: int = 30,
-    batch_size: int = 32, learning_rate: float = 0.1, l2: float = 1e-3,
-) -> LinearSvm:
+def train_linear_svm(X, y, n_classes: int, seed: int = 0) -> LinearSvm:
     """One-vs-rest linear hinge loss by stochastic subgradient descent, with a
     logistic link fitted on the margins so predict_proba is available."""
     X = np.asarray(X, dtype=np.float64)
@@ -393,17 +397,17 @@ def train_linear_svm(
         rng = np.random.default_rng(derive_seed(seed, f"svm-{c}"))
         w_c = np.zeros(d)
         b_c = 0.0
-        for _ in range(epochs):
-            for batch in iter_batches(len(X), batch_size, rng):
+        for _ in range(SVM_EPOCHS):
+            for batch in iter_batches(len(X), SVM_BATCH_SIZE, rng):
                 margin = sign[batch] * (X[batch] @ w_c + b_c)
                 viol = margin < 1.0
-                grad_w = l2 * w_c
+                grad_w = SVM_L2 * w_c
                 grad_b = 0.0
                 if viol.any():
                     grad_w = grad_w - (sign[batch][viol, None] * X[batch][viol]).mean(axis=0)
                     grad_b = -float(sign[batch][viol].mean())
-                w_c -= learning_rate * grad_w
-                b_c -= learning_rate * grad_b
+                w_c -= SVM_LEARNING_RATE * grad_w
+                b_c -= SVM_LEARNING_RATE * grad_b
         W[:, c] = w_c
         b[c] = b_c
     platt = np.zeros((n_classes, 2))

@@ -74,17 +74,18 @@ def impute_sta(table: Table, schema: Schema | None = None) -> Table:
     return table.replace_rows(rows)
 
 
-def _design_matrix(columns, attrs, skip: int):
+def _design_matrix(columns, attrs, skip: int, constant: dict):
     """Intercept + one-hot/min-max design from every column except `skip`.
 
-    Constant predictor columns are dropped (with a warning)."""
+    Constant predictor columns are dropped; their names are added to the keys
+    of `constant` so the caller can warn once."""
     parts = [np.ones((len(columns[0]), 1))]
     for j, attr in enumerate(attrs):
         if j == skip:
             continue
         col = columns[j]
         if len(set(col)) < 2:
-            warnings.warn(f"predictor {attr.name!r} is constant; dropped from regression")
+            constant[attr.name] = None
             continue
         if attr.kind == CATEGORICAL:
             block = np.zeros((len(col), len(attr.codes)))
@@ -133,10 +134,11 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
     }
     working = impute_sta(table, schema)
     columns = [list(working.column(a.name)) for a in attrs]
+    constant = {}  # names in first-seen order
     for _ in range(rounds):
         for j in incomplete:
             attr = attrs[j]
-            design = _design_matrix(columns, attrs, skip=j)
+            design = _design_matrix(columns, attrs, skip=j, constant=constant)
             obs = observed[j]
             mis = missing[j]
             X_obs, X_mis = design[obs], design[mis]
@@ -152,6 +154,9 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
                 predicted = np.clip(raw, y.min(), y.max()).tolist()
             for i, value in zip(mis, predicted):
                 columns[j][i] = value
+    if constant:
+        names = ", ".join(repr(name) for name in constant)
+        warnings.warn(f"constant predictors dropped from regression: {names}")
     rows = [tuple(columns[j][i] for j in range(len(attrs))) for i in range(len(table))]
     return table.replace_rows(rows)
 
@@ -236,25 +241,27 @@ def train_gain(
             b_hint = (rng.random(size=xb.shape) < HINT_RATE).astype(np.float64)
             hint = b_hint * mb + 0.5 * (1.0 - b_hint)
 
-            # discriminator update (generator output treated as constant)
-            g_out, _ = forward(gen, gen_in)
+            # G is not updated until the end of the step, so one forward
+            # serves both the discriminator and the generator update
+            g_out, g_cache = forward(gen, gen_in)
             x_hat = mb * xb + (1.0 - mb) * g_out
-            d_out, d_cache = forward(disc, np.hstack([x_hat, hint]))
+            d_in = np.hstack([x_hat, hint])
+
+            # discriminator update (generator output treated as constant)
+            d_out, d_cache = forward(disc, d_in)
             d_loss, d_grad = binary_cross_entropy(d_out, mb, mask=1.0 - b_hint)
-            d_grads, _ = backward(disc, d_cache, d_grad)
+            d_grads, _ = backward(disc, d_cache, d_grad, inputs=False)
             adam_step(disc, d_grads, d_state)
 
             # generator update: fool D on missing entries + reconstruct observed
-            g_out, g_cache = forward(gen, gen_in)
-            x_hat = mb * xb + (1.0 - mb) * g_out
-            d_out, d_cache = forward(disc, np.hstack([x_hat, hint]))
+            d_out, d_cache = forward(disc, d_in)
             adv_loss, adv_grad = binary_cross_entropy(
                 d_out, np.ones_like(d_out), mask=1.0 - mb
             )
-            _, d_input_grad = backward(disc, d_cache, adv_grad)
+            _, d_input_grad = backward(disc, d_cache, adv_grad, params=False)
             rec_loss, rec_grad = mse(g_out, xb, mask=mb)
             g_out_grad = d_input_grad[:, :d] * (1.0 - mb) + config.alpha * rec_grad
-            g_grads, _ = backward(gen, g_cache, g_out_grad)
+            g_grads, _ = backward(gen, g_cache, g_out_grad, inputs=False)
             adam_step(gen, g_grads, g_state)
 
             if not (np.isfinite(d_loss) and np.isfinite(adv_loss) and np.isfinite(rec_loss)):

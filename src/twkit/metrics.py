@@ -123,17 +123,20 @@ def compute_metrics(predicted, scores, truth, classes) -> Metrics:
     macro_auc = float("nan")
     if scores is not None:
         truth_idx = np.array([index[t] for t in truth])
-        aucs = []
+        aucs, absent = [], []
         for c in classes:
             i = index[c]
             pos = truth_idx == i
             if not pos.any():
-                warnings.warn(f"class {c!r} absent from truth; excluded from macro AUC")
+                absent.append(c)
                 continue
-            if pos.all():
+            if pos.all():  # true of one class at most, so this warns once
                 warnings.warn(f"class {c!r} is the only truth class; excluded from macro AUC")
                 continue
             aucs.append(auc_rank(scores[:, i], pos))
+        if absent:
+            names = ", ".join(repr(c) for c in absent)
+            warnings.warn(f"classes absent from truth, excluded from macro AUC: {names}")
         if aucs:
             macro_auc = float(np.mean(aucs))
 

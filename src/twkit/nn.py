@@ -2,7 +2,11 @@
 
 Everything is plain numpy. `backward` returns parameter gradients and the
 gradient with respect to the network input, so one network can be chained
-through another (generator through discriminator). Output activations:
+through another (generator through discriminator). A caller that keeps only
+one of the two says so: `backward(..., params=False)` skips every weight and
+bias gradient and `backward(..., inputs=False)` skips the input gradient; the
+skipped part comes back as None and the kept part is unchanged. Output
+activations:
 
 - "sigmoid"        elementwise logistic
 - "identity"       raw affine output
@@ -59,12 +63,9 @@ def init_mlp(
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive number only, so neither branch overflows
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _softmax(z):
@@ -73,12 +74,26 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _sigmoid_spans(width: int, blocks) -> list[tuple[int, int]]:
+    """The (start, stop) column spans outside every softmax block."""
+    spans, start = [], 0
+    for block_start, block_stop in sorted(blocks):
+        if block_start > start:
+            spans.append((start, block_start))
+        start = max(start, block_stop)
+    if start < width:
+        spans.append((start, width))
+    return spans
+
+
 def _apply_output(mlp: MLP, z: np.ndarray) -> np.ndarray:
     if mlp.output_activation == "identity":
         return z
     if mlp.output_activation == "sigmoid":
         return _sigmoid(z)
-    out = _sigmoid(z)
+    out = np.empty_like(z)
+    for start, stop in _sigmoid_spans(z.shape[1], mlp.output_blocks):
+        out[:, start:stop] = _sigmoid(z[:, start:stop])
     for start, stop in mlp.output_blocks:
         out[:, start:stop] = _softmax(z[:, start:stop])
     return out
@@ -108,7 +123,12 @@ def forward(mlp: MLP, batch: np.ndarray):
 def _output_grad_to_pre(mlp: MLP, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
     if mlp.output_activation == "identity":
         return grad_out
-    dz = grad_out * out * (1.0 - out)  # sigmoid columns
+    if mlp.output_activation == "sigmoid":
+        return grad_out * out * (1.0 - out)
+    dz = np.empty_like(grad_out)
+    for start, stop in _sigmoid_spans(out.shape[1], mlp.output_blocks):
+        s = out[:, start:stop]
+        dz[:, start:stop] = grad_out[:, start:stop] * s * (1.0 - s)
     for start, stop in mlp.output_blocks:
         s = out[:, start:stop]
         g = grad_out[:, start:stop]
@@ -116,67 +136,87 @@ def _output_grad_to_pre(mlp: MLP, grad_out: np.ndarray, out: np.ndarray) -> np.n
     return dz
 
 
-def backward(mlp: MLP, cache, output_gradient: np.ndarray):
-    """Exact reverse-mode gradients: ([(dW, db), ...], d_input)."""
+def backward(mlp: MLP, cache, output_gradient: np.ndarray, *, params: bool = True, inputs: bool = True):
+    """Exact reverse-mode gradients: ([(dW, db), ...], d_input).
+
+    `params=False` skips the parameter gradients and `inputs=False` the input
+    gradient; a skipped part is returned as None."""
     pre, post = cache["pre"], cache["post"]
     out = post[-1]
     if output_gradient.shape != out.shape:
         raise ValueError(f"gradient shape {output_gradient.shape} != output shape {out.shape}")
-    grads = [None] * len(mlp.weights)
+    grads = [None] * len(mlp.weights) if params else None
+    d_input = None
     dz = _output_grad_to_pre(mlp, output_gradient, out)
     for i in range(len(mlp.weights) - 1, -1, -1):
-        a_prev = post[i]
-        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
-        da_prev = dz @ mlp.weights[i].T
+        if params:
+            grads[i] = (post[i].T @ dz, dz.sum(axis=0))
         if i > 0:
+            da_prev = dz @ mlp.weights[i].T
             if mlp.hidden_activation == "relu":
                 dz = da_prev * (pre[i - 1] > 0)
             else:
                 dz = da_prev * (1.0 - post[i] ** 2)
-    return grads, da_prev
+        elif inputs:
+            d_input = dz @ mlp.weights[0].T
+    return grads, d_input
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam moments for one MLP, each one flat array over every parameter in
+    the order W0, b0, W1, b1, ... (each array raveled in C order)."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        # scratch buffers, so that a step allocates no parameter-sized array
+        self._grad = np.empty_like(self.m)
+        self._update = np.empty_like(self.m)
+        self._denom = np.empty_like(self.m)
+
     @classmethod
     def for_mlp(cls, mlp: MLP, learning_rate: float = 1e-3) -> "AdamState":
-        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(mlp.weights, mlp.biases)]
-        return cls(
-            m=[(zw.copy(), zb.copy()) for zw, zb in zeros],
-            v=[(zw.copy(), zb.copy()) for zw, zb in zeros],
-            learning_rate=learning_rate,
-        )
+        size = sum(w.size + b.size for w, b in zip(mlp.weights, mlp.biases))
+        return cls(m=np.zeros(size), v=np.zeros(size), learning_rate=learning_rate)
 
 
 def adam_step(mlp: MLP, grads, state: AdamState):
-    """Bias-corrected Adam update (in place); returns (mlp, state)."""
-    for (dw, db) in grads:
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise TrainingDiverged("non-finite gradient in adam_step")
+    """Bias-corrected Adam update (in place); returns (mlp, state).
+
+    A non-finite gradient raises before any weight or moment changes."""
+    grad = state._grad
+    np.concatenate([part for pair in grads for part in pair], axis=None, out=grad)
+    if not np.isfinite(grad).all():
+        raise TrainingDiverged("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
-    for i, (dw, db) in enumerate(grads):
-        for j, grad in enumerate((dw, db)):
-            m = state.m[i][j]
-            v = state.v[i][j]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad**2
-            m_hat = m / correction1
-            v_hat = v / correction2
-            target = mlp.weights[i] if j == 0 else mlp.biases[i]
-            target -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, update, denom = state.m, state.v, state._update, state._denom
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=update)
+    m += update
+    v *= state.beta2
+    np.square(grad, out=update)
+    update *= 1.0 - state.beta2
+    v += update
+    # lr * m_hat / (sqrt(v_hat) + eps), in that order
+    np.divide(m, 1.0 - state.beta1**t, out=update)
+    update *= state.learning_rate
+    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update /= denom
+    offset = 0
+    for w, b in zip(mlp.weights, mlp.biases):
+        for target in (w, b):
+            target -= update[offset : offset + target.size].reshape(target.shape)
+            offset += target.size
     return mlp, state
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twkit.analyze import (
-    BoxStats,
     ContingencyTable,
     box_stats,
     chi_square,

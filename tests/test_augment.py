@@ -7,7 +7,6 @@ from twkit.augment import (
     CganConfig,
     _squared_distances,
     categorical_penalty,
-    cgan_class_agreement,
     default_augment_plan,
     load_plan,
     sample_table_cgan,

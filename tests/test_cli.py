@@ -4,7 +4,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from twkit.cli import main
-from twkit.schema import default_schema
 from twkit.table import class_histogram, load_augmented_csv
 
 

@@ -3,14 +3,13 @@ import pytest
 
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.encoding import (
-    build_codec,
     decode,
     encode,
     expand_mask,
     label_indices,
 )
 from twkit.errors import CodecError
-from twkit.table import MaskMatrix, Table, inject_missing
+from twkit.table import Table, inject_missing
 
 
 def test_one_hot_block(schema, corpus_200):

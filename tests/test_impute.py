@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from twkit import default_synthesis_spec, synthesize_corpus
-from twkit.encoding import build_codec, encode, expand_mask
+from twkit.encoding import encode, expand_mask
 from twkit.errors import CodecError, DataError
 from twkit.impute import (
     GainConfig,
@@ -14,7 +16,6 @@ from twkit.impute import (
     impute_sta,
     train_gain,
 )
-from twkit.schema import default_schema
 from twkit.table import MaskMatrix, Table, inject_missing
 
 FAST_GAIN = GainConfig(epochs=60, batch_size=64)
@@ -90,6 +91,18 @@ class TestMice:
         i_h, i_t = schema.index_of("height"), schema.index_of("t_id")
         for row in out.rows:
             assert row[i_h] == pytest.approx(2.0 * row[i_t], abs=1e-6)
+
+    def test_constant_predictor_warns_once(self, schema):
+        rng = np.random.default_rng(2)
+        rows = [(int(rng.integers(1, 12)), 1, 1, 1, float(rng.normal(180.0, 5.0)), 0, 0, 3, 1, 1,
+                 "RW" if rng.random() < 0.5 else "AW") for _ in range(60)]
+        injected, _ = inject_missing(Table(schema, tuple(rows)), ["height"], 0.3, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            impute_mice(injected, rounds=3)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "'t_id'" in message and "'armor_type'" in message
 
     def test_observed_cells_untouched(self, schema):
         table = small_corpus(80, seed=3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,17 @@ def test_absent_class_excluded_with_warning():
     with pytest.warns(UserWarning, match="absent"):
         m = compute_metrics(predicted, scores, truth, classes)
     assert not np.isnan(m.macro_auc)
+
+
+def test_absent_classes_share_one_warning():
+    classes = ("a", "b", "c", "d")
+    truth = ["a", "b", "a"]
+    scores = np.full((3, 4), 0.25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compute_metrics(truth, scores, truth, classes)
+    assert len(caught) == 1
+    assert "'c'" in str(caught[0].message) and "'d'" in str(caught[0].message)
 
 
 def test_length_mismatch():

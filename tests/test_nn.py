@@ -5,6 +5,10 @@ from twkit.errors import TrainingDiverged
 from twkit.nn import (
     MLP,
     AdamState,
+    _apply_output,
+    _output_grad_to_pre,
+    _sigmoid,
+    _softmax,
     adam_step,
     backward,
     binary_cross_entropy,
@@ -195,6 +199,162 @@ def test_gradient_linearity():
         np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12)
 
 
+# -- references: the masked sigmoid, the all-columns sigmoid output and the
+# per-array Adam update that the engine replaced; each replacement must match
+# them bit for bit.
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_apply_output(mlp, z):
+    if mlp.output_activation == "identity":
+        return z
+    if mlp.output_activation == "sigmoid":
+        return _reference_sigmoid(z)
+    out = _reference_sigmoid(z)
+    for start, stop in mlp.output_blocks:
+        out[:, start:stop] = _softmax(z[:, start:stop])
+    return out
+
+
+def _reference_output_grad_to_pre(mlp, grad_out, out):
+    if mlp.output_activation == "identity":
+        return grad_out
+    dz = grad_out * out * (1.0 - out)
+    for start, stop in mlp.output_blocks:
+        s = out[:, start:stop]
+        g = grad_out[:, start:stop]
+        dz[:, start:stop] = s * (g - (g * s).sum(axis=1, keepdims=True))
+    return dz
+
+
+def _reference_forward(mlp, batch):
+    activations, pre, a = [batch], [], batch
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = a @ w + b
+        pre.append(z)
+        if i < len(mlp.weights) - 1:
+            a = np.maximum(z, 0.0) if mlp.hidden_activation == "relu" else np.tanh(z)
+        else:
+            a = _reference_apply_output(mlp, z)
+        activations.append(a)
+    return a, {"pre": pre, "post": activations}
+
+
+def _reference_backward(mlp, cache, output_gradient):
+    pre, post = cache["pre"], cache["post"]
+    grads = [None] * len(mlp.weights)
+    dz = _reference_output_grad_to_pre(mlp, output_gradient, post[-1])
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        grads[i] = (post[i].T @ dz, dz.sum(axis=0))
+        da_prev = dz @ mlp.weights[i].T
+        if i > 0:
+            if mlp.hidden_activation == "relu":
+                dz = da_prev * (pre[i - 1] > 0)
+            else:
+                dz = da_prev * (1.0 - post[i] ** 2)
+    return grads, da_prev
+
+
+def _reference_adam_step(weights, biases, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    step += 1
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    for i, (dw, db) in enumerate(grads):
+        for j, grad in enumerate((dw, db)):
+            mi, vi = m[i][j], v[i][j]
+            mi *= beta1
+            mi += (1.0 - beta1) * grad
+            vi *= beta2
+            vi += (1.0 - beta2) * grad**2
+            m_hat = mi / correction1
+            v_hat = vi / correction2
+            target = weights[i] if j == 0 else biases[i]
+            target -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return step
+
+
+def test_sigmoid_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    z = np.concatenate([
+        np.array([0.0, -0.0, 800.0, -800.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300]),
+        rng.normal(0.0, 5.0, size=500),
+        rng.normal(0.0, 40.0, size=500),
+    ])
+    for values in (z, z[:-1].reshape(-1, 9)[:, ::2]):
+        assert np.array_equal(_sigmoid(values), _reference_sigmoid(values), equal_nan=True)
+
+
+# 7 outputs: ((0, 2), (3, 6)) leaves sigmoid column 2 between two blocks and
+# column 6 after the last; ((0, 2), (4, 6)) leaves two columns between them
+EXACT_OUTPUTS = [
+    ("sigmoid", ()),
+    ("identity", ()),
+    ("softmax_blocks", ((0, 2), (3, 6))),
+    ("softmax_blocks", ((0, 2), (4, 6))),
+    ("softmax_blocks", ((1, 4),)),
+    ("softmax_blocks", ((0, 7),)),
+]
+
+
+@pytest.mark.parametrize("hidden", ["relu", "tanh"])
+@pytest.mark.parametrize("output,blocks", EXACT_OUTPUTS)
+def test_forward_and_backward_match_reference_bit_for_bit(hidden, output, blocks):
+    rng = np.random.default_rng(5)
+    net = init_mlp((5, 9, 8, 7), seed=4, hidden_activation=hidden, output_activation=output,
+                   output_blocks=blocks)
+    for b in net.biases:
+        b += rng.normal(0.0, 0.5, size=b.shape)
+    X = rng.normal(0.0, 3.0, size=(13, 5))
+    out, cache = forward(net, X)
+    ref_out, ref_cache = _reference_forward(net, X)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(_apply_output(net, cache["pre"][-1]),
+                          _reference_apply_output(net, cache["pre"][-1]))
+    grad_out = rng.normal(size=out.shape)
+    assert np.array_equal(_output_grad_to_pre(net, grad_out, out),
+                          _reference_output_grad_to_pre(net, grad_out, out))
+
+    grads, d_input = backward(net, cache, grad_out)
+    ref_grads, ref_d_input = _reference_backward(net, ref_cache, grad_out)
+    assert np.array_equal(d_input, ref_d_input)
+    for (dw, db), (rw, rb) in zip(grads, ref_grads):
+        assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+    no_params, input_only = backward(net, cache, grad_out, params=False)
+    assert no_params is None and np.array_equal(input_only, d_input)
+    params_only, no_input = backward(net, cache, grad_out, inputs=False)
+    assert no_input is None
+    for (dw, db), (pw, pb) in zip(grads, params_only):
+        assert np.array_equal(dw, pw) and np.array_equal(db, pb)
+
+
+def test_adam_matches_per_array_reference_at_cgan_generator_shape():
+    rng = np.random.default_rng(3)
+    net = init_mlp((39, 128, 128, 43), seed=1, hidden_activation="tanh")
+    ref_w = [w.copy() for w in net.weights]
+    ref_b = [b.copy() for b in net.biases]
+    ref_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(ref_w, ref_b)]
+    ref_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(ref_w, ref_b)]
+    ref_step = 0
+    state = AdamState.for_mlp(net, learning_rate=2e-4)
+    for _ in range(50):
+        grads = [(rng.normal(0.0, 0.1, size=w.shape), rng.normal(0.0, 0.1, size=b.shape))
+                 for w, b in zip(net.weights, net.biases)]
+        adam_step(net, grads, state)
+        ref_step = _reference_adam_step(ref_w, ref_b, grads, ref_m, ref_v, ref_step, lr=2e-4)
+    assert state.step == ref_step == 50
+    for w, b, rw, rb in zip(net.weights, net.biases, ref_w, ref_b):
+        assert np.array_equal(w, rw) and np.array_equal(b, rb)
+
+
 class TestAdam:
     def test_descent_direction(self):
         net = init_mlp((2, 1), seed=0)
@@ -230,6 +390,22 @@ class TestAdam:
         bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(TrainingDiverged):
             adam_step(net, [(bad, np.zeros(2))], state)
+
+        # a NaN only in the last layer's bias gradient: nothing may change
+        net = init_mlp((3, 4, 2), seed=4)
+        state = AdamState.for_mlp(net)
+        ones = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(net.weights, net.biases)]
+        adam_step(net, ones, state)
+        weights = [w.copy() for w in net.weights]
+        biases = [b.copy() for b in net.biases]
+        m, v = state.m.copy(), state.v.copy()
+        bad_bias = np.array([0.0, np.nan])
+        with pytest.raises(TrainingDiverged):
+            adam_step(net, ones[:-1] + [(ones[-1][0], bad_bias)], state)
+        assert state.step == 1
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        for w, b, w0, b0 in zip(net.weights, net.biases, weights, biases):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 class TestLosses:

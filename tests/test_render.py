@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twkit.analyze import BoxStats, CorrelationMatrix, ViolinStats, box_stats, kde
+from twkit.analyze import BoxStats, CorrelationMatrix, box_stats, kde
 from twkit.errors import DataError
 from twkit.render import (
     PlotSpec,

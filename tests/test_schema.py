@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from twkit.errors import SchemaError
-from twkit.schema import CATEGORICAL, NUMERIC, AttributeSpec, Schema, default_schema
+from twkit.schema import CATEGORICAL, NUMERIC, AttributeSpec, Schema
 
 
 def test_default_schema_shape(schema):

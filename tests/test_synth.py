@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twkit import default_schema, default_synthesis_spec, synthesize_corpus
+from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.analyze import contingency, cramers_v
 from twkit.errors import DataError
 from twkit.synth import SynthesisSpec, load_spec, save_spec
