@@ -32,12 +32,8 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .schema import NUMERIC, Code, Schema
-from .table import Row, Table, class_histogram
+from .table import ORIGIN_CGAN, ORIGIN_REAL, ORIGIN_SMOTENC, Row, Table, class_histogram
 from .seeds import derive_seed
-
-ORIGIN_REAL = "real"
-ORIGIN_SMOTENC = "smotenc"
-ORIGIN_CGAN = "cgan"
 
 SMOTENC_K = 5  # nearest same-class neighbours per seed row
 

@@ -5,14 +5,20 @@ All models train on the encoded feature matrix (one-hot categorical view plus
 scaled numerics) and integer class indices. Categorical splits are one-vs-rest
 per code, which in the one-hot view sends the rows at 0 left.
 
-The tree split search has two paths, chosen per column from the tree's
-training matrix. For the columns that hold only 0 and 1 (every one-hot
-column), one product of the node's rows of those columns with the node's
-one-hot labels gives each column's class counts at 1; the counts at 0 are the
-node's counts minus those. Every other column (the scaled numerics) sorts the
-node's values and scans the cumulative class counts at each boundary. Both
-paths score splits with the same Gini expression, so a tree does not depend on
-which path scored a column.
+A tree builds the one-hot of its labels once and each node takes its rows of
+it. The split search has two paths, chosen per column from the tree's training
+matrix. For the columns that hold only 0 and 1 (every one-hot column), one
+product of the node's rows of those columns with the node's one-hot labels
+gives each column's class counts at 1; the counts at 0 are the node's counts
+minus those. Every other column (the scaled numerics) sorts the node's values
+and scans the cumulative class counts at each boundary. Both paths score
+splits with the same Gini expression, so a tree does not depend on which path
+scored a column, and the node keeps the best split seen so far.
+
+Prediction routes arrays of row indices down the tree: each split visited
+compares its column for the rows that reached it and sends them on to its
+children, and each leaf writes its class counts for the rows that reach it.
+A row's probabilities are its leaf's counts over their sum.
 """
 
 from __future__ import annotations
@@ -42,9 +48,12 @@ from .table import Table
 
 
 def gini(counts) -> float:
-    """Gini impurity 1 - sum((c/n)^2) of a class-count vector."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if (counts < 0).any():
+    """Gini impurity 1 - sum((c/n)^2) of a class-count vector.
+
+    An integer array is used as it is, so the split search can call this on
+    every node's bincount without a copy."""
+    counts = np.asarray(counts)
+    if counts.min(initial=0) < 0:
         raise DataError("negative class count")
     n = counts.sum()
     if n == 0:
@@ -78,15 +87,15 @@ class TreeConfig:
     feature_subset_size: int | None = None  # None = all features
 
 
-def _best_split(X, y, idx, candidates, counts, min_leaf, binary):
+def _best_split(X, Y, idx, candidates, counts, min_leaf, binary):
     """Max Gini-decrease split over candidate columns.
 
-    `counts` are the node's class counts and `binary` flags the columns that
-    hold only 0 and 1 in the tree's training matrix. Binary candidates get
-    their class counts for the rows at 1 from one product, and their only
-    split sends the 0s left. The other candidates scan every boundary between
-    their sorted distinct values. Ties break toward the lowest feature index,
-    then the lowest threshold.
+    `Y` is the one-hot of the tree's labels, `counts` the node's class counts
+    and `binary` flags the columns that hold only 0 and 1 in the tree's
+    training matrix. Binary candidates get their class counts for the rows at
+    1 from one product, and their only split sends the 0s left. The other
+    candidates scan every boundary between their sorted distinct values. Ties
+    break toward the lowest feature index, then the lowest threshold.
 
     The stored threshold is the midpoint of the sorted values at positions r
     and r + 1, where r is the best boundary's rank among the column's
@@ -96,47 +105,51 @@ def _best_split(X, y, idx, candidates, counts, min_leaf, binary):
     """
     n = len(idx)
     parent_gini = gini(counts)
-    onehot = one_hot(y[idx], len(counts))
-    decrease = np.full(len(candidates), -np.inf)
-    threshold = np.empty(len(candidates))
+    onehot = Y[idx]
     is_binary = binary[candidates]
-    if is_binary.any():
-        right_counts = X[idx[:, None], candidates[is_binary]].T @ onehot
+    # running best over candidate positions; zero-gain splits are allowed on
+    # impure nodes (XOR-style patterns need them), and recursion still
+    # terminates because children shrink
+    best_decrease, best_c, best_threshold = -np.inf, -1, 0.0
+    positions = is_binary.nonzero()[0]
+    if len(positions):
+        right_counts = X[idx[:, None], candidates[positions]].T @ onehot
         right_n = right_counts.sum(axis=1)
         left_n = n - right_n
         valid = np.minimum(left_n, right_n) >= max(min_leaf, 1)
-        # rows are selected before dividing, so an empty side is never divided by
-        right_counts = right_counts[valid]
-        positions = np.nonzero(is_binary)[0]
-        decrease[positions[valid]] = _gini_decrease(
-            parent_gini, n, counts - right_counts, right_counts, left_n[valid], right_n[valid]
-        )
-        threshold[positions] = np.where(left_n >= 2, 0.0, 0.5)
-    for c in np.nonzero(~is_binary)[0]:
+        if np.count_nonzero(valid):
+            # rows are selected before dividing, so an empty side is never divided by
+            right_counts = right_counts[valid]
+            left_n = left_n[valid]
+            decrease = _gini_decrease(
+                parent_gini, n, counts - right_counts, right_counts, left_n, right_n[valid]
+            )
+            b = int(decrease.argmax())  # first max = lowest feature
+            if decrease[b] >= 0:
+                best_decrease = decrease[b]
+                best_c = positions[valid][b]
+                best_threshold = 0.0 if left_n[b] >= 2 else 0.5
+    for c in (~is_binary).nonzero()[0]:
         values = X[idx, candidates[c]]
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         sv = values[order]
-        boundaries = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position b
-        left_n = boundaries + 1.0
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
+        boundaries = (sv[1:] > sv[:-1]).nonzero()[0]  # split after position b
+        # both sides keep min_leaf rows exactly for the boundaries in [lo, hi)
+        lo, hi = boundaries.searchsorted((min_leaf - 1, n - min_leaf))
+        if lo >= hi:
             continue
-        left_counts = onehot[order].cumsum(axis=0)[boundaries]  # counts up to each boundary
-        scan = _gini_decrease(parent_gini, n, left_counts, counts - left_counts, left_n, right_n)
-        scan[~valid] = -np.inf
-        b = int(np.argmax(scan))  # first max = lowest threshold
-        decrease[c] = scan[b]
-        threshold[c] = 0.5 * (sv[b] + sv[b + 1])
-    # zero-gain splits are allowed on impure nodes (XOR-style patterns need
-    # them); recursion still terminates because children shrink
-    decrease[decrease < 0] = -np.inf
-    if not (decrease > -np.inf).any():
+        left_n = boundaries[lo:hi] + 1.0
+        left_counts = onehot[order].cumsum(axis=0)[boundaries[lo:hi]]  # counts up to each boundary
+        scan = _gini_decrease(parent_gini, n, left_counts, counts - left_counts, left_n, n - left_n)
+        s = int(scan.argmax())  # first max = lowest threshold
+        if scan[s] >= 0 and (scan[s] > best_decrease or (scan[s] == best_decrease and c < best_c)):
+            b = lo + s
+            best_decrease, best_c, best_threshold = scan[s], c, 0.5 * (sv[b] + sv[b + 1])
+    if best_c < 0:
         return None
-    c = int(np.argmax(decrease))  # first max = lowest feature
-    f = int(candidates[c])
-    mask = X[idx, f] <= threshold[c]
-    return (float(decrease[c]), f, float(threshold[c]), idx[mask], idx[~mask])
+    f = int(candidates[best_c])
+    mask = X[idx, f] <= best_threshold
+    return (float(best_decrease), f, float(best_threshold), idx[mask], idx[~mask])
 
 
 def _gini_decrease(parent_gini, n, left_counts, right_counts, left_n, right_n):
@@ -148,31 +161,33 @@ def _gini_decrease(parent_gini, n, left_counts, right_counts, left_n, right_n):
     return parent_gini - (left_n / n) * gl - (right_n / n) * gr
 
 
-def _build(X, y, idx, depth, config, rng, binary):
+def _build(X, Y, y, idx, depth, config, rng, binary):
     counts = np.bincount(y[idx], minlength=config.n_classes)
-    node_kwargs = dict(n_samples=len(idx), counts=tuple(int(c) for c in counts))
+    n_samples, node_counts = len(idx), tuple(counts.tolist())
     if (
-        (counts > 0).sum() <= 1
+        np.count_nonzero(counts) <= 1
         or (config.max_depth is not None and depth >= config.max_depth)
-        or len(idx) < 2 * config.min_samples_leaf
+        or n_samples < 2 * config.min_samples_leaf
     ):
-        return TreeNode(**node_kwargs)
+        return TreeNode(n_samples, node_counts)
     d = X.shape[1]
     if config.feature_subset_size is not None and config.feature_subset_size < d:
-        candidates = np.sort(rng.choice(d, size=config.feature_subset_size, replace=False))
+        candidates = rng.choice(d, size=config.feature_subset_size, replace=False)
+        candidates.sort()
     else:
         candidates = np.arange(d)
-    best = _best_split(X, y, idx, candidates, counts, config.min_samples_leaf, binary)
+    best = _best_split(X, Y, idx, candidates, counts, config.min_samples_leaf, binary)
     if best is None:
-        return TreeNode(**node_kwargs)
+        return TreeNode(n_samples, node_counts)
     decrease, f, threshold, left_idx, right_idx = best
     return TreeNode(
-        **node_kwargs,
+        n_samples,
+        node_counts,
         feature=f,
         threshold=threshold,
         decrease=decrease,
-        left=_build(X, y, left_idx, depth + 1, config, rng, binary),
-        right=_build(X, y, right_idx, depth + 1, config, rng, binary),
+        left=_build(X, Y, y, left_idx, depth + 1, config, rng, binary),
+        right=_build(X, Y, y, right_idx, depth + 1, config, rng, binary),
     )
 
 
@@ -184,22 +199,26 @@ def train_tree(X, y, config: TreeConfig, seed: int = 0) -> TreeNode:
         raise DataError("cannot train a tree on an empty dataset")
     rng = np.random.default_rng(seed)
     binary = ((X == 0) | (X == 1)).all(axis=0)
-    return _build(X, y, np.arange(len(X)), 0, config, rng, binary)
+    return _build(X, one_hot(y, config.n_classes), y, np.arange(len(X)), 0, config, rng, binary)
 
 
-def _tree_leaf(node: TreeNode, row) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+def _route(node: TreeNode, X, rows, out) -> None:
+    """Write into `out` the class counts of the leaf that each of `rows`
+    reaches. Rows at or below a split's threshold go left, NaN goes right."""
+    if node.is_leaf:
+        out[rows] = node.counts
+        return
+    go_left = X[rows, node.feature] <= node.threshold
+    for child, child_rows in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
+        if len(child_rows):
+            _route(child, X, child_rows, out)
 
 
 def tree_predict_proba(node: TreeNode, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty((len(X), len(node.counts)))
-    for i, row in enumerate(X):
-        counts = np.asarray(_tree_leaf(node, row).counts, dtype=np.float64)
-        out[i] = counts / counts.sum()
-    return out
+    counts = np.empty((len(X), len(node.counts)))
+    _route(node, X, np.arange(len(X)), counts)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .classify import CLASSIFIERS, fit_and_score
 from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
 from .errors import CodecError, DataError, TrainingDiverged
-from .metrics import Metrics
+from .metrics import AbsentClassWarning, Metrics
 from .nn import (
     MLP,
     AdamState,
@@ -409,11 +409,24 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _classifier_metrics(train: Table, test: Table, codec, classifiers, seed) -> dict[str, Metrics]:
-    return {
-        name: fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
-        for name in classifiers
-    }
+def _classifier_metrics(
+    train: Table, test: Table, codec, classifiers, seed, absent: set
+) -> dict[str, Metrics]:
+    """Each classifier's metrics on `test`. The classes a scoring finds absent
+    from `test` are added to `absent` instead of warned; every other warning
+    passes through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scores = {
+            name: fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
+            for name in classifiers
+        }
+    for w in caught:
+        if issubclass(w.category, AbsentClassWarning):
+            absent.update(w.message.classes)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return scores
 
 
 def evaluate_imputation(
@@ -431,6 +444,7 @@ def evaluate_imputation(
     Splits the pristine table, records pristine metrics, injects missingness
     into both split copies, then per method: impute, retrain identically, and
     report absolute metric differences plus their means over classifiers.
+    Classes absent from the test split are warned once, after every scoring.
     """
     if not complete.is_complete(tuple(features)):
         raise DataError("the benchmark table must be complete in the injected features")
@@ -447,7 +461,8 @@ def evaluate_imputation(
     train, test = split_stratified(complete, test_fraction, derive_seed(seed, "split"))
     feature_names = tuple(a.name for a in schema.features)
     codec = build_codec(train, attributes=feature_names)
-    pristine = _classifier_metrics(train, test, codec, classifiers, seed)
+    absent: set = set()
+    pristine = _classifier_metrics(train, test, codec, classifiers, seed, absent)
 
     train_missing, train_mask = inject_missing(train, features, rate, derive_seed(seed, "inject-train"))
     test_missing, test_mask = inject_missing(test, features, rate, derive_seed(seed, "inject-test"))
@@ -459,7 +474,7 @@ def evaluate_imputation(
     report_methods: dict[str, MethodScores] = {}
     for name in methods:
         imputed_train, imputed_test = METHODS[name](ctx)
-        scores = _classifier_metrics(imputed_train, imputed_test, codec, classifiers, seed)
+        scores = _classifier_metrics(imputed_train, imputed_test, codec, classifiers, seed, absent)
         per_clf = {}
         acc_diffs, f1_diffs, auc_diffs = [], [], []
         for clf in classifiers:
@@ -485,6 +500,8 @@ def evaluate_imputation(
             avg_auc_diff=float(np.mean(auc_diffs)),
         )
 
+    if absent:
+        warnings.warn(AbsentClassWarning(c for c in schema.class_codes if c in absent))
     pristine_dict = {
         clf: {"accuracy": m.accuracy, "weighted_f1": m.weighted_f1, "macro_auc": m.macro_auc}
         for clf, m in pristine.items()

@@ -15,6 +15,15 @@ import numpy as np
 from .errors import DataError
 
 
+class AbsentClassWarning(UserWarning):
+    """Classes with no truth rows, left out of a macro AUC."""
+
+    def __init__(self, classes):
+        self.classes = tuple(classes)
+        names = ", ".join(repr(c) for c in self.classes)
+        super().__init__(f"classes absent from truth, excluded from macro AUC: {names}")
+
+
 @dataclass(frozen=True)
 class Metrics:
     accuracy: float
@@ -135,8 +144,7 @@ def compute_metrics(predicted, scores, truth, classes) -> Metrics:
                 continue
             aucs.append(auc_rank(scores[:, i], pos))
         if absent:
-            names = ", ".join(repr(c) for c in absent)
-            warnings.warn(f"classes absent from truth, excluded from macro AUC: {names}")
+            warnings.warn(AbsentClassWarning(absent))
         if aucs:
             macro_auc = float(np.mean(aucs))
 

@@ -19,6 +19,12 @@ from .seeds import derive_seed
 
 MISSING_TOKENS = ("", "NA")
 
+# the values of the `origin` column an augmented table carries
+ORIGIN_REAL = "real"
+ORIGIN_SMOTENC = "smotenc"
+ORIGIN_CGAN = "cgan"
+ORIGINS = (ORIGIN_REAL, ORIGIN_SMOTENC, ORIGIN_CGAN)
+
 Cell = Code | float | None
 Row = tuple[Cell, ...]
 
@@ -90,7 +96,8 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
     """Read and validate a CSV whose header matches the schema attribute names,
     plus the `origin` column the augmenter writes, if present.
 
-    Header order is free. Errors name the offending row and column.
+    Header order is free. Errors name the offending row and column, or the
+    row and value of an `origin` other than real, smotenc and cgan.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -133,7 +140,13 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
                 raise DataError(f"{path}: row {r + 1}: {exc}") from None
         rows.append(tuple(cells))
         if origin_col is not None:
-            origins.append(raw[origin_col].strip())
+            origin = raw[origin_col].strip()
+            if origin not in ORIGINS:
+                expected = ", ".join(ORIGINS)
+                raise DataError(
+                    f"{path}: row {r + 1}: unknown origin {origin!r} (expected {expected})"
+                )
+            origins.append(origin)
     table = Table(schema, tuple(rows))
     return table, (origins if origin_col is not None else None)
 

@@ -274,6 +274,23 @@ def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, command, docum
     assert not out.exists()
 
 
+def test_unknown_origin_exits_1(tmp_path, capsys, corpus_200):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    origins = ["real"] * len(corpus_200)
+    origins[4] = "smote"
+    save_csv(corpus_200, src, origins=origins)
+    out = tmp_path / "corr.json"
+    assert run(["correlate", "--in", src, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert str(src) in err and "row 5" in err and "'smote'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "correlate", "plot"])
 def test_unwritable_output_exits_1(tmp_path, capsys, corpus_200, command):
     from twkit.table import save_csv

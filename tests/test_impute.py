@@ -16,7 +16,9 @@ from twkit.impute import (
     impute_sta,
     train_gain,
 )
-from twkit.table import MaskMatrix, Table, inject_missing
+from twkit.metrics import AbsentClassWarning
+from twkit.seeds import derive_seed
+from twkit.table import MaskMatrix, Table, class_histogram, inject_missing, split_stratified
 
 FAST_GAIN = GainConfig(epochs=60, batch_size=64)
 
@@ -223,6 +225,23 @@ class TestHarness:
         assert scores.avg_accuracy_diff == 0.0
         assert scores.avg_f1_diff == 0.0
         assert scores.avg_auc_diff == 0.0
+
+    def test_absent_classes_warned_once_per_benchmark(self, schema):
+        table = small_corpus(140, seed=32)
+        _, test = split_stratified(table, 0.2, derive_seed(33, "split"))
+        missing = tuple(c for c, n in class_histogram(test).items() if n == 0)
+        assert len(missing) >= 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_imputation(
+                table, ["headgear", "height"], 0.3,
+                methods=["sta", "oracle"], classifiers=["lr", "dt"], seed=33,
+            )
+        absent = [w for w in caught if issubclass(w.category, AbsentClassWarning)]
+        # six scorings (pristine, sta, oracle for two classifiers), one warning
+        assert len(absent) == 1
+        assert absent[0].message.classes == missing
+        assert all(repr(c) in str(absent[0].message) for c in missing)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DataError):

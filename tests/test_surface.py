@@ -5,10 +5,22 @@ refers to it, in any `src/twkit` module or in a `perfbench/` script. The
 package `__init__.py` only re-exports names, so it does not count.
 `perfbench/tracer.py` patches functions and model classes by name, so a
 string naming a definition counts there.
+
+The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
+and wraps `train_tree` and each model's `predict_proba` by name. The tracer
+contract test runs it around one random-forest fit, so a change that breaks
+what it reads fails here before a benchmark run does.
 """
 
 import ast
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
+
+from twkit.classify import CLASSIFIERS, fit_and_score
+from twkit.encoding import build_codec
+from twkit.table import split_stratified
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [p for p in sorted((ROOT / "src" / "twkit").glob("*.py")) if p.name != "__init__.py"]
@@ -48,3 +60,62 @@ def test_every_definition_is_referenced():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert not unused, f"definitions nothing in the program uses: {unused}"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _twkit_namespaces():
+    """Every twkit module namespace and class namespace, with the classifier
+    registry: all the places the tracer may patch."""
+    spaces = {"CLASSIFIERS": CLASSIFIERS}
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("twkit."):
+            spaces[name] = vars(module)
+            for cls_name, cls in vars(module).items():
+                if inspect.isclass(cls) and cls.__module__ == name:
+                    spaces[f"{name}.{cls_name}"] = vars(cls)
+    return spaces
+
+
+def _node_count_and_depth(node, depth=0):
+    if node.is_leaf:
+        return 1, depth
+    left_nodes, left_depth = _node_count_and_depth(node.left, depth + 1)
+    right_nodes, right_depth = _node_count_and_depth(node.right, depth + 1)
+    return 1 + left_nodes + right_nodes, max(left_depth, right_depth)
+
+
+def test_tracer_contract(corpus_200, schema):
+    tracer_module = _load_tracer()
+    train, test = split_stratified(corpus_200, 0.25, seed=1)
+    codec = build_codec(train, attributes=tuple(a.name for a in schema.features))
+    before = {key: dict(space) for key, space in _twkit_namespaces().items()}
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        _, forest = fit_and_score("rf", train, test, codec, seed=3)
+    finally:
+        tracer.uninstall()
+
+    names = [span[tracer_module.NAME] for span in tracer.spans]
+    assert names.count("classify.train_tree") == len(forest.trees)
+    assert len(tracer.trees) == len(forest.trees)
+    assert all(t is u for t, u in zip(tracer.trees, forest.trees))
+    assert "classify.predict_proba" in names
+    shapes = [_node_count_and_depth(tree) for tree in forest.trees]
+    direct = (sum(n for n, _ in shapes), max(d for _, d in shapes))
+    assert tracer_module.tree_shape(tracer.trees) == direct
+    assert direct[0] > len(forest.trees)
+
+    after = _twkit_namespaces()
+    assert after.keys() == before.keys()
+    for key, space in after.items():
+        changed = [name for name in space.keys() | before[key].keys()
+                   if space.get(name, None) is not before[key].get(name, None)]
+        assert not changed, f"{key}: not restored: {changed}"

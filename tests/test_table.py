@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,16 @@ def test_save_load_with_origins(tmp_path, corpus_200, schema):
     back, got = load_augmented_csv(path, schema)
     assert got == origins
     assert back.rows == corpus_200.rows
+
+
+@pytest.mark.parametrize("origin", ["smote", "REAL", "NA", ""])
+def test_load_rejects_unknown_origin(tmp_path, corpus_200, schema, origin):
+    origins = ["real", "smotenc", "cgan"] * (len(corpus_200) // 3) + ["real"] * (len(corpus_200) % 3)
+    origins[9] = origin
+    path = tmp_path / "out.csv"
+    save_csv(corpus_200, path, origins=origins)
+    with pytest.raises(DataError, match=re.escape(f"{path}: row 10: unknown origin {origin!r}")):
+        load_augmented_csv(path, schema)
 
 
 def test_round_half_up():
