@@ -38,16 +38,22 @@ def contingency(table: Table, attr_a: str, attr_b: str) -> ContingencyTable:
     if a.kind != CATEGORICAL or b.kind != CATEGORICAL:
         raise DataError("contingency requires categorical attributes (bin numerics first)")
     ia, ib = table.schema.index_of(attr_a), table.schema.index_of(attr_b)
-    pairs = [(row[ia], row[ib]) for row in table.rows if row[ia] is not None and row[ib] is not None]
-    if not pairs:
+    a_codes, b_codes = a.codes, b.codes
+    ai = {c: k for k, c in enumerate(a_codes)}
+    bi = {c: k for k, c in enumerate(b_codes)}
+    # one cell per complete row: its code index pair flattened to one integer
+    cells = [
+        ai[row[ia]] * len(b_codes) + bi[row[ib]]
+        for row in table.rows
+        if row[ia] is not None and row[ib] is not None
+    ]
+    if not cells:
         raise DataError(f"no rows complete in both {attr_a!r} and {attr_b!r}")
-    row_codes = tuple(c for c in a.codes if any(p[0] == c for p in pairs))
-    col_codes = tuple(c for c in b.codes if any(p[1] == c for p in pairs))
-    ri = {c: i for i, c in enumerate(row_codes)}
-    ci = {c: i for i, c in enumerate(col_codes)}
-    grid = np.zeros((len(row_codes), len(col_codes)), dtype=np.int64)
-    for pa, pb in pairs:
-        grid[ri[pa], ci[pb]] += 1
+    full = np.bincount(cells, minlength=len(a_codes) * len(b_codes)).reshape(len(a_codes), -1)
+    rows, cols = full.any(axis=1), full.any(axis=0)
+    row_codes = tuple(c for c, seen in zip(a_codes, rows) if seen)
+    col_codes = tuple(c for c, seen in zip(b_codes, cols) if seen)
+    grid = full[rows][:, cols]
     return ContingencyTable(attr_a, attr_b, row_codes, col_codes, grid)
 
 

@@ -344,11 +344,18 @@ def default_augment_plan(
     """Even stage-2 targets summing to `total`: classes already above their even
     share keep their real counts, the remaining budget spreads evenly over the
     rest (declared order breaks the remainder). Stage 1 lifts each class to
-    min(smote_cap, its stage-2 target) via SMOTENC."""
+    min(smote_cap, its stage-2 target) via SMOTENC.
+
+    A class with fewer than 2 rows gives SMOTENC no pair to interpolate, so it
+    is held at its count in both stages, like a class above its share, and one
+    warning names every such class."""
     order = [c for c in class_order]
-    pool = list(order)
-    budget = total
-    stage2: dict[Code, int] = {}
+    stage2: dict[Code, int] = {c: counts.get(c, 0) for c in order if counts.get(c, 0) < 2}
+    if stage2:
+        names = ", ".join(repr(c) for c in stage2)
+        warnings.warn(f"classes with fewer than 2 rows held at their count: {names}")
+    pool = [c for c in order if c not in stage2]
+    budget = total - sum(stage2.values())
     while pool:
         share = budget // len(pool)
         fixed = [c for c in pool if counts.get(c, 0) > share]
@@ -409,10 +416,15 @@ def two_stage_augment(
         for cls in schema.class_codes
     }
     if any(g > 0 for g in gaps.values()):
+        # a class with a single row and nothing to sample is left out of training
+        stage1_counts = class_histogram(stage1_table)
+        held = {cls for cls in schema.class_codes if stage1_counts[cls] == 1 and gaps[cls] <= 0}
+        label_idx = schema.label_index
+        train_table = Table(schema, tuple(r for r in rows if r[label_idx] not in held))
         feature_names = tuple(a.name for a in schema.features)
-        encoded = encode(stage1_table, attributes=feature_names)
+        encoded = encode(train_table, attributes=feature_names)
         model = train_table_cgan(
-            encoded, label_indices(stage1_table), cgan_config or CganConfig(),
+            encoded, label_indices(train_table), cgan_config or CganConfig(),
             derive_seed(seed, "cgan"), schema,
         )
         for cls in schema.class_codes:

@@ -171,19 +171,23 @@ def cmd_correlate(args) -> int:
 
 
 def _stats_payload(table, attrs):
-    classes = [str(c) for c in table.schema.class_codes]
+    """Box and violin statistics per attribute and class. A class with no rows
+    is left out; one with rows but no values for an attribute is an error."""
+    counts = class_histogram(table)
+    present = [c for c in table.schema.class_codes if counts[c]]
     panels = []
     for attr in attrs:
         grouped = group_by_class(table, attr)
         box = {}
         violin = {}
-        for cls, values in grouped.items():
+        for cls in present:
+            values = grouped[cls]
             if not values:
                 raise DataError(f"class {cls!r} has no values for attribute {attr!r}")
             box[str(cls)] = box_stats(values).to_dict()
             violin[str(cls)] = kde(values).to_dict()
         panels.append({"attribute": attr, "box": box, "violin": violin})
-    return {"classes": classes, "panels": panels}
+    return {"classes": [str(c) for c in present], "panels": panels}
 
 
 def cmd_stats(args) -> int:

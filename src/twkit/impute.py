@@ -7,6 +7,10 @@ Three built-in imputers:
 - MICE: STA initialization, then chained sweeps regressing each incomplete
   column on all the others (one-vs-rest logistic for categoricals,
   least squares for numerics), re-predicting only the originally-missing cells.
+  Each attribute's design block (one-hot codes, or min-max scaled numbers) is
+  encoded once and rebuilt only after its own column is imputed; the design
+  for a column is the intercept plus every other non-constant block in
+  attribute order.
 - GAIN: a generator predicts every cell from the noised row plus its mask; a
   discriminator, shown a hint vector that reveals a random subset of the true
   mask, learns to tell observed from imputed entries; the generator is trained
@@ -74,36 +78,25 @@ def impute_sta(table: Table, schema: Schema | None = None) -> Table:
     return table.replace_rows(rows)
 
 
-def _design_matrix(columns, attrs, skip: int, constant: dict):
-    """Intercept + one-hot/min-max design from every column except `skip`.
-
-    Constant predictor columns are dropped; their names are added to the keys
-    of `constant` so the caller can warn once."""
-    parts = [np.ones((len(columns[0]), 1))]
-    for j, attr in enumerate(attrs):
-        if j == skip:
-            continue
-        col = columns[j]
-        if len(set(col)) < 2:
-            constant[attr.name] = None
-            continue
-        if attr.kind == CATEGORICAL:
-            block = np.zeros((len(col), len(attr.codes)))
-            for i, code in enumerate(col):
-                block[i, attr.code_index(code)] = 1.0
-            parts.append(block)
-        else:
-            arr = np.asarray(col, dtype=np.float64)
-            lo, hi = arr.min(), arr.max()
-            parts.append(((arr - lo) / (hi - lo)).reshape(-1, 1))
-    return np.hstack(parts)
+def _design_block(attr, col: np.ndarray) -> np.ndarray | None:
+    """One attribute's design columns: the one-hot of `col`'s code indices
+    (categorical) or `col` min-max scaled (numeric); None when `col` is constant."""
+    lo, hi = col.min(), col.max()
+    if lo == hi:
+        return None
+    if attr.kind == CATEGORICAL:
+        block = np.zeros((len(col), len(attr.codes)))
+        block[np.arange(len(col)), col] = 1.0
+        return block
+    return ((col - lo) / (hi - lo)).reshape(-1, 1)
 
 
-def _logistic_ovr_predict(X_obs, y_codes, X_mis, codes, iters=200, lr=0.3, l2=1e-3):
-    """One-vs-rest logistic scores; returns the argmax code per missing row."""
-    scores = np.full((len(X_mis), len(codes)), -np.inf)
-    for k, code in enumerate(codes):
-        target = np.array([1.0 if c == code else 0.0 for c in y_codes])
+def _logistic_ovr_predict(X_obs, y, X_mis, classes, iters=200, lr=0.3, l2=1e-3):
+    """One-vs-rest logistic scores; returns the position in `classes` of the
+    argmax per missing row (ties to the earliest)."""
+    scores = np.full((len(X_mis), len(classes)), -np.inf)
+    for k, c in enumerate(classes):
+        target = (y == c).astype(np.float64)
         if target.sum() == 0:
             continue
         w = np.zeros(X_obs.shape[1])
@@ -112,7 +105,7 @@ def _logistic_ovr_predict(X_obs, y_codes, X_mis, codes, iters=200, lr=0.3, l2=1e
             grad = X_obs.T @ (p - target) / len(target) + l2 * w
             w -= lr * grad
         scores[:, k] = X_mis @ w
-    return [codes[int(np.argmax(scores[i]))] for i in range(len(X_mis))]
+    return scores.argmax(axis=1)
 
 
 def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) -> Table:
@@ -134,29 +127,50 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
     }
     working = impute_sta(table, schema)
     columns = [list(working.column(a.name)) for a in attrs]
+    # every column as an array (code indices for categoricals) and its design
+    # block, rebuilt only when its column is imputed
+    values = []
+    for attr, col in zip(attrs, columns):
+        if attr.kind == CATEGORICAL:
+            index = {code: k for k, code in enumerate(attr.codes)}
+            values.append(np.array([index[c] for c in col], dtype=np.intp))
+        else:
+            values.append(np.array(col, dtype=np.float64))
+    blocks = [_design_block(attr, col) for attr, col in zip(attrs, values)]
+    intercept = np.ones((len(table), 1))
     constant = {}  # names in first-seen order
     for _ in range(rounds):
         for j in incomplete:
             attr = attrs[j]
-            design = _design_matrix(columns, attrs, skip=j, constant=constant)
-            obs = observed[j]
-            mis = missing[j]
+            parts = [intercept]
+            for k, block in enumerate(blocks):
+                if k == j:
+                    continue
+                if block is None:
+                    constant[attrs[k].name] = None
+                else:
+                    parts.append(block)
+            design = np.hstack(parts)
+            obs, mis = observed[j], missing[j]
             X_obs, X_mis = design[obs], design[mis]
+            y = values[j][obs]
             if attr.kind == CATEGORICAL:
-                y_codes = [columns[j][i] for i in obs]
-                present = set(y_codes)
-                seen = [c for c in attr.codes if c in present]
-                predicted = _logistic_ovr_predict(X_obs, y_codes, X_mis, seen)
+                seen = np.flatnonzero(np.bincount(y, minlength=len(attr.codes)))
+                values[j][mis] = seen[_logistic_ovr_predict(X_obs, y, X_mis, seen)]
             else:
-                y = np.array([columns[j][i] for i in obs], dtype=np.float64)
                 beta, *_ = np.linalg.lstsq(X_obs, y, rcond=None)
-                raw = X_mis @ beta
-                predicted = np.clip(raw, y.min(), y.max()).tolist()
-            for i, value in zip(mis, predicted):
-                columns[j][i] = value
+                values[j][mis] = np.clip(X_mis @ beta, y.min(), y.max())
+            blocks[j] = _design_block(attr, values[j])
     if constant:
         names = ", ".join(repr(name) for name in constant)
         warnings.warn(f"constant predictors dropped from regression: {names}")
+    for j in incomplete:
+        filled = values[j][missing[j]].tolist()
+        if attrs[j].kind == CATEGORICAL:
+            codes = attrs[j].codes
+            filled = [codes[k] for k in filled]
+        for i, value in zip(missing[j], filled):
+            columns[j][i] = value
     rows = [tuple(columns[j][i] for j in range(len(attrs))) for i in range(len(table))]
     return table.replace_rows(rows)
 

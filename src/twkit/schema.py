@@ -7,6 +7,7 @@ the single numeric column carries a unit, and exactly one column is the label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -40,8 +41,14 @@ class AttributeSpec:
                 raise SchemaError(f"{self.name}: duplicate codes")
         elif self.categories:
             raise SchemaError(f"{self.name}: numeric attribute cannot declare codes")
-        # not a field: equality and repr ignore it, and dataclasses.replace rebuilds it
+        # not fields: equality and repr ignore them, and dataclasses.replace
+        # rebuilds them. A token maps to the first declared code that prints as it.
+        tokens: dict[str, Code] = {}
+        for code in codes:
+            tokens.setdefault(str(code), code)
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_code_set", frozenset(codes))
+        object.__setattr__(self, "_tokens", tokens)
 
     @property
     def codes(self) -> tuple[Code, ...]:
@@ -53,17 +60,27 @@ class AttributeSpec:
         except ValueError:
             raise SchemaError(f"{self.name}: undeclared code {code!r}") from None
 
+    def is_code(self, cell) -> bool:
+        """Whether `cell` equals a declared code (1.0 and True match the code 1)."""
+        try:
+            return cell in self._code_set
+        except TypeError:  # unhashable, so equal to no code
+            return False
+
     def parse_token(self, token: str) -> Code | float:
-        """Map a CSV token to a declared code (categorical) or float (numeric)."""
+        """Map a CSV token to a declared code (categorical) or finite float (numeric)."""
         if self.kind == NUMERIC:
             try:
-                return float(token)
+                value = float(token)
             except ValueError:
                 raise SchemaError(f"{self.name}: non-numeric value {token!r}") from None
-        for code in self.codes:
-            if str(code) == token:
-                return code
-        raise SchemaError(f"{self.name}: undeclared code {token!r}")
+            if not math.isfinite(value):
+                raise SchemaError(f"{self.name}: non-finite value {token!r}")
+            return value
+        try:
+            return self._tokens[token]
+        except KeyError:
+            raise SchemaError(f"{self.name}: undeclared code {token!r}") from None
 
 
 @dataclass(frozen=True)

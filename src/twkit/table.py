@@ -42,14 +42,16 @@ class Table:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
+        attrs = self.schema.attributes
+        categorical = [attr.kind == CATEGORICAL for attr in attrs]
         for r, row in enumerate(self.rows):
-            if len(row) != len(self.schema.attributes):
-                raise DataError(f"row {r}: expected {len(self.schema.attributes)} cells, got {len(row)}")
-            for attr, cell in zip(self.schema.attributes, row):
+            if len(row) != len(attrs):
+                raise DataError(f"row {r}: expected {len(attrs)} cells, got {len(row)}")
+            for attr, is_cat, cell in zip(attrs, categorical, row):
                 if cell is None:
                     continue
-                if attr.kind == CATEGORICAL:
-                    if cell not in attr.codes:
+                if is_cat:
+                    if not attr.is_code(cell):
                         raise DataError(f"row {r}, attribute {attr.name!r}: undeclared code {cell!r}")
                 elif not isinstance(cell, (int, float)) or isinstance(cell, bool):
                     raise DataError(f"row {r}, attribute {attr.name!r}: expected numeric, got {cell!r}")

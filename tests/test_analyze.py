@@ -65,6 +65,41 @@ class TestContingency:
         assert ct.n == 2
 
 
+def _reference_contingency(table, attr_a, attr_b):
+    """The per-code scan contingency replaced, kept as its oracle."""
+    a, b = table.schema.attribute(attr_a), table.schema.attribute(attr_b)
+    ia, ib = table.schema.index_of(attr_a), table.schema.index_of(attr_b)
+    pairs = [(row[ia], row[ib]) for row in table.rows if row[ia] is not None and row[ib] is not None]
+    row_codes = tuple(c for c in a.codes if any(p[0] == c for p in pairs))
+    col_codes = tuple(c for c in b.codes if any(p[1] == c for p in pairs))
+    ri = {c: i for i, c in enumerate(row_codes)}
+    ci = {c: i for i, c in enumerate(col_codes)}
+    grid = np.zeros((len(row_codes), len(col_codes)), dtype=np.int64)
+    for pa, pb in pairs:
+        grid[ri[pa], ci[pb]] += 1
+    return ContingencyTable(attr_a, attr_b, row_codes, col_codes, grid)
+
+
+class TestContingencyOracle:
+    def test_matches_scan_on_every_pair(self, corpus_200):
+        from twkit.table import inject_missing
+
+        table, _ = inject_missing(corpus_200, ["headgear", "weapon", "c_id"], 0.3, seed=3)
+        # equal-but-not-identical cells count under their declared code
+        i_corps = table.schema.index_of("corps")
+        rows = [r[:i_corps] + (float(r[i_corps]),) + r[i_corps + 1:] if k % 3 == 0 else r
+                for k, r in enumerate(table.rows)]
+        table = table.replace_rows(rows)
+        names = [a.name for a in table.schema.attributes if a.kind == "categorical"]
+        for x in names:
+            for y in names:
+                got, want = contingency(table, x, y), _reference_contingency(table, x, y)
+                assert got.row_codes == want.row_codes and got.col_codes == want.col_codes
+                assert [type(c) for c in got.row_codes] == [type(c) for c in want.row_codes]
+                assert got.grid.dtype == want.grid.dtype
+                assert np.array_equal(got.grid, want.grid), (x, y)
+
+
 class TestChiSquare:
     def test_independent_uniform_is_zero(self):
         assert chi_square(make_ct([[25, 25], [25, 25]])) == 0.0

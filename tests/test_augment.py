@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,27 @@ class TestPlan:
         assert plan.stage1["CS"] == 120
         assert plan.stage2["CS"] in (154, 155)
 
+    def test_classes_under_two_rows_held_with_one_warning(self):
+        counts = {"RW": 396, "AW": 633, "CS": 0, "CT": 8, "HR": 1, "MR": 10, "LR": 27}
+        order = ("RW", "AW", "CS", "CT", "HR", "MR", "LR")
+        with pytest.warns(UserWarning) as caught:
+            plan = default_augment_plan(counts, order, total=1800, smote_cap=130)
+        assert [str(w.message) for w in caught] == [
+            "classes with fewer than 2 rows held at their count: 'CS', 'HR'"
+        ]
+        assert sum(plan.stage2.values()) == 1800
+        for cls in ("CS", "HR"):
+            assert plan.stage1[cls] == plan.stage2[cls] == counts[cls]
+        # the other three minorities share what the held classes leave
+        assert sorted(plan.stage2[c] for c in ("CT", "MR", "LR")) == [256, 257, 257]
+        plan.validate(counts)
+
+    def test_no_warning_without_small_classes(self):
+        counts = {"RW": 396, "AW": 633, "CS": 8, "CT": 8, "HR": 2, "MR": 10, "LR": 27}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default_augment_plan(counts, tuple(counts))
+
     def test_invalid_plan_rejected(self):
         plan = AugmentPlan(stage1={"HR": 3}, stage2={"HR": 10})
         with pytest.raises(DataError):
@@ -258,6 +281,28 @@ class TestTwoStage:
         result = two_stage_augment(table, plan, FAST_CGAN, seed=24)
         Table(schema, result.table.rows)
         assert result.table.is_complete()
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_class_under_two_rows_held_and_left_out_of_cgan(self, schema, kept):
+        table = small_corpus(300, seed=19)
+        label_idx = schema.label_index
+        hr = [r for r in table.rows if r[label_idx] == "HR"]
+        rows = [r for r in table.rows if r[label_idx] != "HR"] + hr[:kept]
+        if len(hr) < kept:
+            rows.append(make_row(schema))
+        table = Table(schema, tuple(rows))
+        counts = class_histogram(table)
+        assert counts["HR"] == kept
+        with pytest.warns(UserWarning, match="held at their count: 'HR'"):
+            plan = default_augment_plan(counts, schema.class_codes, total=500, smote_cap=40)
+        result = two_stage_augment(table, plan, FAST_CGAN, seed=20)
+        assert len(result.table) == 500
+        hist = class_histogram(result.table)
+        for cls in schema.class_codes:
+            assert hist[cls] == plan.stage2[cls]
+        assert hist["HR"] == kept
+        assert result.table.rows[: len(table)] == table.rows
+        assert "cgan" in result.origins
 
     def test_missing_label_rejected(self, schema):
         table = small_corpus(120, seed=21)

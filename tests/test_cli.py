@@ -291,6 +291,86 @@ def test_unknown_origin_exits_1(tmp_path, capsys, corpus_200):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["sta", "mice"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_height_exits_1(tmp_path, capsys, method, token):
+    from twkit import default_synthesis_spec, synthesize_corpus
+    from twkit.table import inject_missing, save_csv
+
+    table = synthesize_corpus(default_synthesis_spec(), 120, seed=5)
+    injected, _ = inject_missing(table, ["height"], 0.3, seed=6)
+    src = tmp_path / "tw.csv"
+    save_csv(injected, src)
+    lines = src.read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("height")
+    row = next(r for r in range(1, len(lines)) if lines[r].split(",")[column])
+    cells = lines[row].split(",")
+    cells[column] = token
+    lines[row] = ",".join(cells)
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "fixed.csv"
+    assert run(["impute", "--method", method, "--in", src, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert str(src) in err and f"row {row}" in err and "height" in err and repr(token) in err
+    assert not out.exists()
+
+
+def test_stats_leaves_out_a_class_without_rows(tmp_path, corpus_200):
+    from twkit.table import save_csv
+
+    label = corpus_200.schema.label_index
+    without_hr = corpus_200.replace_rows(r for r in corpus_200.rows if r[label] != "HR")
+    src = tmp_path / "tw.csv"
+    save_csv(without_hr, src)
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--in", src, "--attrs", "height,headgear", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert "HR" not in doc["classes"] and "RW" in doc["classes"]
+    for panel in doc["panels"]:
+        assert set(panel["box"]) == set(panel["violin"]) == set(doc["classes"])
+    fig = tmp_path / "box.svg"
+    assert run(["plot", "--kind", "box", "--in", out, "--out", fig]) == 0
+
+
+def test_stats_class_without_values_still_fails(tmp_path, capsys, corpus_200):
+    from twkit.table import save_csv
+
+    schema = corpus_200.schema
+    label, height = schema.label_index, schema.index_of("height")
+    rows = [
+        r[:height] + (None,) + r[height + 1:] if r[label] == "HR" else r for r in corpus_200.rows
+    ]
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200.replace_rows(rows), src)
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--in", src, "--attrs", "height", "--out", out]) == 1
+    assert "class 'HR' has no values for attribute 'height'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# seeds whose own corpus has one HR row (8) and none (30); SMOTENC failed on both
+@pytest.mark.parametrize("seed", [8, 30])
+def test_pipeline_completes_with_class_under_two_rows(tmp_path, schema, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bench_rows": 200, "gain_epochs": 5, "cgan_epochs": 2, "methods": ["sta"], "classifiers": ["dt"],
+    }), encoding="utf-8")
+    out = tmp_path / "pipeline"
+    with pytest.warns(UserWarning, match="held at their count: 'HR'"):
+        assert run(["pipeline", "--out", out, "--seed", seed, "--config", config]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages_completed"] == ["synth", "eval_impute", "augment", "train", "analyze", "plot"]
+    corpus, _ = load_augmented_csv(out / "tw.csv", schema)
+    augmented, origins = load_augmented_csv(out / "tws.csv", schema)
+    assert len(augmented) == 1800
+    assert class_histogram(augmented)["HR"] == class_histogram(corpus)["HR"] < 2
+    classes = json.loads((out / "reports" / "analysis.json").read_text())["box"]["classes"]
+    assert ("HR" in classes) == (class_histogram(corpus)["HR"] > 0)
+
+
 @pytest.mark.parametrize("command", ["synth", "correlate", "plot"])
 def test_unwritable_output_exits_1(tmp_path, capsys, corpus_200, command):
     from twkit.table import save_csv

@@ -17,6 +17,7 @@ from twkit.impute import (
     train_gain,
 )
 from twkit.metrics import AbsentClassWarning
+from twkit.schema import CATEGORICAL
 from twkit.seeds import derive_seed
 from twkit.table import MaskMatrix, Table, class_histogram, inject_missing, split_stratified
 
@@ -124,6 +125,137 @@ class TestMice:
         for row in out.rows:
             h = row[schema.index_of("height")]
             assert min(heights) <= h <= max(heights)
+
+
+def _reference_design_matrix(columns, attrs, skip, constant):
+    """The design impute_mice rebuilt for every (round, column) before it kept
+    one block per attribute: intercept plus every non-constant other column."""
+    parts = [np.ones((len(columns[0]), 1))]
+    for j, attr in enumerate(attrs):
+        if j == skip:
+            continue
+        col = columns[j]
+        if len(set(col)) < 2:
+            constant[attr.name] = None
+            continue
+        if attr.kind == CATEGORICAL:
+            block = np.zeros((len(col), len(attr.codes)))
+            for i, code in enumerate(col):
+                block[i, attr.code_index(code)] = 1.0
+            parts.append(block)
+        else:
+            arr = np.asarray(col, dtype=np.float64)
+            lo, hi = arr.min(), arr.max()
+            parts.append(((arr - lo) / (hi - lo)).reshape(-1, 1))
+    return np.hstack(parts)
+
+
+def _reference_logistic_ovr(X_obs, y_codes, X_mis, codes, iters=200, lr=0.3, l2=1e-3):
+    scores = np.full((len(X_mis), len(codes)), -np.inf)
+    for k, code in enumerate(codes):
+        target = np.array([1.0 if c == code else 0.0 for c in y_codes])
+        if target.sum() == 0:
+            continue
+        w = np.zeros(X_obs.shape[1])
+        for _ in range(iters):
+            p = 1.0 / (1.0 + np.exp(-(X_obs @ w)))
+            grad = X_obs.T @ (p - target) / len(target) + l2 * w
+            w -= lr * grad
+        scores[:, k] = X_mis @ w
+    return [codes[int(np.argmax(scores[i]))] for i in range(len(X_mis))]
+
+
+def _reference_impute_mice(table, rounds):
+    """impute_mice as it was with a per-cell design rebuild, kept as its oracle."""
+    attrs = table.schema.attributes
+    missing = {j: [i for i, row in enumerate(table.rows) if row[j] is None] for j in range(len(attrs))}
+    incomplete = [j for j, rows in missing.items() if rows]
+    if not incomplete:
+        return table
+    observed = {j: [i for i, row in enumerate(table.rows) if row[j] is not None] for j in incomplete}
+    columns = [list(impute_sta(table).column(a.name)) for a in attrs]
+    constant = {}
+    for _ in range(rounds):
+        for j in incomplete:
+            design = _reference_design_matrix(columns, attrs, skip=j, constant=constant)
+            obs, mis = observed[j], missing[j]
+            X_obs, X_mis = design[obs], design[mis]
+            if attrs[j].kind == CATEGORICAL:
+                y_codes = [columns[j][i] for i in obs]
+                present = set(y_codes)
+                seen = [c for c in attrs[j].codes if c in present]
+                predicted = _reference_logistic_ovr(X_obs, y_codes, X_mis, seen)
+            else:
+                y = np.array([columns[j][i] for i in obs], dtype=np.float64)
+                beta, *_ = np.linalg.lstsq(X_obs, y, rcond=None)
+                predicted = np.clip(X_mis @ beta, y.min(), y.max()).tolist()
+            for i, value in zip(mis, predicted):
+                columns[j][i] = value
+    if constant:
+        names = ", ".join(repr(name) for name in constant)
+        warnings.warn(f"constant predictors dropped from regression: {names}")
+    rows = [tuple(columns[j][i] for j in range(len(attrs))) for i in range(len(table))]
+    return table.replace_rows(rows)
+
+
+def _run_both(table, rounds):
+    """Rows (each cell as type and repr, so floats compare bit for bit) and
+    warning texts of impute_mice and of the reference."""
+    out = []
+    for impute in (lambda: impute_mice(table, rounds=rounds), lambda: _reference_impute_mice(table, rounds)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = impute()
+        cells = [tuple((type(c), repr(c)) for c in row) for row in result.rows]
+        out.append((cells, [str(w.message) for w in caught]))
+    return out
+
+
+class TestMiceOracle:
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("features", [
+        ["height"],
+        ["headgear", "height"],
+        ["hairstyle", "weapon", "height"],
+        ["hairstyle", "headgear", "weapon", "height"],
+    ])
+    def test_matches_reference(self, corpus_200, features, rounds):
+        injected, _ = inject_missing(corpus_200, features, 0.3, seed=len(features))
+        new, old = _run_both(injected, rounds)
+        assert new == old
+
+    def test_constant_predictors_same_warning(self, schema):
+        rng = np.random.default_rng(2)
+        rows = [(int(rng.integers(1, 12)), 1, 1, 1, float(rng.normal(180.0, 5.0)), int(rng.integers(0, 4)),
+                 0, 3, 1, 1, "RW" if rng.random() < 0.5 else "AW") for _ in range(60)]
+        injected, _ = inject_missing(Table(schema, tuple(rows)), ["weapon", "height"], 0.3, seed=1)
+        new, old = _run_both(injected, 3)
+        assert new == old
+        assert new[1] == ["constant predictors dropped from regression: "
+                          "'t_id', 'corps', 'position', 'hairstyle', 'headgear', 'robe_num', 'armor_type'"]
+
+    def test_codes_absent_from_observed_rows(self, corpus_200):
+        schema = corpus_200.schema
+        i_head, i_weapon = schema.index_of("headgear"), schema.index_of("weapon")
+        # every headgear 3 and weapon 2 cell is blanked, so neither code is observed
+        rows = [
+            tuple(None if (j == i_head and c == 3) or (j == i_weapon and c == 2) else c
+                  for j, c in enumerate(row))
+            for row in corpus_200.rows
+        ]
+        injected, _ = inject_missing(corpus_200.replace_rows(rows), ["height"], 0.2, seed=9)
+        assert 3 not in injected.column("headgear") and 2 not in injected.column("weapon")
+        for rounds in (1, 3):
+            new, old = _run_both(injected, rounds)
+            assert new == old
+
+    def test_equal_but_not_identical_cells_kept(self, corpus_200):
+        # observed cells equal to a code (1.0 for 1) keep their own value
+        injected, _ = inject_missing(corpus_200, ["headgear", "height"], 0.3, seed=4)
+        i_corps = injected.schema.index_of("corps")
+        rows = [r[:i_corps] + (float(r[i_corps]),) + r[i_corps + 1:] for r in injected.rows]
+        new, old = _run_both(injected.replace_rows(rows), 1)
+        assert new == old
 
 
 class TestGain:

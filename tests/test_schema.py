@@ -76,3 +76,60 @@ def test_parse_token(schema):
     assert height.parse_token("178.5") == 178.5
     with pytest.raises(SchemaError):
         height.parse_token("tall")
+
+
+def _reference_parse_token(attr, token):
+    """The scan parse_token replaced: the first declared code whose str is `token`."""
+    if attr.kind == NUMERIC:
+        try:
+            return float(token)
+        except ValueError:
+            raise SchemaError(f"{attr.name}: non-numeric value {token!r}") from None
+    for code in attr.codes:
+        if str(code) == token:
+            return code
+    raise SchemaError(f"{attr.name}: undeclared code {token!r}")
+
+
+ODD_TOKENS = ("", "NA", "1.0", "01", " 1", "1 ", "True", "k", "rw", "-1", "12", "0x1", "178.5")
+
+
+def _parse_both(attr, token):
+    outcomes = []
+    for parse in (attr.parse_token, lambda t: _reference_parse_token(attr, t)):
+        try:
+            value = parse(token)
+            outcomes.append((type(value), value))
+        except SchemaError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+MIXED = AttributeSpec(name="m", kind=CATEGORICAL, categories=((1, "int one"), ("1", "str one"), ("K", "k")))
+MIXED_REVERSED = AttributeSpec(name="m", kind=CATEGORICAL, categories=(("1", "str one"), (1, "int one")))
+
+
+@pytest.mark.parametrize("attr_name", ["c_id", "t_id", "headgear", "tw_class"])
+def test_parse_token_matches_scan(schema, attr_name):
+    attr = schema.attribute(attr_name)
+    for token in [str(c) for c in attr.codes] + list(ODD_TOKENS):
+        new, old = _parse_both(attr, token)
+        assert new == old, token
+
+
+def test_parse_token_first_declared_code_wins():
+    for attr, expected in ((MIXED, 1), (MIXED_REVERSED, "1")):
+        for token in ("1", "K", "2", "1.0"):
+            new, old = _parse_both(attr, token)
+            assert new == old, token
+        value = attr.parse_token("1")
+        assert value == expected and type(value) is type(expected)
+
+
+def test_parse_token_numeric_finite_only(schema):
+    height = schema.attribute("height")
+    for token in ("178.5", "-3", "1e3", "0", " 170 "):
+        assert height.parse_token(token) == _reference_parse_token(height, token)
+    for token in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"):
+        with pytest.raises(SchemaError, match=f"height: non-finite value {token!r}"):
+            height.parse_token(token)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twkit.errors import DataError
+from twkit.schema import CATEGORICAL, AttributeSpec, Schema
 from twkit.table import (
     MaskMatrix,
     Table,
@@ -221,3 +222,45 @@ class TestKfold:
 
         with pytest.raises(DataError):
             kfold_stratified(corpus_200, 1, seed=0)
+
+
+ODD_CELLS = (1, 1.0, True, False, "1", "K", "k", 1.5, np.int64(1), 0j + 1, None, [1], {"K"}, (1,))
+
+
+def _table_accepts(schema, row) -> bool:
+    try:
+        Table(schema, (row,))
+        return True
+    except DataError:
+        return False
+
+
+def _reference_accepts(schema, row) -> bool:
+    """The scan Table validation replaced: `cell in attr.codes` per categorical cell."""
+    for attr, cell in zip(schema.attributes, row):
+        if cell is not None and attr.kind == CATEGORICAL and cell not in attr.codes:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("attr_name", ["corps", "c_id", "tw_class"])
+def test_table_accepts_what_the_scan_accepted(schema, attr_name):
+    base = (1, 1, 1, 1, 178.0, 0, 0, 3, 1, 1, "RW")
+    j = schema.index_of(attr_name)
+    for cell in ODD_CELLS:
+        row = base[:j] + (cell,) + base[j + 1:]
+        assert _table_accepts(schema, row) == _reference_accepts(schema, row), cell
+
+
+def test_table_rejects_unhashable_cell(schema):
+    row = (1, 1, 1, 1, 178.0, 0, 0, [3], 1, 1, "RW")
+    with pytest.raises(DataError, match=re.escape("row 0, attribute 'headgear': undeclared code [3]")):
+        Table(schema, (row,))
+
+
+def test_table_accepts_mixed_int_and_str_codes():
+    mixed = AttributeSpec(name="m", kind=CATEGORICAL, categories=((1, "int one"), ("1", "str one")))
+    label = AttributeSpec(name="y", kind=CATEGORICAL, categories=(("a", "A"), ("b", "B")), role="label")
+    schema = Schema(attributes=(mixed, label))
+    for cell in (1, "1", 1.0, True, "2", 2, "a"):
+        assert _table_accepts(schema, (cell, "a")) == _reference_accepts(schema, (cell, "a")), cell
