@@ -37,8 +37,6 @@ from .augment import (
 )
 from .classify import (
     Forest,
-    ForestConfig,
-    TreeConfig,
     feature_importance,
     fit_and_score,
     gini,

@@ -1,9 +1,9 @@
 """Categorical association and distribution statistics.
 
-Cramér's V is the plain (uncorrected) statistic by default; the bias-corrected
-variant sits behind a flag. Rows missing either variable of a pair are dropped
-for that pair only. Quartiles use linear interpolation on the sorted order
-statistics: q(p) = x[i] + frac * (x[i+1] - x[i]) with i, frac = divmod(p*(n-1), 1).
+Cramér's V is the plain (uncorrected) statistic. Rows missing either variable
+of a pair are dropped for that pair only. Quartiles use linear interpolation
+on the sorted order statistics: q(p) = x[i] + frac * (x[i+1] - x[i]) with
+i, frac = divmod(p*(n-1), 1).
 """
 
 from __future__ import annotations

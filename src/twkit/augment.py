@@ -147,6 +147,10 @@ class CganConfig:
     epochs: int = 300
     batch_size: int = 128
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise DataError(f"CGAN epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
+
 
 @dataclass
 class TableCganModel:

@@ -79,15 +79,7 @@ class TreeNode:
         return self.left is None
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    n_classes: int
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    feature_subset_size: int | None = None  # None = all features
-
-
-def _best_split(X, Y, idx, candidates, counts, min_leaf, binary):
+def _best_split(X, Y, idx, candidates, counts, binary):
     """Max Gini-decrease split over candidate columns.
 
     `Y` is the one-hot of the tree's labels, `counts` the node's class counts
@@ -116,7 +108,7 @@ def _best_split(X, Y, idx, candidates, counts, min_leaf, binary):
         right_counts = X[idx[:, None], candidates[positions]].T @ onehot
         right_n = right_counts.sum(axis=1)
         left_n = n - right_n
-        valid = np.minimum(left_n, right_n) >= max(min_leaf, 1)
+        valid = np.minimum(left_n, right_n) >= 1
         if np.count_nonzero(valid):
             # rows are selected before dividing, so an empty side is never divided by
             right_counts = right_counts[valid]
@@ -134,17 +126,14 @@ def _best_split(X, Y, idx, candidates, counts, min_leaf, binary):
         order = values.argsort(kind="stable")
         sv = values[order]
         boundaries = (sv[1:] > sv[:-1]).nonzero()[0]  # split after position b
-        # both sides keep min_leaf rows exactly for the boundaries in [lo, hi)
-        lo, hi = boundaries.searchsorted((min_leaf - 1, n - min_leaf))
-        if lo >= hi:
+        if not len(boundaries):
             continue
-        left_n = boundaries[lo:hi] + 1.0
-        left_counts = onehot[order].cumsum(axis=0)[boundaries[lo:hi]]  # counts up to each boundary
+        left_n = boundaries + 1.0
+        left_counts = onehot[order].cumsum(axis=0)[boundaries]  # counts up to each boundary
         scan = _gini_decrease(parent_gini, n, left_counts, counts - left_counts, left_n, n - left_n)
-        s = int(scan.argmax())  # first max = lowest threshold
-        if scan[s] >= 0 and (scan[s] > best_decrease or (scan[s] == best_decrease and c < best_c)):
-            b = lo + s
-            best_decrease, best_c, best_threshold = scan[s], c, 0.5 * (sv[b] + sv[b + 1])
+        b = int(scan.argmax())  # first max = lowest threshold
+        if scan[b] >= 0 and (scan[b] > best_decrease or (scan[b] == best_decrease and c < best_c)):
+            best_decrease, best_c, best_threshold = scan[b], c, 0.5 * (sv[b] + sv[b + 1])
     if best_c < 0:
         return None
     f = int(candidates[best_c])
@@ -161,22 +150,18 @@ def _gini_decrease(parent_gini, n, left_counts, right_counts, left_n, right_n):
     return parent_gini - (left_n / n) * gl - (right_n / n) * gr
 
 
-def _build(X, Y, y, idx, depth, config, rng, binary):
-    counts = np.bincount(y[idx], minlength=config.n_classes)
+def _build(X, Y, y, idx, subset, rng, binary):
+    counts = np.bincount(y[idx], minlength=Y.shape[1])
     n_samples, node_counts = len(idx), tuple(counts.tolist())
-    if (
-        np.count_nonzero(counts) <= 1
-        or (config.max_depth is not None and depth >= config.max_depth)
-        or n_samples < 2 * config.min_samples_leaf
-    ):
+    if np.count_nonzero(counts) <= 1:
         return TreeNode(n_samples, node_counts)
     d = X.shape[1]
-    if config.feature_subset_size is not None and config.feature_subset_size < d:
-        candidates = rng.choice(d, size=config.feature_subset_size, replace=False)
+    if subset < d:
+        candidates = rng.choice(d, size=subset, replace=False)
         candidates.sort()
     else:
         candidates = np.arange(d)
-    best = _best_split(X, Y, idx, candidates, counts, config.min_samples_leaf, binary)
+    best = _best_split(X, Y, idx, candidates, counts, binary)
     if best is None:
         return TreeNode(n_samples, node_counts)
     decrease, f, threshold, left_idx, right_idx = best
@@ -186,20 +171,22 @@ def _build(X, Y, y, idx, depth, config, rng, binary):
         feature=f,
         threshold=threshold,
         decrease=decrease,
-        left=_build(X, Y, y, left_idx, depth + 1, config, rng, binary),
-        right=_build(X, Y, y, right_idx, depth + 1, config, rng, binary),
+        left=_build(X, Y, y, left_idx, subset, rng, binary),
+        right=_build(X, Y, y, right_idx, subset, rng, binary),
     )
 
 
-def train_tree(X, y, config: TreeConfig, seed: int = 0) -> TreeNode:
-    """Greedy CART-style tree maximizing Gini-impurity decrease."""
+def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
+    """Greedy CART-style tree maximizing Gini-impurity decrease, grown until
+    every leaf is pure or has no split. Each split node scores `subset`
+    columns drawn without replacement, or every column when `subset` >= d."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise DataError("cannot train a tree on an empty dataset")
     rng = np.random.default_rng(seed)
     binary = ((X == 0) | (X == 1)).all(axis=0)
-    return _build(X, one_hot(y, config.n_classes), y, np.arange(len(X)), 0, config, rng, binary)
+    return _build(X, one_hot(y, n_classes), y, np.arange(len(X)), subset, rng, binary)
 
 
 def _route(node: TreeNode, X, rows, out) -> None:
@@ -221,56 +208,38 @@ def tree_predict_proba(node: TreeNode, X) -> np.ndarray:
     return counts / counts.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    n_classes: int
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    feature_subset_size: int | None = None  # None = ceil(sqrt(d))
-    bootstrap: bool = True
+FOREST_TREES = 100
 
 
 @dataclass
 class Forest:
     trees: list[TreeNode]
-    config: ForestConfig
+    n_classes: int
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((len(X), self.config.n_classes))
+        acc = np.zeros((len(X), self.n_classes))
         for tree in self.trees:
             acc += tree_predict_proba(tree, X)
         return acc / len(self.trees)
 
 
-def train_forest(X, y, config: ForestConfig, seed: int = 0) -> Forest:
-    """Bootstrap ensemble; per-tree seeds derive from the master seed, so
-    parallel or serial training would build the identical forest."""
+def train_forest(X, y, n_classes: int, seed: int) -> Forest:
+    """FOREST_TREES fully grown trees, each on a bootstrap sample and scoring
+    ceil(sqrt(d)) columns per split (Breiman 2001). Per-tree seeds derive from
+    the master seed, so parallel or serial training would build the identical
+    forest."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise DataError("cannot train a forest on an empty dataset")
-    d = X.shape[1]
-    subset = config.feature_subset_size
-    if subset is None:
-        subset = int(np.ceil(np.sqrt(d)))
-    tree_config = TreeConfig(
-        n_classes=config.n_classes,
-        max_depth=config.max_depth,
-        min_samples_leaf=config.min_samples_leaf,
-        feature_subset_size=min(subset, d),
-    )
+    n, d = X.shape
+    subset = int(np.ceil(np.sqrt(d)))
     trees = []
-    n = len(X)
-    for t in range(config.n_trees):
-        tree_seed = derive_seed(seed, f"tree-{t}")
-        if config.bootstrap:
-            boot = np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n)
-            trees.append(train_tree(X[boot], y[boot], tree_config, tree_seed))
-        else:
-            trees.append(train_tree(X, y, tree_config, tree_seed))
-    return Forest(trees, config)
+    for t in range(FOREST_TREES):
+        boot = np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n)
+        trees.append(train_tree(X[boot], y[boot], n_classes, subset, derive_seed(seed, f"tree-{t}")))
+    return Forest(trees, n_classes)
 
 
 def _accumulate_importance(node: TreeNode, total_samples: int, acc: np.ndarray) -> None:
@@ -436,13 +405,8 @@ def train_linear_svm(X, y, n_classes: int, seed: int = 0) -> LinearSvm:
     return LinearSvm(W, b, platt)
 
 
-def _rf_trainer(X, y, n_classes, seed):
-    return train_forest(X, y, ForestConfig(n_classes=n_classes), seed=seed)
-
-
 def _dt_trainer(X, y, n_classes, seed):
-    tree = train_tree(X, y, TreeConfig(n_classes=n_classes), seed=seed)
-    return _TreeModel(tree)
+    return _TreeModel(train_tree(X, y, n_classes, X.shape[1], seed))
 
 
 @dataclass
@@ -456,7 +420,7 @@ class _TreeModel:
 CLASSIFIERS = {
     "lr": train_logreg,
     "dt": _dt_trainer,
-    "rf": _rf_trainer,
+    "rf": train_forest,
     "mlp": train_mlp_classifier,
     "svm": train_linear_svm,
 }

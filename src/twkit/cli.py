@@ -199,12 +199,12 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# `plot --kind` -> (PlotSpec kind, width, height, default title)
+# `plot --kind` -> (width, height, default title)
 FIGURES = {
-    "importance": ("importance_bar", theme.DEFAULT_WIDTH, theme.DEFAULT_HEIGHT, "Feature importance"),
-    "box": ("box_grid", 900, 560, "Per-class distributions"),
-    "violin": ("violin_grid", 900, 560, "Per-class densities"),
-    "heatmap": ("heatmap", 640, 560, "Attribute correlation"),
+    "importance": (theme.DEFAULT_WIDTH, theme.DEFAULT_HEIGHT, "Feature importance"),
+    "box": (900, 560, "Per-class distributions"),
+    "violin": (900, 560, "Per-class densities"),
+    "heatmap": (640, 560, "Attribute correlation"),
 }
 
 
@@ -212,8 +212,8 @@ def _render_figure(kind: str, payload: dict, title: str) -> str:
     """One SVG figure from the document its producing command writes: the
     `importance` payload, the `stats` payload (box, violin) or the `correlate`
     payload (heatmap)."""
-    spec_kind, width, height, _ = FIGURES[kind]
-    spec = PlotSpec(kind=spec_kind, title=title, width=width, height=height)
+    width, height, _ = FIGURES[kind]
+    spec = PlotSpec(title=title, width=width, height=height)
     if kind == "importance":
         return render_importance_bar([(a, w) for a, w in payload["importance"]], spec)
     if kind == "heatmap":
@@ -230,7 +230,7 @@ def _render_figure(kind: str, payload: dict, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
-    title = args.title or FIGURES[args.kind][3]
+    title = args.title or FIGURES[args.kind][2]
     doc = read_json(
         args.infile, lambda payload: _render_figure(args.kind, payload, title), f"{args.kind} payload"
     )

@@ -54,12 +54,6 @@ class Codec:
     def attributes(self) -> tuple[str, ...]:
         return tuple(b.attribute for b in self.blocks)
 
-    def block(self, attribute: str) -> Block:
-        for b in self.blocks:
-            if b.attribute == attribute:
-                return b
-        raise CodecError(f"codec does not cover attribute {attribute!r}")
-
     def categorical_spans(self) -> list[tuple[int, int]]:
         return [(b.start, b.stop) for b in self.blocks if b.codes]
 

@@ -51,11 +51,10 @@ from .seeds import derive_seed
 from .table import MaskMatrix, Table, inject_missing, split_stratified
 
 
-def impute_sta(table: Table, schema: Schema | None = None) -> Table:
+def impute_sta(table: Table) -> Table:
     """Mode/mean imputation; observed cells pass through untouched."""
-    schema = schema or table.schema
     fills = {}
-    for j, attr in enumerate(schema.attributes):
+    for j, attr in enumerate(table.schema.attributes):
         column = [row[j] for row in table.rows]
         if all(c is not None for c in column):
             continue
@@ -108,12 +107,11 @@ def _logistic_ovr_predict(X_obs, y, X_mis, classes, iters=200, lr=0.3, l2=1e-3):
     return scores.argmax(axis=1)
 
 
-def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) -> Table:
+def impute_mice(table: Table, rounds: int = 10) -> Table:
     """Chained-equation imputation (single chain, point predictions)."""
     if rounds < 1:
         raise DataError(f"rounds must be >= 1, got {rounds}")
-    schema = schema or table.schema
-    attrs = schema.attributes
+    attrs = table.schema.attributes
     missing = {
         j: [i for i, row in enumerate(table.rows) if row[j] is None]
         for j in range(len(attrs))
@@ -125,7 +123,7 @@ def impute_mice(table: Table, schema: Schema | None = None, rounds: int = 10) ->
         j: [i for i, row in enumerate(table.rows) if row[j] is not None]
         for j in incomplete
     }
-    working = impute_sta(table, schema)
+    working = impute_sta(table)
     columns = [list(working.column(a.name)) for a in attrs]
     # every column as an array (code indices for categoricals) and its design
     # block, rebuilt only when its column is imputed
@@ -189,12 +187,18 @@ class GainConfig:
     alpha: float = 10.0
     hidden: tuple[int, ...] | None = None  # None -> (d, d)
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise DataError(f"GAIN epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
+        if self.alpha < 0:
+            raise DataError(f"GAIN alpha must be >= 0, got {self.alpha}")
+
 
 @dataclass
 class GainModel:
     generator: MLP
     codec: Codec
-    schema: Schema | None
+    schema: Schema
     noise_seed: int
 
 
@@ -221,7 +225,7 @@ def train_gain(
     mask: MaskMatrix,
     config: GainConfig,
     seed: int,
-    schema: Schema | None = None,
+    schema: Schema,
 ) -> GainModel:
     """Adversarial imputation training.
 
@@ -238,8 +242,6 @@ def train_gain(
     m = expand_mask(mask, encoded.codec)
     if m.shape != x.shape:
         raise DataError(f"mask shape {m.shape} does not match encoded shape {x.shape}")
-    if config.alpha < 0:
-        raise DataError("alpha must be >= 0")
     d = x.shape[1]
     gen, disc = _gain_nets(d, encoded.codec.categorical_spans(), config.hidden, seed)
     g_state = AdamState.for_mlp(gen, learning_rate=GAIN_LEARNING_RATE)
@@ -304,8 +306,6 @@ def gain_reconstruction(model: GainModel, encoded: EncodedMatrix, mask: MaskMatr
 def impute_gain(model: GainModel, encoded: EncodedMatrix, mask: MaskMatrix) -> Table:
     """Decode the GAIN reconstruction: block argmax for categoricals, clamp and
     un-scale for numerics; observed cells pass through untouched."""
-    if model.schema is None:
-        raise DataError("model carries no schema; cannot decode to a table")
     x_hat = gain_reconstruction(model, encoded, mask)
     return decode(EncodedMatrix(x_hat, encoded.codec), model.schema)
 
@@ -317,7 +317,7 @@ def gain_impute_table(
     config = config or GainConfig()
     mask = MaskMatrix.from_table(table)
     encoded = encode(table)
-    model = train_gain(encoded, mask, config, seed, schema=table.schema)
+    model = train_gain(encoded, mask, config, seed, table.schema)
     return impute_gain(model, encoded, mask)
 
 
@@ -443,6 +443,9 @@ def _classifier_metrics(
     return scores
 
 
+TEST_FRACTION = 0.2
+
+
 def evaluate_imputation(
     complete: Table,
     features: list[str],
@@ -450,16 +453,20 @@ def evaluate_imputation(
     methods: list[str] | None = None,
     classifiers: list[str] | None = None,
     seed: int = 0,
-    test_fraction: float = 0.2,
     gain_config: GainConfig | None = None,
 ) -> DiffReport:
     """Benchmark imputation methods by classifier-metric deltas.
 
-    Splits the pristine table, records pristine metrics, injects missingness
+    Splits the pristine table (TEST_FRACTION held out), records pristine metrics, injects missingness
     into both split copies, then per method: impute, retrain identically, and
     report absolute metric differences plus their means over classifiers.
     Classes absent from the test split are warned once, after every scoring.
     """
+    schema = complete.schema
+    feature_names = tuple(a.name for a in schema.features)
+    for name in features:
+        if name not in feature_names:
+            raise DataError(f"cannot inject missing cells into {name!r}: not a feature attribute")
     if not complete.is_complete(tuple(features)):
         raise DataError("the benchmark table must be complete in the injected features")
     methods = list(methods) if methods is not None else ["sta", "mice", "gain"]
@@ -471,9 +478,7 @@ def evaluate_imputation(
         if name not in CLASSIFIERS:
             raise DataError(f"unknown classifier {name!r}")
 
-    schema = complete.schema
-    train, test = split_stratified(complete, test_fraction, derive_seed(seed, "split"))
-    feature_names = tuple(a.name for a in schema.features)
+    train, test = split_stratified(complete, TEST_FRACTION, derive_seed(seed, "split"))
     codec = build_codec(train, attributes=feature_names)
     absent: set = set()
     pristine = _classifier_metrics(train, test, codec, classifiers, seed, absent)

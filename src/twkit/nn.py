@@ -23,6 +23,9 @@ import numpy as np
 from .errors import TrainingDiverged
 
 EPS = 1e-7  # probability clamp before any log
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -171,9 +174,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         # scratch buffers, so that a step allocates no parameter-sized array
@@ -198,19 +198,19 @@ def adam_step(mlp: MLP, grads, state: AdamState):
     state.step += 1
     t = state.step
     m, v, update, denom = state.m, state.v, state._update, state._denom
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=update)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
     m += update
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.square(grad, out=update)
-    update *= 1.0 - state.beta2
+    update *= 1.0 - ADAM_BETA2
     v += update
     # lr * m_hat / (sqrt(v_hat) + eps), in that order
-    np.divide(m, 1.0 - state.beta1**t, out=update)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
     update *= state.learning_rate
-    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     update /= denom
     offset = 0
     for w, b in zip(mlp.weights, mlp.biases):
@@ -237,11 +237,9 @@ def binary_cross_entropy(p: np.ndarray, y: np.ndarray, mask: np.ndarray | None =
     return loss, grad
 
 
-def mse(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
+def mse(x: np.ndarray, y: np.ndarray, mask: np.ndarray):
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if mask is None:
-        mask = np.ones_like(x)
     count = float(mask.sum())
     if count == 0:
         return 0.0, np.zeros_like(x)
@@ -257,15 +255,10 @@ def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray):
-    """`y` is integer class indices or a one-hot matrix; gradient is wrt logits."""
+    """`y` is integer class indices; gradient is wrt logits."""
     probs = _softmax(logits)
     n = logits.shape[0]
-    if y.ndim == 1:
-        onehot = one_hot(y.astype(int), probs.shape[1])
-    else:
-        if y.shape != logits.shape:
-            raise ValueError(f"shape mismatch {logits.shape} vs {y.shape}")
-        onehot = y
+    onehot = one_hot(y, probs.shape[1])
     loss = -float((onehot * np.log(np.clip(probs, EPS, 1.0))).sum() / n)
     return loss, (probs - onehot) / n
 

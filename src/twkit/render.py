@@ -17,11 +17,9 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class PlotSpec:
-    kind: str
     title: str = ""
     width: int = theme.DEFAULT_WIDTH
     height: int = theme.DEFAULT_HEIGHT
-    palette: tuple[str, ...] = theme.PALETTE
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -159,7 +157,7 @@ def render_box_grid(panels, classes, spec: PlotSpec) -> str:
         box_w = slot * 0.5
         for i, (cls, s) in enumerate(zip(classes, stats)):
             cx = px + (i + 0.5) * slot
-            color = spec.palette[i % len(spec.palette)]
+            color = theme.PALETTE[i % len(theme.PALETTE)]
             constant = s.whisker_low == s.whisker_high
             if constant:
                 svg.line(cx - box_w / 2, to_y(s.median), cx + box_w / 2, to_y(s.median), stroke=color, width=2.0)
@@ -203,7 +201,7 @@ def render_violin_grid(panels, classes, spec: PlotSpec) -> str:
         half_w = slot * 0.42
         for i, (cls, s) in enumerate(zip(classes, stats)):
             cx = px + (i + 0.5) * slot
-            color = spec.palette[i % len(spec.palette)]
+            color = theme.PALETTE[i % len(theme.PALETTE)]
             right = [(cx + half_w * (d / max_density), to_y(v)) for v, d in zip(s.grid, s.density)]
             left = [(cx - half_w * (d / max_density), to_y(v)) for v, d in reversed(list(zip(s.grid, s.density)))]
             svg.polygon(right + left, color)

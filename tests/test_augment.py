@@ -189,6 +189,11 @@ class TestPlan:
 
 
 class TestCgan:
+    def test_config_batch_size_below_1_rejected(self):
+        # epochs below 1 are covered through the CLI in tests/test_cli.py
+        with pytest.raises(DataError, match="batch_size"):
+            CganConfig(batch_size=0)
+
     def test_sample_zero_rows(self, schema):
         table = small_corpus(600, seed=0)
         enc = encode(table, attributes=tuple(a.name for a in schema.features))

@@ -5,9 +5,8 @@ import pytest
 
 from twkit.classify import (
     CLASSIFIERS,
+    FOREST_TREES,
     Forest,
-    ForestConfig,
-    TreeConfig,
     TreeNode,
     _best_split,
     column_importance,
@@ -61,7 +60,7 @@ class TestTree:
     def test_threshold_split(self):
         X = np.array([[1.0], [2.0], [4.0], [5.0]])
         y = np.array([0, 0, 1, 1])
-        tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
+        tree = train_tree(X, y, 2, subset=1, seed=0)
         assert tree.feature == 0
         assert tree.threshold == 3.0
         assert tree.left.is_leaf and tree.right.is_leaf
@@ -71,7 +70,7 @@ class TestTree:
     def test_single_class_is_leaf(self):
         X = np.zeros((5, 3))
         y = np.ones(5, dtype=int)
-        tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
+        tree = train_tree(X, y, 2, subset=3, seed=0)
         assert tree.is_leaf
         assert tree.counts == (0, 5)
 
@@ -79,43 +78,22 @@ class TestTree:
         # one-hot view of two binary features
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
+        tree = train_tree(X, y, 2, subset=2, seed=0)
         proba = tree_predict_proba(tree, X)
         assert (np.argmax(proba, axis=1) == y).all()
         def depth(node):
             return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
         assert depth(tree) == 2
 
-    def test_max_depth_respected(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(50, 4))
-        y = rng.integers(0, 3, size=50)
-        tree = train_tree(X, y, TreeConfig(n_classes=3, max_depth=2), seed=0)
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-        assert depth(tree) <= 2
-
-    def test_min_samples_leaf(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(30, 3))
-        y = rng.integers(0, 2, size=30)
-        tree = train_tree(X, y, TreeConfig(n_classes=2, min_samples_leaf=5), seed=0)
-        def check(node):
-            if node.is_leaf:
-                assert node.n_samples >= 5 or node.n_samples == 30
-            else:
-                check(node.left); check(node.right)
-        check(tree)
-
     def test_tie_break_lowest_feature(self):
         # two identical features: the split must use feature 0
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
+        tree = train_tree(X, y, 2, subset=2, seed=0)
         assert tree.feature == 0
 
 
-def _reference_best_split(X, y, idx, candidates, n_classes, min_leaf):
+def _reference_best_split(X, y, idx, candidates, n_classes):
     """The split search before the count-based path: one stable-argsort
     cumsum scan per candidate column. The oracle for `_best_split`."""
     parent_counts = np.bincount(y[idx], minlength=n_classes)
@@ -135,15 +113,11 @@ def _reference_best_split(X, y, idx, candidates, n_classes, min_leaf):
             continue
         left_n = boundaries + 1.0
         right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
         left_counts = cum[boundaries]
         right_counts = parent_counts - left_counts
         gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
         gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
         decrease = parent_gini - (left_n / n) * gl - (right_n / n) * gr
-        decrease[~valid] = -np.inf
         b = int(np.argmax(decrease))
         if decrease[b] < 0:
             continue
@@ -154,36 +128,32 @@ def _reference_best_split(X, y, idx, candidates, n_classes, min_leaf):
     return best
 
 
-def _reference_tree(X, y, config, seed):
+def _reference_tree(X, y, n_classes, subset, seed):
     """`train_tree` built on `_reference_best_split`, drawing candidates in the
     same pre-order."""
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def build(idx, depth):
-        counts = np.bincount(y[idx], minlength=config.n_classes)
+    def build(idx):
+        counts = np.bincount(y[idx], minlength=n_classes)
         kwargs = dict(n_samples=len(idx), counts=tuple(int(c) for c in counts))
-        if (
-            (counts > 0).sum() <= 1
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or len(idx) < 2 * config.min_samples_leaf
-        ):
+        if (counts > 0).sum() <= 1:
             return TreeNode(**kwargs)
         d = X.shape[1]
-        if config.feature_subset_size is not None and config.feature_subset_size < d:
-            candidates = np.sort(rng.choice(d, size=config.feature_subset_size, replace=False))
+        if subset < d:
+            candidates = np.sort(rng.choice(d, size=subset, replace=False))
         else:
             candidates = np.arange(d)
-        best = _reference_best_split(X, y, idx, candidates, config.n_classes, config.min_samples_leaf)
+        best = _reference_best_split(X, y, idx, candidates, n_classes)
         if best is None:
             return TreeNode(**kwargs)
         decrease, f, threshold, left_idx, right_idx = best
         return TreeNode(
             **kwargs, feature=f, threshold=threshold, decrease=decrease,
-            left=build(left_idx, depth + 1), right=build(right_idx, depth + 1),
+            left=build(left_idx), right=build(right_idx),
         )
 
-    return build(np.arange(len(X)), 0)
+    return build(np.arange(len(X)))
 
 
 def _mixed_matrix(rng, n):
@@ -199,9 +169,9 @@ def _mixed_matrix(rng, n):
 
 class TestSplitSearchOracle:
     @pytest.mark.parametrize("n_classes", [2, 7, 9])
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    def test_matches_sort_and_scan(self, n_classes, min_leaf):
-        rng = np.random.default_rng(1000 * n_classes + min_leaf)
+    @pytest.mark.parametrize("stream", [1, 2])  # two independent draws per class count
+    def test_matches_sort_and_scan(self, n_classes, stream):
+        rng = np.random.default_rng(1000 * n_classes + stream)
         checked = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -215,8 +185,8 @@ class TestSplitSearchOracle:
                     size = int(rng.integers(1, X.shape[1] + 1))
                     candidates = np.sort(rng.choice(X.shape[1], size=size, replace=False))
                     counts = np.bincount(y[idx], minlength=n_classes)
-                    got = _best_split(X, one_hot(y, n_classes), idx, candidates, counts, min_leaf, binary)
-                    want = _reference_best_split(X, y, idx, candidates, n_classes, min_leaf)
+                    got = _best_split(X, one_hot(y, n_classes), idx, candidates, counts, binary)
+                    want = _reference_best_split(X, y, idx, candidates, n_classes)
                     assert (got is None) == (want is None)
                     if want is None:
                         continue
@@ -234,11 +204,11 @@ class TestSplitSearchOracle:
         if bootstrap:
             boot = np.random.default_rng(11).integers(0, len(X), size=len(X))
             X, y = X[boot], y[boot]
-        config = TreeConfig(n_classes=7, feature_subset_size=subset)
+        subset = subset or X.shape[1]  # None: every column
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(3):
-                assert train_tree(X, y, config, seed=seed) == _reference_tree(X, y, config, seed)
+                assert train_tree(X, y, 7, subset, seed=seed) == _reference_tree(X, y, 7, subset, seed)
 
 
 def _reference_predict_proba(tree, X):
@@ -263,6 +233,16 @@ def _splits(tree):
     return [(tree.feature, tree.threshold)] + _splits(tree.left) + _splits(tree.right)
 
 
+@pytest.fixture(scope="module")
+def corpus_forest(corpus_200, schema):
+    """corpus_200's feature codec, matrix and labels, and the seed-3 forest on
+    them: one fit shared by every test that reads a forest."""
+    codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
+    X = encode(corpus_200, codec_source=codec).values
+    y = label_indices(corpus_200)
+    return codec, X, y, train_forest(X, y, 7, seed=3)
+
+
 class TestPredictionOracle:
     @pytest.fixture(scope="class")
     def encoded(self, corpus_200, schema):
@@ -277,32 +257,31 @@ class TestPredictionOracle:
         if bootstrap:
             boot = np.random.default_rng(11).integers(0, len(X), size=len(X))
             X_fit, y_fit = X[boot], y[boot]
+        subset = subset or X.shape[1]  # None: every column
         for seed in range(3):
-            tree = train_tree(X_fit, y_fit, TreeConfig(n_classes=7, feature_subset_size=subset), seed=seed)
+            tree = train_tree(X_fit, y_fit, 7, subset, seed=seed)
             assert not tree.is_leaf
             for X_test in (X, X[rows[:37]], X[:1]):
                 assert np.array_equal(tree_predict_proba(tree, X_test), _reference_predict_proba(tree, X_test))
 
-    def test_bootstrap_forest(self, encoded):
-        X, y = encoded
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=12), seed=3)
+    def test_bootstrap_forest(self, corpus_forest):
+        _, X, _, forest = corpus_forest
         want = np.zeros((len(X), 7))
         for tree in forest.trees:
             want += _reference_predict_proba(tree, X)
         assert np.array_equal(forest.predict_proba(X), want / len(forest.trees))
 
     def test_single_leaf_tree(self):
-        tree = train_tree(np.zeros((4, 2)), np.array([2, 2, 2, 2]), TreeConfig(n_classes=3), seed=0)
+        tree = train_tree(np.zeros((4, 2)), np.array([2, 2, 2, 2]), 3, subset=2, seed=0)
         assert tree.is_leaf
         X = np.array([[0.0, 0.0], [5.0, -1.0], [np.nan, 1.0]])
         got = tree_predict_proba(tree, X)
         assert np.array_equal(got, _reference_predict_proba(tree, X))
         assert np.array_equal(got, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
-    def test_zero_rows(self, encoded):
-        X, y = encoded
-        tree = train_tree(X, y, TreeConfig(n_classes=7), seed=0)
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=3), seed=0)
+    def test_zero_rows(self, corpus_forest):
+        _, X, y, forest = corpus_forest
+        tree = train_tree(X, y, 7, subset=X.shape[1], seed=0)
         empty = np.empty((0, X.shape[1]))
         got = tree_predict_proba(tree, empty)
         assert got.shape == (0, 7)
@@ -311,7 +290,7 @@ class TestPredictionOracle:
 
     def test_rows_equal_to_stored_thresholds(self, encoded):
         X, y = encoded
-        tree = train_tree(X, y, TreeConfig(n_classes=7, feature_subset_size=7), seed=1)
+        tree = train_tree(X, y, 7, subset=7, seed=1)
         rows = []
         for i, (feature, threshold) in enumerate(_splits(tree)):
             row = X[i % len(X)].copy()
@@ -329,7 +308,7 @@ class TestPredictionOracle:
 
     def test_rows_with_nan(self, encoded):
         X, y = encoded
-        tree = train_tree(X, y, TreeConfig(n_classes=7), seed=2)
+        tree = train_tree(X, y, 7, subset=X.shape[1], seed=2)
         X_test = X[:40].copy()
         rng = np.random.default_rng(4)
         X_test[rng.random(X_test.shape) < 0.3] = np.nan
@@ -341,71 +320,51 @@ class TestThresholdRankFault:
     """The stored threshold is the midpoint at the best boundary's rank among
     the boundaries, not at its position, so with repeated values a node splits
     below the split it scored. Kept so that tree outputs stay fixed; fixing it
-    is a declared numeric change, which turns these into passing tests."""
+    is a declared numeric change, which turns this into a passing test."""
 
     @pytest.mark.xfail(strict=True, reason="threshold taken at the boundary's rank, not its position")
     def test_stores_the_split_it_scored(self):
         X = np.array([[0.0], [0.0], [0.0], [0.5], [0.5], [1.0], [1.0]])
         y = np.array([0, 0, 0, 0, 0, 1, 1])
-        tree = train_tree(X, y, TreeConfig(n_classes=2), seed=0)
+        tree = train_tree(X, y, 2, subset=1, seed=0)
         assert tree.threshold == 0.75
         assert (tree.left.n_samples, tree.right.n_samples) == (5, 2)
 
-    @pytest.mark.xfail(strict=True, reason="threshold taken at the boundary's rank, not its position")
-    def test_min_samples_leaf_holds(self):
-        X = np.array([[0.0], [0.0], [0.5], [0.5], [1.0], [1.0], [1.0]])
-        y = np.array([0, 0, 0, 0, 1, 1, 1])
-        tree = train_tree(X, y, TreeConfig(n_classes=2, min_samples_leaf=3), seed=0)
-
-        def leaf_sizes(node):
-            return [node.n_samples] if node.is_leaf else leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree)) >= 3
-
 
 class TestForest:
-    def test_degenerate_equals_single_tree(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 5))
-        y = rng.integers(0, 3, size=40)
-        config = ForestConfig(n_classes=3, n_trees=1, bootstrap=False, feature_subset_size=5)
-        forest = train_forest(X, y, config, seed=9)
-        tree = train_tree(
-            X, y,
-            TreeConfig(n_classes=3, feature_subset_size=5),
-            seed=derive_seed(9, "tree-0"),
-        )
-        assert forest.trees[0] == tree
+    def test_fixed_shape(self, corpus_forest):
+        # FOREST_TREES trees, tree t grown on the boot-{t} sample with the
+        # tree-{t} seed and ceil(sqrt(d)) candidate columns per split; the
+        # single tree of "dt" scores every column
+        _, X, y, forest = corpus_forest
+        n, d = X.shape
+        subset = int(np.ceil(np.sqrt(d)))
+        assert FOREST_TREES == 100 and len(forest.trees) == FOREST_TREES
+        assert subset < d
+        for t, tree in enumerate(forest.trees):
+            boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
+            assert tree == train_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
+        assert CLASSIFIERS["dt"](X, y, 7, 9).tree == train_tree(X, y, 7, subset=d, seed=9)
 
-    def test_deterministic(self, corpus_200, schema):
-        codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
-        X = encode(corpus_200, codec_source=codec).values
-        y = label_indices(corpus_200)
-        f1 = train_forest(X, y, ForestConfig(n_classes=7, n_trees=10), seed=3)
-        f2 = train_forest(X, y, ForestConfig(n_classes=7, n_trees=10), seed=3)
-        assert f1.trees == f2.trees
+    def test_deterministic(self, corpus_forest):
+        _, X, y, forest = corpus_forest
+        assert train_forest(X, y, 7, seed=3).trees == forest.trees
 
-    def test_proba_sums_to_one(self, corpus_200, schema):
-        codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
-        X = encode(corpus_200, codec_source=codec).values
-        y = label_indices(corpus_200)
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=10), seed=3)
+    def test_proba_sums_to_one(self, corpus_forest):
+        _, X, _, forest = corpus_forest
         proba = forest.predict_proba(X[:20])
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
     def test_tie_break_lowest_class(self):
-        t1 = train_tree(np.zeros((1, 1)), np.array([0]), TreeConfig(n_classes=2), seed=0)
-        t2 = train_tree(np.zeros((1, 1)), np.array([1]), TreeConfig(n_classes=2), seed=0)
-        forest = Forest([t1, t2], ForestConfig(n_classes=2, n_trees=2))
+        t1 = train_tree(np.zeros((1, 1)), np.array([0]), 2, subset=1, seed=0)
+        t2 = train_tree(np.zeros((1, 1)), np.array([1]), 2, subset=1, seed=0)
+        forest = Forest([t1, t2], 2)
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
         assert np.argmax(proba, axis=1)[0] == 0
 
-    def test_training_accuracy_beats_average_tree(self, corpus_200, schema):
-        codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
-        X = encode(corpus_200, codec_source=codec).values
-        y = label_indices(corpus_200)
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=20), seed=5)
+    def test_training_accuracy_beats_average_tree(self, corpus_forest):
+        _, X, y, forest = corpus_forest
         forest_acc = (np.argmax(forest.predict_proba(X), axis=1) == y).mean()
         tree_accs = [
             (np.argmax(tree_predict_proba(t, X), axis=1) == y).mean() for t in forest.trees
@@ -417,7 +376,7 @@ class TestImportance:
     def test_single_feature_full_weight(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        forest = train_forest(X, y, ForestConfig(n_classes=2, n_trees=5, feature_subset_size=1), seed=1)
+        forest = train_forest(X, y, 2, seed=1)
         imp = column_importance(forest, 1)
         assert imp[0] > 0
 
@@ -427,15 +386,12 @@ class TestImportance:
         x2 = rng.random(200)
         y = x1.astype(int)
         X = np.column_stack([x1, x2])
-        forest = train_forest(X, y, ForestConfig(n_classes=2, n_trees=20), seed=2)
+        forest = train_forest(X, y, 2, seed=2)
         imp = column_importance(forest, 2)
         assert imp[0] > imp[1]
 
-    def test_attribute_aggregation_sums_to_one(self, corpus_200, schema):
-        codec = build_codec(corpus_200, attributes=tuple(a.name for a in schema.features))
-        X = encode(corpus_200, codec_source=codec).values
-        y = label_indices(corpus_200)
-        forest = train_forest(X, y, ForestConfig(n_classes=7, n_trees=15), seed=4)
+    def test_attribute_aggregation_sums_to_one(self, corpus_forest, schema):
+        codec, _, _, forest = corpus_forest
         imp = feature_importance(forest, codec)
         assert {a for a, _ in imp} == {a.name for a in schema.features}
         assert sum(w for _, w in imp) == pytest.approx(1.0, abs=1e-9)

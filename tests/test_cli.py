@@ -178,18 +178,19 @@ def test_train_range_errors_are_usage_errors(tmp_path, corpus_200, argv):
     assert not report.exists()
 
 
-def test_pipeline_failure_writes_partial_manifest(tmp_path):
-    # an unknown injected feature fails the eval stage after synth completed
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "n_rows": 60, "bench_rows": 60, "features": ["no_such_attribute"],
-    }), encoding="utf-8")
-    out = tmp_path / "out"
-    code = run(["pipeline", "--out", out, "--seed", 3, "--config", config])
-    assert code == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["stages_completed"] == ["synth"]
-    assert [a["path"] for a in manifest["artifacts"]] == ["tw.csv"]
+def test_pipeline_failure_writes_partial_manifest(tmp_path, capsys):
+    # an unknown attribute or the class label as an injected feature fails the
+    # eval stage after synth completed
+    for features, named in ((["no_such_attribute"], "'no_such_attribute'"), (["height", "tw_class"], "'tw_class'")):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_rows": 60, "bench_rows": 60, "features": features}), encoding="utf-8")
+        out = tmp_path / named.strip("'")
+        code = run(["pipeline", "--out", out, "--seed", 3, "--config", config])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages_completed"] == ["synth"]
+        assert [a["path"] for a in manifest["artifacts"]] == ["tw.csv"]
 
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path):
@@ -315,6 +316,31 @@ def test_non_finite_height_exits_1(tmp_path, capsys, method, token):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert str(src) in err and f"row {row}" in err and "height" in err and repr(token) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["augment", "--epochs", "0"], "epochs"),
+    (["augment", "--epochs", "-3"], "epochs"),
+    (["impute", "--method", "gain", "--epochs", "0"], "epochs"),
+    (["eval-impute", "--epochs", "0"], "epochs"),
+    (["eval-impute", "--features", "tw_class"], "'tw_class'"),
+    (["eval-impute", "--features", "height,tw_class"], "'tw_class'"),
+], ids=["augment-epochs-0", "augment-epochs-negative", "impute-gain-epochs-0", "eval-impute-epochs-0",
+        "eval-impute-label-feature", "eval-impute-label-among-features"])
+def test_bad_training_setting_exits_1(tmp_path, capsys, corpus_200, argv, named):
+    # rejected before any training, so no untrained model writes output
+    from twkit.table import inject_missing, save_csv
+
+    injected, _ = inject_missing(corpus_200, ["height"], 0.3, seed=1)
+    src = tmp_path / "tw.csv"
+    save_csv(injected if argv[0] == "impute" else corpus_200, src)
+    out = tmp_path / "out"
+    assert run([*argv, "--in", src, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and named in err
     assert not out.exists()
 
 

@@ -12,9 +12,13 @@ from twkit.errors import CodecError
 from twkit.table import Table, inject_missing
 
 
+def _block(codec, attribute):
+    return next(b for b in codec.blocks if b.attribute == attribute)
+
+
 def test_one_hot_block(schema, corpus_200):
     enc = encode(corpus_200)
-    block = enc.codec.block("headgear")
+    block = _block(enc.codec, "headgear")
     assert block.width == 5
     i = next(i for i, row in enumerate(corpus_200.rows) if row[schema.index_of("headgear")] == 2)
     np.testing.assert_array_equal(enc.values[i, block.start : block.stop], [0, 0, 1, 0, 0])
@@ -28,7 +32,7 @@ def test_min_max_midpoint(schema):
     ]
     table = Table(schema, tuple(rows))
     enc = encode(table)
-    h = enc.codec.block("height")
+    h = _block(enc.codec, "height")
     assert enc.values[1, h.start] == 0.5
     assert enc.values[0, h.start] == 0.0
     assert enc.values[2, h.start] == 1.0
@@ -38,7 +42,7 @@ def test_constant_numeric_maps_to_half(schema):
     rows = [(1, 1, 1, 1, 178.0, 0, 0, 3, 1, 1, "RW")] * 3
     table = Table(schema, tuple(rows))
     enc = encode(table)
-    h = enc.codec.block("height")
+    h = _block(enc.codec, "height")
     assert (enc.values[:, h.start] == 0.5).all()
     assert decode(enc, schema).rows == table.rows
 
@@ -54,8 +58,8 @@ def test_round_trip_complete_tables(schema):
 def test_missing_encodes_to_zero_block(schema, corpus_200):
     injected, mask = inject_missing(corpus_200, ["headgear", "height"], 0.3, seed=2)
     enc = encode(injected)
-    hg = enc.codec.block("headgear")
-    h = enc.codec.block("height")
+    hg = _block(enc.codec, "headgear")
+    h = _block(enc.codec, "height")
     for i, row in enumerate(injected.rows):
         if row[schema.index_of("headgear")] is None:
             assert enc.values[i, hg.start : hg.stop].sum() == 0.0
@@ -70,7 +74,7 @@ def test_codec_reuse_and_strict(schema):
     tb = Table(schema, tuple(rows_b))
     enc_a = encode(ta)
     enc_b = encode(tb, codec_source=enc_a)
-    h = enc_a.codec.block("height")
+    h = _block(enc_a.codec, "height")
     assert enc_b.values[0, h.start] == 1.0  # clamped into the training range
 
 
@@ -86,7 +90,7 @@ def test_expand_mask(schema, corpus_200):
     injected, mask = inject_missing(corpus_200, ["headgear"], 0.3, seed=4)
     enc = encode(injected)
     expanded = expand_mask(mask, enc.codec)
-    hg = enc.codec.block("headgear")
+    hg = _block(enc.codec, "headgear")
     idx = schema.index_of("headgear")
     for i in range(len(injected)):
         expected = 0.0 if injected.rows[i][idx] is None else 1.0

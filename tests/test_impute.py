@@ -334,6 +334,12 @@ class TestGain:
         with pytest.raises(CodecError):
             gain_reconstruction(model, other, feat_mask)
 
+    # epochs below 1 are covered through the CLI in tests/test_cli.py
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"alpha": -0.5}])
+    def test_config_out_of_range_rejected(self, kwargs):
+        with pytest.raises(DataError, match=next(iter(kwargs))):
+            GainConfig(**kwargs)
+
     def test_gain_impute_table_convenience(self, schema):
         table = small_corpus(80, seed=25)
         injected, _ = inject_missing(table, ["headgear"], 0.3, seed=26)

@@ -191,7 +191,7 @@ def test_gradient_linearity():
     X = np.random.default_rng(2).normal(size=(5, 4))
     y = np.random.default_rng(3).normal(size=(5, 3))
     out, cache = forward(net, X)
-    _, g = mse(out, y)
+    _, g = mse(out, y, np.ones_like(out))
     grads1, _ = backward(net, cache, g)
     grads2, _ = backward(net, cache, 2.0 * g)
     for (dw1, db1), (dw2, db2) in zip(grads1, grads2):
@@ -415,7 +415,7 @@ class TestLosses:
 
     def test_mse_identical_is_zero(self):
         x = np.random.default_rng(0).normal(size=(4, 3))
-        loss, grad = mse(x, x)
+        loss, grad = mse(x, x, np.ones_like(x))
         assert loss == 0.0
         assert (grad == 0).all()
 
@@ -439,7 +439,7 @@ class TestLosses:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mse(np.zeros((2, 2)), np.zeros((2, 3)))
+            mse(np.zeros((2, 2)), np.zeros((2, 3)), np.ones((2, 2)))
 
 
 def test_iter_batches_covers_everything_with_remainder():

@@ -59,10 +59,10 @@ def _matrix():
 
 def _all_figures():
     return {
-        "importance.svg": render_importance_bar(IMPORTANCES, PlotSpec(kind="importance_bar", title="Importance")),
-        "box.svg": render_box_grid(_box_panels(), CLASSES, PlotSpec(kind="box_grid", title="Boxes", width=900, height=520)),
-        "violin.svg": render_violin_grid(_violin_panels(), CLASSES, PlotSpec(kind="violin_grid", title="Violins", width=760, height=420)),
-        "heatmap.svg": render_heatmap(_matrix(), PlotSpec(kind="heatmap", title="Correlation", width=520, height=480)),
+        "importance.svg": render_importance_bar(IMPORTANCES, PlotSpec(title="Importance")),
+        "box.svg": render_box_grid(_box_panels(), CLASSES, PlotSpec(title="Boxes", width=900, height=520)),
+        "violin.svg": render_violin_grid(_violin_panels(), CLASSES, PlotSpec(title="Violins", width=760, height=420)),
+        "heatmap.svg": render_heatmap(_matrix(), PlotSpec(title="Correlation", width=520, height=480)),
     }
 
 
@@ -110,45 +110,43 @@ def test_golden_files():
 
 class TestImportanceBar:
     def test_proportional_lengths(self):
-        doc = render_importance_bar([("a", 0.5), ("b", 0.25), ("c", 0.25)],
-                                    PlotSpec(kind="importance_bar"))
+        doc = render_importance_bar([("a", 0.5), ("b", 0.25), ("c", 0.25)], PlotSpec())
         root = ET.fromstring(doc)
         widths = [float(r.attrib["width"]) for r in root.iter()
                   if r.tag.endswith("rect") and r.attrib.get("fill") == "#4c78a8"]
         assert widths[0] == pytest.approx(2 * widths[1], abs=0.01)
 
     def test_sorted_descending(self):
-        doc = render_importance_bar([("low", 0.1), ("high", 0.9)], PlotSpec(kind="importance_bar"))
+        doc = render_importance_bar([("low", 0.1), ("high", 0.9)], PlotSpec())
         assert doc.index(">high<") < doc.index(">low<")
 
     def test_single_attribute_full_width(self):
-        doc = render_importance_bar([("only", 0.4)], PlotSpec(kind="importance_bar"))
+        doc = render_importance_bar([("only", 0.4)], PlotSpec())
         root = ET.fromstring(doc)
         bars = [r for r in root.iter() if r.tag.endswith("rect") and r.attrib.get("fill") == "#4c78a8"]
         assert len(bars) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            render_importance_bar([], PlotSpec(kind="importance_bar"))
+            render_importance_bar([], PlotSpec())
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DataError):
-            render_importance_bar([("a", -0.1)], PlotSpec(kind="importance_bar"))
+            render_importance_bar([("a", -0.1)], PlotSpec())
 
 
 class TestBoxGrid:
     def test_outlier_circle_count(self):
         stats = BoxStats(q1=1.0, median=2.0, q3=3.0, whisker_low=0.0, whisker_high=4.0,
                          outliers=(8.0, 9.0))
-        doc = render_box_grid([("attr", {"RW": stats})], ["RW"],
-                              PlotSpec(kind="box_grid"))
+        doc = render_box_grid([("attr", {"RW": stats})], ["RW"], PlotSpec())
         root = ET.fromstring(doc)
         circles = [c for c in root.iter() if c.tag.endswith("circle")]
         assert len(circles) == 2
 
     def test_constant_class_rendered_as_line_without_box(self):
         stats = box_stats([5.0] * 8)
-        doc = render_box_grid([("attr", {"RW": stats})], ["RW"], PlotSpec(kind="box_grid"))
+        doc = render_box_grid([("attr", {"RW": stats})], ["RW"], PlotSpec())
         root = ET.fromstring(doc)
         boxes = [r for r in root.iter() if r.tag.endswith("rect")
                  and r.attrib.get("fill") not in ("#ffffff",)]
@@ -156,13 +154,13 @@ class TestBoxGrid:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            render_box_grid([], ["RW"], PlotSpec(kind="box_grid"))
+            render_box_grid([], ["RW"], PlotSpec())
 
 
 class TestViolinGrid:
     def test_mirror_symmetry(self):
         stats = kde(np.random.default_rng(2).normal(size=50), grid_size=16)
-        doc = render_violin_grid([("h", {"RW": stats})], ["RW"], PlotSpec(kind="violin_grid"))
+        doc = render_violin_grid([("h", {"RW": stats})], ["RW"], PlotSpec())
         root = ET.fromstring(doc)
         polygon = next(p for p in root.iter() if p.tag.endswith("polygon"))
         pts = [tuple(float(v) for v in pair.split(",")) for pair in polygon.attrib["points"].split()]
@@ -175,7 +173,7 @@ class TestViolinGrid:
 
     def test_white_median_dot_at_mapped_coordinate(self):
         stats = kde([1.0, 2.0, 3.0, 4.0, 5.0], grid_size=16)
-        doc = render_violin_grid([("h", {"RW": stats})], ["RW"], PlotSpec(kind="violin_grid"))
+        doc = render_violin_grid([("h", {"RW": stats})], ["RW"], PlotSpec())
         root = ET.fromstring(doc)
         dot = next(c for c in root.iter() if c.tag.endswith("circle")
                    and c.attrib.get("fill") == "#ffffff")
@@ -189,12 +187,12 @@ class TestViolinGrid:
 
 class TestHeatmap:
     def test_diagonal_text(self):
-        doc = render_heatmap(_matrix(), PlotSpec(kind="heatmap"))
+        doc = render_heatmap(_matrix(), PlotSpec())
         assert doc.count(">1.00<") >= 3
 
     def test_endpoint_colors(self):
         values = np.array([[1.0, 0.0], [0.0, 1.0]])
-        doc = render_heatmap(CorrelationMatrix(("a", "b"), values), PlotSpec(kind="heatmap"))
+        doc = render_heatmap(CorrelationMatrix(("a", "b"), values), PlotSpec())
         assert "#f7fbff" in doc  # colormap minimum at 0.0
         assert "#08306b" in doc  # colormap maximum at 1.0
 
@@ -202,9 +200,9 @@ class TestHeatmap:
         values = np.array([[1.0, 0.3], [0.3, 1.0]])
         m = CorrelationMatrix(("a", "b"), values)
         mt = CorrelationMatrix(("a", "b"), values.T)
-        assert render_heatmap(m, PlotSpec(kind="heatmap")) == render_heatmap(mt, PlotSpec(kind="heatmap"))
+        assert render_heatmap(m, PlotSpec()) == render_heatmap(mt, PlotSpec())
 
     def test_non_square_rejected(self):
         bad = CorrelationMatrix(("a", "b"), np.zeros((2, 3)))
         with pytest.raises(DataError):
-            render_heatmap(bad, PlotSpec(kind="heatmap"))
+            render_heatmap(bad, PlotSpec())

@@ -1,10 +1,14 @@
-"""Every top-level function and class in `src/twkit` is used by the program.
+"""Every top-level function and class in `src/twkit`, and every method and
+property of its classes, is used by the program.
 
 A definition counts as used when a top-level statement other than its own
 refers to it, in any `src/twkit` module or in a `perfbench/` script. The
 package `__init__.py` only re-exports names, so it does not count.
 `perfbench/tracer.py` patches functions and model classes by name, so a
-string naming a definition counts there.
+string naming a definition counts there. A method or property is reached
+through an attribute, so it counts as used when code outside its own
+definition refers to an attribute of its name (or a `perfbench/` string names
+it); Python itself calls the dunder methods.
 
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
 and wraps `train_tree` and each model's `predict_proba` by name. The tracer
@@ -60,6 +64,37 @@ def test_every_definition_is_referenced():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert not unused, f"definitions nothing in the program uses: {unused}"
+
+
+def _attribute_units(path: Path, strings: bool):
+    """(top-level statement, part, the attribute names the part refers to),
+    where a class's parts are the statements of its body, its decorators and
+    its bases, and any other statement is its own one part."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        parts = stmt.body + stmt.decorator_list + stmt.bases if isinstance(stmt, ast.ClassDef) else [stmt]
+        for part in parts:
+            names = set()
+            for node in ast.walk(part):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+            yield stmt, part, names
+
+
+def test_every_method_is_referenced():
+    units = [(p, cls, part, names) for p in SOURCES for cls, part, names in _attribute_units(p, strings=False)]
+    units += [(p, cls, part, names) for p in SCRIPTS for cls, part, names in _attribute_units(p, strings=True)]
+    unused = [
+        f"{path.name}:{part.lineno} {cls.name}.{part.name}"
+        for path, cls, part, _ in units
+        if path in SOURCES
+        and isinstance(cls, ast.ClassDef)
+        and isinstance(part, ast.FunctionDef)
+        and not (part.name.startswith("__") and part.name.endswith("__"))
+        and not any(part.name in names for _, _, other, names in units if other is not part)
+    ]
+    assert not unused, f"methods and properties nothing in the program uses: {unused}"
 
 
 def _load_tracer():
