@@ -7,6 +7,9 @@ Three built-in imputers:
 - MICE: STA initialization, then chained sweeps regressing each incomplete
   column on all the others (one-vs-rest logistic for categoricals,
   least squares for numerics), re-predicting only the originally-missing cells.
+  Each categorical column is one multi-class fit: the one-vs-rest problems of
+  all its observed codes share one design and step together as the columns of
+  one weight matrix.
   Each attribute's design block (one-hot codes, or min-max scaled numbers) is
   encoded once and rebuilt only after its own column is imputed; the design
   for a column is the intercept plus every other non-constant block in
@@ -92,19 +95,14 @@ def _design_block(attr, col: np.ndarray) -> np.ndarray | None:
 
 def _logistic_ovr_predict(X_obs, y, X_mis, classes, iters=200, lr=0.3, l2=1e-3):
     """One-vs-rest logistic scores; returns the position in `classes` of the
-    argmax per missing row (ties to the earliest)."""
-    scores = np.full((len(X_mis), len(classes)), -np.inf)
-    for k, c in enumerate(classes):
-        target = (y == c).astype(np.float64)
-        if target.sum() == 0:
-            continue
-        w = np.zeros(X_obs.shape[1])
-        for _ in range(iters):
-            p = 1.0 / (1.0 + np.exp(-(X_obs @ w)))
-            grad = X_obs.T @ (p - target) / len(target) + l2 * w
-            w -= lr * grad
-        scores[:, k] = X_mis @ w
-    return scores.argmax(axis=1)
+    argmax per missing row (ties to the earliest). Every class must occur in
+    `y`. Column k of the (d x K) weights is the fit for classes[k]."""
+    targets = (y[:, None] == classes).astype(np.float64)
+    weights = np.zeros((X_obs.shape[1], len(classes)))
+    for _ in range(iters):
+        p = 1.0 / (1.0 + np.exp(-(X_obs @ weights)))
+        weights -= lr * (X_obs.T @ (p - targets) / len(y) + l2 * weights)
+    return (X_mis @ weights).argmax(axis=1)
 
 
 def impute_mice(table: Table, rounds: int = 10) -> Table:
@@ -477,6 +475,8 @@ def evaluate_imputation(
     for name in classifiers:
         if name not in CLASSIFIERS:
             raise DataError(f"unknown classifier {name!r}")
+    if not 0 < rate < 1:
+        raise DataError(f"rate must be in (0, 1), got {rate}")
 
     train, test = split_stratified(complete, TEST_FRACTION, derive_seed(seed, "split"))
     codec = build_codec(train, attributes=feature_names)

@@ -34,6 +34,25 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _column_valid(attr, column) -> bool:
+    """Whether every cell of `column` is None, a declared code (categorical) or
+    an int or float but not a bool (numeric)."""
+    if attr.kind == CATEGORICAL:
+        try:
+            distinct = set(column)
+        except TypeError:  # an unhashable cell, which is no code
+            return False
+        distinct.discard(None)
+        return all(map(attr.is_code, distinct))
+    distinct_types = set(map(type, column))
+    distinct_types.discard(type(None))
+    return all(map(_is_number_type, distinct_types))
+
+
 @dataclass(frozen=True)
 class Table:
     """Validated rows under a schema."""
@@ -42,7 +61,12 @@ class Table:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
+        # each column is checked once per distinct value (categorical) or type
+        # (numeric); only a table that fails is walked row by row, so that the
+        # error names its first bad cell
         attrs = self.schema.attributes
+        if set(map(len, self.rows)) <= {len(attrs)} and all(map(_column_valid, attrs, zip(*self.rows))):
+            return
         categorical = [attr.kind == CATEGORICAL for attr in attrs]
         for r, row in enumerate(self.rows):
             if len(row) != len(attrs):
@@ -53,7 +77,7 @@ class Table:
                 if is_cat:
                     if not attr.is_code(cell):
                         raise DataError(f"row {r}, attribute {attr.name!r}: undeclared code {cell!r}")
-                elif not isinstance(cell, (int, float)) or isinstance(cell, bool):
+                elif not _is_number_type(type(cell)):
                     raise DataError(f"row {r}, attribute {attr.name!r}: expected numeric, got {cell!r}")
 
     def __len__(self) -> int:

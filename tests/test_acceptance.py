@@ -309,18 +309,40 @@ def test_criterion_10_rendering_determinism():
 
 
 def test_criterion_11_pipeline_reproducibility(tmp_path):
-    """Two pipeline runs with one master seed produce identical artifact hashes."""
+    """Two pipeline runs with one master seed produce identical artifact hashes.
+
+    The runs go at once, in two interpreters with different hash seeds, so
+    that neither shares state with the other or depends on set or dict order."""
     import json
+    import os
+    import subprocess
+    import sys
 
-    from twkit.cli import main
+    import twkit
 
+    package_root = str(Path(twkit.__file__).resolve().parent.parent)
     start = time.time()
-    manifests = []
-    for run_dir in ("a", "b"):
-        out = tmp_path / run_dir
-        code = main(["pipeline", "--out", str(out), "--seed", "7"])
-        assert code == 0
-        manifests.append(json.loads((out / "manifest.json").read_text()))
+    runs = {}
+    try:
+        for run_dir, hash_seed in (("a", "1"), ("b", "2")):
+            # one BLAS thread per run: with two runs sharing the cores, BLAS
+            # threads that outnumber them spin against each other (on 2 cores
+            # the pair took 362 s with the default thread count and 62 s with one)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root,
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            argv = [sys.executable, "-m", "twkit.cli", "pipeline", "--out", str(tmp_path / run_dir), "--seed", "7"]
+            runs[run_dir] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for run_dir, proc in runs.items():
+            # each run has until 600 s after the start
+            _, err = proc.communicate(timeout=max(0.0, start + 600.0 - time.time()))
+            assert proc.returncode == 0, (run_dir, err.decode(errors="replace"))
+        elapsed = time.time() - start
+    finally:
+        for proc in runs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    manifests = [json.loads((tmp_path / run_dir / "manifest.json").read_text()) for run_dir in runs]
     hashes_a = {a["path"]: a["sha256"] for a in manifests[0]["artifacts"]}
     hashes_b = {a["path"]: a["sha256"] for a in manifests[1]["artifacts"]}
     assert hashes_a == hashes_b
@@ -328,6 +350,5 @@ def test_criterion_11_pipeline_reproducibility(tmp_path):
     assert suffixes.count(".svg") == 4
     assert suffixes.count(".json") == 3
     assert suffixes.count(".csv") == 2
-    elapsed = time.time() - start
-    assert elapsed / 2 < 600.0
-    report(11, f"{len(hashes_a)} artifacts hash-identical across two runs ({elapsed / 2:.0f}s per run)")
+    assert elapsed < 600.0
+    report(11, f"{len(hashes_a)} artifacts hash-identical across two concurrent runs ({elapsed:.0f}s for both)")

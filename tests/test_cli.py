@@ -292,6 +292,21 @@ def test_unknown_origin_exits_1(tmp_path, capsys, corpus_200):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["0", "1", "1.5"])
+def test_eval_impute_rate_out_of_range_exits_1(tmp_path, capsys, corpus_200, rate):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    out = tmp_path / "report.json"
+    assert run(["eval-impute", "--in", src, "--rate", rate, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: rate must be in (0, 1), got {float(rate)}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["sta", "mice"])
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_height_exits_1(tmp_path, capsys, method, token):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.encoding import encode, expand_mask
 from twkit.errors import CodecError, DataError
+from twkit import impute
 from twkit.impute import (
     GainConfig,
+    _logistic_ovr_predict,
     evaluate_imputation,
     gain_impute_table,
     gain_reconstruction,
@@ -163,6 +166,44 @@ def _reference_logistic_ovr(X_obs, y_codes, X_mis, codes, iters=200, lr=0.3, l2=
             w -= lr * grad
         scores[:, k] = X_mis @ w
     return [codes[int(np.argmax(scores[i]))] for i in range(len(X_mis))]
+
+
+def _random_ovr_problem(seed):
+    """A MICE-shaped design (intercept, one-hot block, one scaled column) and
+    labels over K in 2..7 code indices, one class of which has a single row."""
+    rng = np.random.default_rng(seed)
+    n_obs, n_mis = int(rng.integers(20, 300)), int(rng.integers(1, 60))
+    n = n_obs + n_mis
+    levels = int(rng.integers(2, 9))
+    cat = rng.integers(0, levels, size=n)
+    one_hot = np.zeros((n, levels))
+    one_hot[np.arange(n), cat] = 1.0
+    scaled = rng.random(n)
+    design = np.hstack([np.ones((n, 1)), one_hot, scaled.reshape(-1, 1)])
+    k = int(rng.integers(2, 8))
+    classes = np.sort(rng.choice(k + 3, size=k, replace=False))
+    single = int(rng.integers(0, k))
+    others = np.delete(np.arange(k), single)
+    # heavily imbalanced labels that lean on the design, so the K fits disagree
+    prior = np.log(rng.dirichlet(np.full(k - 1, 0.3)) + 1e-3)
+    logits = (prior + rng.normal(0.0, 2.0, size=(levels, k - 1))[cat[:n_obs]]
+              + np.outer(scaled[:n_obs], rng.normal(0.0, 2.0, k - 1)))
+    pos = others[np.argmax(logits + rng.gumbel(size=logits.shape), axis=1)]
+    rows = rng.permutation(n_obs)[:k]
+    pos[rows[1:]] = others  # every class occurs, and classes[single] on one row
+    pos[rows[0]] = single
+    return design[:n_obs], classes[pos], design[n_obs:], classes
+
+
+class TestBatchedOvrOracle:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_per_class_fits(self, seed):
+        X_obs, y, X_mis, classes = _random_ovr_problem(seed)
+        assert set(y.tolist()) == set(classes.tolist())
+        assert min(np.count_nonzero(y == c) for c in classes) == 1
+        positions = _logistic_ovr_predict(X_obs, y, X_mis, classes)
+        expected = _reference_logistic_ovr(X_obs, y.tolist(), X_mis, classes.tolist())
+        assert classes[positions].tolist() == expected
 
 
 def _reference_impute_mice(table, rounds):
@@ -389,6 +430,15 @@ class TestHarness:
         with pytest.raises(DataError):
             evaluate_imputation(small_corpus(60), ["height"], 0.0, methods=["sta"],
                                 classifiers=["dt"])
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 1.5, -0.2])
+    def test_rate_rejected_before_scoring(self, monkeypatch, rate):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a classifier was scored before the rate was checked")
+
+        monkeypatch.setattr(impute, "fit_and_score", no_scoring)
+        with pytest.raises(DataError, match=re.escape(f"rate must be in (0, 1), got {rate}")):
+            evaluate_imputation(small_corpus(60), ["height"], rate)
 
     def test_incomplete_input_rejected(self, schema):
         table = small_corpus(60, seed=30)

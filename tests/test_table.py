@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twkit.errors import DataError
-from twkit.schema import CATEGORICAL, AttributeSpec, Schema
+from twkit.schema import CATEGORICAL, AttributeSpec, Schema, default_schema
 from twkit.table import (
     MaskMatrix,
     Table,
@@ -264,3 +264,43 @@ def test_table_accepts_mixed_int_and_str_codes():
     schema = Schema(attributes=(mixed, label))
     for cell in (1, "1", 1.0, True, "2", 2, "a"):
         assert _table_accepts(schema, (cell, "a")) == _reference_accepts(schema, (cell, "a")), cell
+
+
+BASE_ROW = (1, 1, 1, 1, 178.0, 0, 0, 3, 1, 1, "RW")
+
+
+def _with(row, **cells):
+    """`row` with the named cells replaced."""
+    return tuple(cells.get(name, cell) for name, cell in zip(default_schema().names, row))
+
+
+@pytest.mark.parametrize("rows, message", [
+    # the bad cell of the earlier row is named, though its column comes later
+    ([_with(BASE_ROW, armor_type=9), _with(BASE_ROW, c_id=99)], "row 0, attribute 'armor_type': undeclared code 9"),
+    ([BASE_ROW, _with(BASE_ROW, corps=5, height="tall")], "row 1, attribute 'corps': undeclared code 5"),
+    ([BASE_ROW, _with(BASE_ROW, height="tall", weapon=7)], "row 1, attribute 'height': expected numeric, got 'tall'"),
+    ([BASE_ROW, BASE_ROW[:-1], _with(BASE_ROW, c_id=99)], "row 1: expected 11 cells, got 10"),
+    ([_with(BASE_ROW, c_id=99), BASE_ROW + (1,)], "row 0, attribute 'c_id': undeclared code 99"),
+    ([BASE_ROW, _with(BASE_ROW, height=[178.0])], "row 1, attribute 'height': expected numeric, got [178.0]"),
+    ([BASE_ROW, _with(BASE_ROW, weapon=7), _with(BASE_ROW, weapon={0})],
+     "row 1, attribute 'weapon': undeclared code 7"),
+    ([BASE_ROW, _with(BASE_ROW, weapon={0}), _with(BASE_ROW, weapon=7)],
+     "row 1, attribute 'weapon': undeclared code {0}"),
+])
+def test_table_names_first_bad_cell(schema, rows, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        Table(schema, tuple(rows))
+
+
+def test_table_numeric_cells_are_int_or_float_not_bool(schema):
+    for height in (1, 1.0, np.float64(178.5), None):
+        Table(schema, (BASE_ROW, _with(BASE_ROW, height=height)))
+    for height in (True, False, np.int64(178), "178", 1j):
+        with pytest.raises(DataError, match=re.escape(f"row 1, attribute 'height': expected numeric, got {height!r}")):
+            Table(schema, (BASE_ROW, _with(BASE_ROW, height=height)))
+
+
+def test_table_accepts_cells_equal_to_a_code(schema):
+    rows = (_with(BASE_ROW, corps=1.0), _with(BASE_ROW, corps=True), _with(BASE_ROW, corps=1))
+    table = Table(schema, rows)
+    assert [type(c) for c in table.column("corps")] == [float, bool, int]
