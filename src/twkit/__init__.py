@@ -12,7 +12,7 @@ from .table import (
     split_stratified,
 )
 from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
-from .synth import SynthesisSpec, default_synthesis_spec, load_spec, save_spec, synthesize_corpus
+from .synth import SynthesisSpec, default_synthesis_spec, load_spec, synthesize_corpus
 from .impute import (
     DiffReport,
     GainConfig,

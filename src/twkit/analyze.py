@@ -37,18 +37,13 @@ def contingency(table: Table, attr_a: str, attr_b: str) -> ContingencyTable:
     b = table.schema.attribute(attr_b)
     if a.kind != CATEGORICAL or b.kind != CATEGORICAL:
         raise DataError("contingency requires categorical attributes (bin numerics first)")
-    ia, ib = table.schema.index_of(attr_a), table.schema.index_of(attr_b)
     a_codes, b_codes = a.codes, b.codes
-    ai = {c: k for k, c in enumerate(a_codes)}
-    bi = {c: k for k, c in enumerate(b_codes)}
+    ka, kb = a.code_indices(table.column(attr_a)), b.code_indices(table.column(attr_b))
     # one cell per complete row: its code index pair flattened to one integer
-    cells = [
-        ai[row[ia]] * len(b_codes) + bi[row[ib]]
-        for row in table.rows
-        if row[ia] is not None and row[ib] is not None
-    ]
-    if not cells:
+    complete = (ka >= 0) & (kb >= 0)
+    if not complete.any():
         raise DataError(f"no rows complete in both {attr_a!r} and {attr_b!r}")
+    cells = ka[complete] * len(b_codes) + kb[complete]
     full = np.bincount(cells, minlength=len(a_codes) * len(b_codes)).reshape(len(a_codes), -1)
     rows, cols = full.any(axis=1), full.any(axis=0)
     row_codes = tuple(c for c, seen in zip(a_codes, rows) if seen)
@@ -251,15 +246,14 @@ def group_by_class(table: Table, attr: str) -> dict[Code, list[float]]:
     """Non-missing values per class; categorical codes map to plot numbers
     (the code itself when it is an int, otherwise its declared index)."""
     spec = table.schema.attribute(attr)
-    idx = table.schema.index_of(attr)
-    label_idx = table.schema.label_index
+    cells = table.column(attr)
+    if spec.kind == CATEGORICAL:
+        cells = [
+            cell if cell is None or isinstance(cell, int) else k
+            for cell, k in zip(cells, spec.code_indices(cells).tolist())
+        ]
     out: dict[Code, list[float]] = {code: [] for code in table.schema.class_codes}
-    for row in table.rows:
-        cell = row[idx]
-        label = row[label_idx]
-        if cell is None or label is None:
-            continue
-        if spec.kind == CATEGORICAL and not isinstance(cell, int):
-            cell = spec.code_index(cell)
-        out[label].append(float(cell))
+    for cell, label in zip(cells, table.labels()):
+        if cell is not None and label is not None:
+            out[label].append(float(cell))
     return out

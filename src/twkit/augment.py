@@ -68,10 +68,10 @@ def _squared_distances(rows: list[Row], schema: Schema, penalty: float) -> np.nd
     num = np.array(
         [[float(r[j]) if numeric_mask[i] else 0.0 for i, j in enumerate(cols)] for r in rows]
     )[:, numeric_mask]
-    cat_cols = [j for i, j in enumerate(cols) if not numeric_mask[i]]
     cat = np.array(
-        [[schema.attributes[j].code_index(r[j]) for j in cat_cols] for r in rows], dtype=np.int64
-    )
+        [a.code_indices([r[j] for r in rows]) for a, j in zip(feats, cols) if a.kind != NUMERIC],
+        dtype=np.intp,
+    ).reshape(-1, len(rows)).T
     dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
     dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
     return dist2
@@ -275,7 +275,7 @@ def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> li
     if n == 0:
         return []
     k = len(schema.class_codes)
-    cls_idx = schema.class_codes.index(cls)
+    cls_idx = schema.label.code_index(cls)
     rng = np.random.default_rng(derive_seed(seed, f"cgan-sample-{cls}"))
     z = rng.standard_normal((n, model.noise_dim))
     y1h = one_hot(np.full(n, cls_idx), k)
@@ -300,7 +300,7 @@ def cgan_class_agreement(model: TableCganModel, rows_per_class: int = 200, seed:
         enc = encode(sub, codec_source=model.codec)
         logits, _ = forward(model.classifier, enc.values)
         predicted = np.argmax(logits, axis=1)
-        agree += int((predicted == schema.class_codes.index(cls)).sum())
+        agree += int((predicted == schema.label.code_index(cls)).sum())
         total += rows_per_class
     return agree / total
 

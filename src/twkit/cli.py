@@ -142,10 +142,8 @@ def cmd_train(args) -> int:
         print(f"{args.folds}-fold accuracy {summary['mean_accuracy']:.4f}  "
               f"macro AUC {summary['mean_macro_auc']:.4f}")
         return 0
-    metrics, fitted, codec = _single_split_fit(table, args.model, args.seed, args.test_fraction)
+    metrics, _, _ = _single_split_fit(table, args.model, args.seed, args.test_fraction)
     write_json(args.report, metrics.to_dict())
-    if args.importance:
-        write_json(args.importance, _importance_payload(fitted, codec))
     print(f"accuracy {metrics.accuracy:.4f}  macro AUC {metrics.macro_auc:.4f}")
     return 0
 
@@ -473,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sorted(CLASSIFIERS), default="rf")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--importance", help="also write importance JSON (single split, --model rf only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--folds", type=int, default=0, help="stratified k-fold CV instead of one split")
@@ -517,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train" and args.importance and (args.folds or args.model != "rf"):
-        parser.error("train --importance needs a single split (no --folds) and --model rf")
     if args.command == "train" and (args.folds < 0 or args.folds == 1):
         parser.error(f"--folds must be 0 (single split) or >= 2, got {args.folds}")
     if args.command in ("train", "importance") and not 0 < args.test_fraction < 1:

@@ -1,9 +1,11 @@
 """Invertible numeric embedding of a table.
 
-Categorical attributes become one-hot blocks (declared code order), numerics
-are min-max scaled to [0, 1], missing cells encode as all-zero entries with a
-mask of 0. The codec records block layout plus numeric ranges so train and
-test data share one embedding, and so matrices decode back to tables.
+Categorical attributes become one-hot blocks, numerics are min-max scaled to
+[0, 1], missing cells encode as all-zero entries with a mask of 0. Code order
+comes from the schema: a code's one-hot column, like its label index, is its
+position in the attribute's declared codes (`AttributeSpec.code_indices`).
+The codec records block layout plus numeric ranges so train and test data
+share one embedding, and so matrices decode back to tables.
 
 Decoded numerics are rounded to 9 decimals, which makes min-max round-trips
 exact for values recorded at any sane precision.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodecError
+from .errors import CodecError, DataError
 from .schema import CATEGORICAL, Code, Schema
 from .table import Cell, MaskMatrix, Table
 
@@ -114,31 +116,21 @@ def encode(
     else:
         codec = build_codec(table, attributes)
 
-    n = len(table)
-    values = np.zeros((n, codec.width), dtype=np.float64)
+    values = np.zeros((len(table), codec.width), dtype=np.float64)
     for block in codec.blocks:
-        col = table.schema.index_of(block.attribute)
+        column = table.column(block.attribute)
         if block.codes:
-            index = {code: k for k, code in enumerate(block.codes)}
-            for i, row in enumerate(table.rows):
-                cell = row[col]
-                if cell is None:
-                    continue
-                try:
-                    values[i, block.start + index[cell]] = 1.0
-                except KeyError:
-                    raise CodecError(
-                        f"attribute {block.attribute!r}: code {cell!r} not in codec"
-                    ) from None
+            attr = table.schema.attribute(block.attribute)
+            if block.codes != attr.codes:
+                raise CodecError(f"attribute {block.attribute!r}: codec codes differ from the schema's")
+            k = attr.code_indices(column)
+            seen = k >= 0
+            values[seen, block.start + k[seen]] = 1.0
         else:
-            lo, hi = block.lo, block.hi
-            span = hi - lo
-            for i, row in enumerate(table.rows):
-                cell = row[col]
-                if cell is None:
-                    continue
-                v = float(cell)
-                values[i, block.start] = 0.5 if span == 0 else min(max((v - lo) / span, 0.0), 1.0)
+            seen = np.array([cell is not None for cell in column], dtype=bool)
+            v = np.array(column, dtype=np.float64)[seen]
+            span = block.hi - block.lo
+            values[seen, block.start] = 0.5 if span == 0 else np.clip((v - block.lo) / span, 0.0, 1.0)
     return EncodedMatrix(values, codec)
 
 
@@ -181,6 +173,10 @@ def expand_mask(mask: MaskMatrix, codec: Codec) -> np.ndarray:
 
 def label_indices(table: Table) -> np.ndarray:
     """Class labels as indices into the schema's declared class-code order."""
-    order = {code: i for i, code in enumerate(table.schema.class_codes)}
-    return np.array([order[label] for label in table.labels()], dtype=np.int64)
+    label = table.schema.label
+    indices = label.code_indices(table.labels())
+    unlabelled = int((indices < 0).sum())
+    if unlabelled:
+        raise DataError(f"{unlabelled} row(s) have no class label ({label.name!r} is empty)")
+    return indices
 

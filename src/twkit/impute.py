@@ -48,6 +48,7 @@ from .nn import (
     init_mlp,
     iter_batches,
     mse,
+    one_hot,
 )
 from .schema import CATEGORICAL, Schema
 from .seeds import derive_seed
@@ -65,10 +66,9 @@ def impute_sta(table: Table) -> Table:
         if not observed:
             raise DataError(f"attribute {attr.name!r} is entirely missing")
         if attr.kind == CATEGORICAL:
-            counts = {code: 0 for code in attr.codes}
-            for c in observed:
-                counts[c] += 1
-            fills[j] = max(attr.codes, key=lambda code: (counts[code], -attr.code_index(code)))
+            k = attr.code_indices(observed)
+            # argmax takes the first maximum: ties go to the earliest declared code
+            fills[j] = attr.codes[int(np.bincount(k, minlength=len(attr.codes)).argmax())]
         else:
             fills[j] = float(np.mean(observed))
     if not fills:
@@ -87,9 +87,7 @@ def _design_block(attr, col: np.ndarray) -> np.ndarray | None:
     if lo == hi:
         return None
     if attr.kind == CATEGORICAL:
-        block = np.zeros((len(col), len(attr.codes)))
-        block[np.arange(len(col)), col] = 1.0
-        return block
+        return one_hot(col, len(attr.codes))
     return ((col - lo) / (hi - lo)).reshape(-1, 1)
 
 
@@ -125,13 +123,10 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
     columns = [list(working.column(a.name)) for a in attrs]
     # every column as an array (code indices for categoricals) and its design
     # block, rebuilt only when its column is imputed
-    values = []
-    for attr, col in zip(attrs, columns):
-        if attr.kind == CATEGORICAL:
-            index = {code: k for k, code in enumerate(attr.codes)}
-            values.append(np.array([index[c] for c in col], dtype=np.intp))
-        else:
-            values.append(np.array(col, dtype=np.float64))
+    values = [
+        attr.code_indices(col) if attr.kind == CATEGORICAL else np.array(col, dtype=np.float64)
+        for attr, col in zip(attrs, columns)
+    ]
     blocks = [_design_block(attr, col) for attr, col in zip(attrs, values)]
     intercept = np.ones((len(table), 1))
     constant = {}  # names in first-seen order

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SchemaError
 
 Code = int | str
@@ -42,12 +44,13 @@ class AttributeSpec:
         elif self.categories:
             raise SchemaError(f"{self.name}: numeric attribute cannot declare codes")
         # not fields: equality and repr ignore them, and dataclasses.replace
-        # rebuilds them. A token maps to the first declared code that prints as it.
+        # rebuilds them. A code's index is its position in `codes`; a token
+        # maps to the first declared code that prints as it.
         tokens: dict[str, Code] = {}
         for code in codes:
             tokens.setdefault(str(code), code)
         object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_code_set", frozenset(codes))
+        object.__setattr__(self, "_positions", {code: k for k, code in enumerate(codes)})
         object.__setattr__(self, "_tokens", tokens)
 
     @property
@@ -56,14 +59,24 @@ class AttributeSpec:
 
     def code_index(self, code: Code) -> int:
         try:
-            return self.codes.index(code)
-        except ValueError:
+            return self._positions[code]
+        except (KeyError, TypeError):  # TypeError: unhashable, so no code
             raise SchemaError(f"{self.name}: undeclared code {code!r}") from None
+
+    def code_indices(self, cells) -> np.ndarray:
+        """The index into `codes` of each cell of the sequence `cells`, as an
+        intp array; a missing cell (None) maps to -1."""
+        positions = {**self._positions, None: -1}
+        try:
+            return np.fromiter(map(positions.__getitem__, cells), dtype=np.intp)
+        except (KeyError, TypeError):
+            bad = next(c for c in cells if c is not None and not self.is_code(c))
+            raise SchemaError(f"{self.name}: undeclared code {bad!r}") from None
 
     def is_code(self, cell) -> bool:
         """Whether `cell` equals a declared code (1.0 and True match the code 1)."""
         try:
-            return cell in self._code_set
+            return cell in self._positions
         except TypeError:  # unhashable, so equal to no code
             return False
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .jsonio import read_json, write_json
+from .jsonio import read_json
 from .schema import CATEGORICAL, Code, Schema, default_schema
 from .table import Table
 
@@ -227,37 +227,13 @@ def default_synthesis_spec() -> SynthesisSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip. Codes serialize as strings and are re-parsed against the
-# schema (so "2" and "K" both come back as declared codes).
+# JSON reading. Codes are written as strings and parsed against the schema
+# (so "2" and "K" both come back as declared codes).
 # ---------------------------------------------------------------------------
-
-
-def _dist_to_json(dist: Distribution) -> dict[str, float]:
-    return {str(code): p for code, p in dist.items()}
 
 
 def _dist_from_json(raw: dict[str, float], attr) -> Distribution:
     return {attr.parse_token(token): p for token, p in raw.items()}
-
-
-def save_spec(spec: SynthesisSpec, path) -> None:
-    doc = {
-        "class_weights": _dist_to_json(spec.class_weights),
-        "conditionals": {
-            attr: {str(cls): _dist_to_json(dist) for cls, dist in per_class.items()}
-            for attr, per_class in spec.conditionals.items()
-        },
-        "height_model": {str(cls): list(ms) for cls, ms in spec.height_model.items()},
-        "couplings": [
-            {
-                "target": c.target,
-                "source": c.source,
-                "mapping": {str(src): _dist_to_json(d) for src, d in c.mapping.items()},
-            }
-            for c in spec.couplings
-        ],
-    }
-    write_json(path, doc)
 
 
 def load_spec(path, schema: Schema | None = None) -> SynthesisSpec:

@@ -148,22 +148,24 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")
 
-    positions = [header.index(name) for name in schema.names]
+    # per column, a memo from raw token to parsed cell, so that each distinct
+    # token is stripped and parsed once
+    columns = [(a, header.index(a.name), dict.fromkeys(MISSING_TOKENS)) for a in schema.attributes]
     rows = []
     origins: list[str] = []
     for r, raw in enumerate(raw_rows):
         if len(raw) != len(header):
             raise DataError(f"{path}: row {r + 1} has {len(raw)} fields, expected {len(header)}")
         cells: list[Cell] = []
-        for attr, pos in zip(schema.attributes, positions):
-            token = raw[pos].strip()
-            if token in MISSING_TOKENS:
-                cells.append(None)
-                continue
-            try:
-                cells.append(attr.parse_token(token))
-            except SchemaError as exc:
-                raise DataError(f"{path}: row {r + 1}: {exc}") from None
+        for attr, pos, memo in columns:
+            token = raw[pos]
+            if token not in memo:
+                stripped = token.strip()
+                try:
+                    memo[token] = None if stripped in MISSING_TOKENS else attr.parse_token(stripped)
+                except SchemaError as exc:
+                    raise DataError(f"{path}: row {r + 1}: {exc}") from None
+            cells.append(memo[token])
         rows.append(tuple(cells))
         if origin_col is not None:
             origin = raw[origin_col].strip()

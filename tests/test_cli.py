@@ -18,11 +18,11 @@ def test_synth_writes_rows(tmp_path, schema):
     assert len(table) == 200
 
 
-def test_synth_with_spec_file(tmp_path, schema):
-    from twkit.synth import default_synthesis_spec, save_spec
+def test_synth_with_spec_file(tmp_path, schema, write_spec):
+    from twkit.synth import default_synthesis_spec
 
     spec_path = tmp_path / "spec.json"
-    save_spec(default_synthesis_spec(), spec_path)
+    write_spec(default_synthesis_spec(), spec_path)
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert run(["synth", "--n", 50, "--seed", 3, "--out", out_a]) == 0
@@ -87,11 +87,11 @@ def test_augment_train_correlate_stats_plot_chain(tmp_path, schema):
     assert origins is not None and origins[0] == "real"
 
     report = tmp_path / "metrics.json"
-    importance = tmp_path / "importance.json"
-    assert run(["train", "--model", "rf", "--in", tws, "--report", report,
-                "--importance", importance, "--seed", 5]) == 0
+    assert run(["train", "--model", "rf", "--in", tws, "--report", report, "--seed", 5]) == 0
     metrics = json.loads(report.read_text())
     assert 0.0 <= metrics["accuracy"] <= 1.0
+    importance = tmp_path / "importance.json"
+    assert run(["importance", "--in", tws, "--out", importance, "--seed", 5]) == 0
     imp = json.loads(importance.read_text())["importance"]
     assert abs(sum(w for _, w in imp) - 1.0) < 1e-9
 
@@ -145,19 +145,6 @@ def test_train_with_folds(tmp_path, schema):
     assert 0.0 <= doc["mean_accuracy"] <= 1.0
 
 
-@pytest.mark.parametrize("flags", [["--folds", 3], ["--model", "lr"]])
-def test_train_importance_needs_single_split_rf(tmp_path, corpus_200, flags):
-    from twkit.table import save_csv
-
-    src = tmp_path / "tw.csv"
-    save_csv(corpus_200, src)
-    report = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as exc:
-        run(["train", "--in", src, "--report", report, "--importance", tmp_path / "imp.json", *flags])
-    assert exc.value.code == 2
-    assert not report.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["train", "--folds", 1],
     ["train", "--folds", -2],
@@ -176,6 +163,29 @@ def test_train_range_errors_are_usage_errors(tmp_path, corpus_200, argv):
         run([*argv, "--in", src, out_flag, report])
     assert exc.value.code == 2
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--report"],
+    ["train", "--folds", 3, "--report"],
+    ["importance", "--out"],
+    ["eval-impute", "--methods", "sta", "--classifiers", "dt", "--out"],
+], ids=["train", "train-folds", "importance", "eval-impute"])
+def test_missing_class_label_exits_1(tmp_path, capsys, corpus_200, argv):
+    from twkit.table import save_csv
+
+    label = corpus_200.schema.label_index
+    rows = list(corpus_200.rows)
+    rows[7] = rows[7][:label] + (None,) + rows[7][label + 1:]
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200.replace_rows(rows), src)
+    out = tmp_path / "report.json"
+    assert run([*argv[:-1], "--in", src, argv[-1], out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: 1 row(s) have no class label")
+    assert not out.exists()
 
 
 def test_pipeline_failure_writes_partial_manifest(tmp_path, capsys):
@@ -246,13 +256,13 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8", "csv-not-utf8",
     "csv-field-over-limit",
 ])
-def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, command, document):
-    from twkit.synth import default_synthesis_spec, save_spec
+def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, write_spec, command, document):
+    from twkit.synth import default_synthesis_spec
     from twkit.table import save_csv
 
     doc_path = tmp_path / "doc"
     if callable(document):
-        save_spec(default_synthesis_spec(), doc_path)
+        write_spec(default_synthesis_spec(), doc_path)
         document = document(json.loads(doc_path.read_text(encoding="utf-8")))
     if isinstance(document, bytes):
         doc_path.write_bytes(document)

@@ -1,15 +1,53 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.encoding import (
+    Block,
+    Codec,
+    build_codec,
     decode,
     encode,
     expand_mask,
     label_indices,
 )
-from twkit.errors import CodecError
+from twkit.errors import CodecError, DataError
 from twkit.table import Table, inject_missing
+
+
+def _encode_reference(table, codec):
+    """The per-cell encoder that the column-wise `encode` replaced."""
+    values = np.zeros((len(table), codec.width), dtype=np.float64)
+    for block in codec.blocks:
+        col = table.schema.index_of(block.attribute)
+        if block.codes:
+            index = {code: k for k, code in enumerate(block.codes)}
+            for i, row in enumerate(table.rows):
+                if row[col] is not None:
+                    values[i, block.start + index[row[col]]] = 1.0
+        else:
+            lo, hi = block.lo, block.hi
+            span = hi - lo
+            for i, row in enumerate(table.rows):
+                if row[col] is not None:
+                    v = float(row[col])
+                    values[i, block.start] = 0.5 if span == 0 else min(max((v - lo) / span, 0.0), 1.0)
+    return values
+
+
+def _label_indices_reference(table):
+    """The per-row label lookup that the column-wise `label_indices` replaced."""
+    order = {code: i for i, code in enumerate(table.schema.class_codes)}
+    return np.array([order[label] for label in table.labels()], dtype=np.int64)
+
+
+def _with_int_heights(table):
+    h = table.schema.index_of("height")
+    return table.replace_rows(
+        r[:h] + (None if r[h] is None else int(round(r[h])),) + r[h + 1:] for r in table.rows
+    )
 
 
 def _block(codec, attribute):
@@ -109,3 +147,50 @@ def test_encode_values_in_unit_interval(corpus_200):
     enc = encode(corpus_200)
     assert enc.values.min() >= 0.0
     assert enc.values.max() <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_encode_matches_per_cell_reference(corpus_200, seed):
+    # missing cells in every column, the label included
+    injected, _ = inject_missing(corpus_200, list(corpus_200.schema.names), 0.2, seed=seed)
+    features = tuple(a.name for a in corpus_200.schema.features)
+    for table in (corpus_200, injected, _with_int_heights(injected)):
+        for attributes in (None, features):
+            enc = encode(table, attributes=attributes)
+            assert enc.values.tobytes() == _encode_reference(table, enc.codec).tobytes()
+
+
+def test_encode_matches_reference_with_a_reused_clamping_codec(corpus_200):
+    # a codec whose height range is narrower than the table's clamps both ends
+    full = build_codec(corpus_200)
+    codec = Codec(tuple(
+        dataclasses.replace(b, lo=174.0, hi=182.0) if b.attribute == "height" else b for b in full.blocks
+    ))
+    injected, _ = inject_missing(corpus_200, ["height", "headgear"], 0.3, seed=5)
+    h = _block(codec, "height")
+    for table in (injected, _with_int_heights(injected)):
+        enc = encode(table, codec)
+        assert enc.values.tobytes() == _encode_reference(table, codec).tobytes()
+        heights = [v for v in table.column("height") if v is not None]
+        assert min(heights) < h.lo and max(heights) > h.hi
+
+
+@pytest.mark.parametrize("codes", [(0, 1, 2, 3), (4, 3, 2, 1, 0), (0, 1, 2, 3, 4, 5)])
+def test_codec_codes_must_match_the_schema(corpus_200, codes):
+    codec = Codec((Block("headgear", 0, corpus_200.schema.index_of("headgear"), codes),))
+    with pytest.raises(CodecError, match="'headgear'"):
+        encode(corpus_200, codec)
+    with pytest.raises(CodecError):  # checked per block, so also with no rows
+        encode(corpus_200.replace_rows([]), codec)
+
+
+def test_label_indices_match_per_row_reference(corpus_200, corpus_1087):
+    for table in (corpus_200, corpus_1087):
+        assert label_indices(table).tobytes() == _label_indices_reference(table).tobytes()
+
+
+def test_label_indices_count_rows_without_a_label(corpus_200):
+    label = corpus_200.schema.label_index
+    rows = [r[:label] + (None,) + r[label + 1:] if i in (3, 9) else r for i, r in enumerate(corpus_200.rows)]
+    with pytest.raises(DataError, match=r"^2 row\(s\) have no class label"):
+        label_indices(corpus_200.replace_rows(rows))

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from twkit.errors import SchemaError
@@ -35,6 +37,23 @@ def test_codes_follow_categories_through_replace():
         "unit='', role='feature')"
     )
     assert AttributeSpec(name="h", kind=NUMERIC).codes == ()
+
+
+def test_code_indices_map_cells_to_positions():
+    spec = AttributeSpec(name="x", kind=CATEGORICAL, categories=((0, "a"), (1, "b"), ("K", "c")))
+    k = spec.code_indices(["K", None, 1, 0, 1.0, True])
+    assert k.dtype == np.intp
+    assert k.tolist() == [2, -1, 1, 0, 1, 1]
+    assert spec.code_indices([]).shape == (0,)
+    wider = dataclasses.replace(spec, categories=spec.categories + ((5, "d"),))
+    assert wider.code_indices([5, "K"]).tolist() == [3, 2]
+
+
+@pytest.mark.parametrize("cells, named", [([0, "Z"], "'Z'"), ([None, 5], "5"), ([0, [1]], "[1]")])
+def test_code_indices_reject_an_undeclared_code(cells, named):
+    spec = AttributeSpec(name="x", kind=CATEGORICAL, categories=((0, "a"), (1, "b")))
+    with pytest.raises(SchemaError, match=rf"x: undeclared code {re.escape(named)}"):
+        spec.code_indices(cells)
 
 
 def test_categorical_needs_two_codes():

@@ -31,11 +31,7 @@ SOURCES = [p for p in sorted((ROOT / "src" / "twkit").glob("*.py")) if p.name !=
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Definitions allowed to have no caller in the program, each with its reason.
-EXEMPT = {
-    # writes the one input format that `synth --spec` reads; the CLI tests
-    # build every spec input from it
-    "save_spec",
-}
+EXEMPT: set[str] = set()
 
 
 def _statements(path: Path, strings: bool):

@@ -4,7 +4,7 @@ import pytest
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.analyze import contingency, cramers_v
 from twkit.errors import DataError
-from twkit.synth import SynthesisSpec, load_spec, save_spec
+from twkit.synth import SynthesisSpec, load_spec
 from twkit.table import class_histogram
 
 REF = {"RW": 396, "AW": 633, "CS": 8, "CT": 8, "HR": 5, "MR": 10, "LR": 27}
@@ -74,10 +74,10 @@ def test_n_must_be_positive():
         synthesize_corpus(default_synthesis_spec(), 0, seed=1)
 
 
-def test_json_round_trip(tmp_path, schema):
+def test_json_round_trip(tmp_path, schema, write_spec):
     spec = default_synthesis_spec()
     path = tmp_path / "spec.json"
-    save_spec(spec, path)
+    write_spec(spec, path)
     back = load_spec(path, schema)
     assert back.class_weights == spec.class_weights
     assert back.conditionals == spec.conditionals
