@@ -3,7 +3,6 @@ around the eleven-column Terracotta-Warrior attribute schema."""
 
 from .schema import AttributeSpec, Schema, default_schema
 from .table import (
-    MaskMatrix,
     Table,
     class_histogram,
     inject_missing,

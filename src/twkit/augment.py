@@ -158,7 +158,6 @@ class TableCganModel:
     classifier: MLP
     codec: Codec  # feature columns only
     schema: Schema
-    noise_dim: int
 
 
 def train_table_cgan(
@@ -264,7 +263,7 @@ def train_table_cgan(
             if not all(np.isfinite(v) for v in losses):
                 raise TrainingDiverged("non-finite CGAN loss", epoch=epoch, batch=b_i)
 
-    return TableCganModel(gen, clf, encoded.codec, schema, CGAN_NOISE_DIM)
+    return TableCganModel(gen, clf, encoded.codec, schema)
 
 
 def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> list[Row]:
@@ -277,7 +276,7 @@ def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> li
     k = len(schema.class_codes)
     cls_idx = schema.label.code_index(cls)
     rng = np.random.default_rng(derive_seed(seed, f"cgan-sample-{cls}"))
-    z = rng.standard_normal((n, model.noise_dim))
+    z = rng.standard_normal((n, CGAN_NOISE_DIM))
     y1h = one_hot(np.full(n, cls_idx), k)
     fake, _ = forward(model.generator, np.hstack([z, y1h]))
     label_name = schema.label.name

@@ -434,6 +434,4 @@ def fit_and_score(name: str, train: Table, test: Table, codec: Codec, seed: int)
     X_test = encode(test, codec_source=codec).values
     model = CLASSIFIERS[name](X_train, label_indices(train), len(classes), seed)
     proba = model.predict_proba(X_test)
-    predicted = [classes[i] for i in np.argmax(proba, axis=1)]
-    truth = [classes[i] for i in label_indices(test)]
-    return compute_metrics(predicted, proba, truth, classes), model
+    return compute_metrics(label_indices(test), proba, classes), model

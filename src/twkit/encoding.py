@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CodecError, DataError
 from .schema import CATEGORICAL, Code, Schema
-from .table import Cell, MaskMatrix, Table
+from .table import Cell, Table
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class Block:
 
     attribute: str
     start: int
-    table_column: int = 0  # index of the attribute in the source schema
     codes: tuple[Code, ...] = ()  # empty for numeric
     lo: float = 0.0
     hi: float = 1.0
@@ -81,9 +80,8 @@ def build_codec(table: Table, attributes: tuple[str, ...] | None = None) -> Code
     start = 0
     for name in names:
         attr = table.schema.attribute(name)
-        col = table.schema.index_of(name)
         if attr.kind == CATEGORICAL:
-            block = Block(attribute=name, start=start, table_column=col, codes=attr.codes)
+            block = Block(attribute=name, start=start, codes=attr.codes)
         else:
             observed = [c for c in table.column(name) if c is not None]
             if not observed:
@@ -91,7 +89,6 @@ def build_codec(table: Table, attributes: tuple[str, ...] | None = None) -> Code
             block = Block(
                 attribute=name,
                 start=start,
-                table_column=col,
                 lo=float(min(observed)),
                 hi=float(max(observed)),
             )
@@ -102,19 +99,19 @@ def build_codec(table: Table, attributes: tuple[str, ...] | None = None) -> Code
 
 def encode(
     table: Table,
-    codec_source: EncodedMatrix | Codec | None = None,
+    codec_source: Codec | None = None,
     attributes: tuple[str, ...] | None = None,
 ) -> EncodedMatrix:
     """Embed a table; reuse `codec_source` so two tables share one embedding.
 
     A numeric value outside the reused codec range clamps to the range.
     """
-    if codec_source is not None:
-        codec = codec_source.codec if isinstance(codec_source, EncodedMatrix) else codec_source
-        if attributes is not None and tuple(attributes) != codec.attributes:
-            raise CodecError("attribute selection conflicts with the reused codec")
-    else:
+    if codec_source is None:
         codec = build_codec(table, attributes)
+    elif attributes is not None and tuple(attributes) != codec_source.attributes:
+        raise CodecError("attribute selection conflicts with the reused codec")
+    else:
+        codec = codec_source
 
     values = np.zeros((len(table), codec.width), dtype=np.float64)
     for block in codec.blocks:
@@ -127,7 +124,7 @@ def encode(
             seen = k >= 0
             values[seen, block.start + k[seen]] = 1.0
         else:
-            seen = np.array([cell is not None for cell in column], dtype=bool)
+            seen = _observed(column)
             v = np.array(column, dtype=np.float64)[seen]
             span = block.hi - block.lo
             values[seen, block.start] = 0.5 if span == 0 else np.clip((v - block.lo) / span, 0.0, 1.0)
@@ -161,13 +158,16 @@ def decode(encoded: EncodedMatrix, schema: Schema) -> Table:
     return Table(schema, tuple(rows))
 
 
-def expand_mask(mask: MaskMatrix, codec: Codec) -> np.ndarray:
-    """Spread the per-attribute mask across each attribute's encoded columns."""
-    n = mask.entries.shape[0]
-    out = np.zeros((n, codec.width), dtype=np.float64)
+def _observed(column: list[Cell]) -> np.ndarray:
+    return np.fromiter((cell is not None for cell in column), dtype=bool, count=len(column))
+
+
+def expand_mask(table: Table, codec: Codec) -> np.ndarray:
+    """The (n, codec.width) observed matrix: 1.0 across each attribute's
+    encoded columns where the table's cell is observed, 0.0 where it is None."""
+    out = np.empty((len(table), codec.width), dtype=np.float64)
     for block in codec.blocks:
-        col = block.table_column
-        out[:, block.start : block.stop] = mask.entries[:, col : col + 1]
+        out[:, block.start : block.stop] = _observed(table.column(block.attribute))[:, None]
     return out
 
 

@@ -17,7 +17,9 @@ Three built-in imputers:
 - GAIN: a generator predicts every cell from the noised row plus its mask; a
   discriminator, shown a hint vector that reveals a random subset of the true
   mask, learns to tell observed from imputed entries; the generator is trained
-  to fool it on missing entries while reconstructing observed ones.
+  to fool it on missing entries while reconstructing observed ones. GAIN reads
+  the missing cells from the table itself: the mask is the table's None cells
+  spread over their encoded columns (`encoding.expand_mask`).
 
 The benchmark scores a method by how far classifier metrics move when models
 are retrained on imputed instead of pristine data. Accuracy and F1 deltas are
@@ -36,7 +38,7 @@ import numpy as np
 
 from .classify import CLASSIFIERS, fit_and_score
 from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
-from .errors import CodecError, DataError, TrainingDiverged
+from .errors import DataError, TrainingDiverged
 from .metrics import AbsentClassWarning, Metrics
 from .nn import (
     MLP,
@@ -50,9 +52,9 @@ from .nn import (
     mse,
     one_hot,
 )
-from .schema import CATEGORICAL, Schema
+from .schema import CATEGORICAL
 from .seeds import derive_seed
-from .table import MaskMatrix, Table, inject_missing, split_stratified
+from .table import Table, inject_missing, split_stratified
 
 
 def impute_sta(table: Table) -> Table:
@@ -191,7 +193,6 @@ class GainConfig:
 class GainModel:
     generator: MLP
     codec: Codec
-    schema: Schema
     noise_seed: int
 
 
@@ -213,14 +214,9 @@ def _gain_nets(d: int, spans, hidden, seed: int):
     return gen, disc
 
 
-def train_gain(
-    encoded: EncodedMatrix,
-    mask: MaskMatrix,
-    config: GainConfig,
-    seed: int,
-    schema: Schema,
-) -> GainModel:
-    """Adversarial imputation training.
+def train_gain(encoded: EncodedMatrix, m: np.ndarray, config: GainConfig, seed: int) -> GainModel:
+    """Adversarial imputation training on `encoded` with its observed matrix
+    `m` (`expand_mask`: 1 where a cell is observed, 0 where missing).
 
     Per batch: noise unobserved inputs with z ~ U(0, 0.01); the generator maps
     (noised row, mask) to a full reconstruction; the discriminator sees the
@@ -232,7 +228,6 @@ def train_gain(
     x = encoded.values
     if x.min() < 0 or x.max() > 1:
         raise DataError("encoded values must lie in [0, 1]")
-    m = expand_mask(mask, encoded.codec)
     if m.shape != x.shape:
         raise DataError(f"mask shape {m.shape} does not match encoded shape {x.shape}")
     d = x.shape[1]
@@ -275,43 +270,36 @@ def train_gain(
 
             if not (np.isfinite(d_loss) and np.isfinite(adv_loss) and np.isfinite(rec_loss)):
                 raise TrainingDiverged("non-finite GAIN loss", epoch=epoch, batch=b_i)
-    return GainModel(
-        generator=gen,
-        codec=encoded.codec,
-        schema=schema,
-        noise_seed=derive_seed(seed, "gain-noise"),
-    )
+    return GainModel(generator=gen, codec=encoded.codec, noise_seed=derive_seed(seed, "gain-noise"))
 
 
-def gain_reconstruction(model: GainModel, encoded: EncodedMatrix, mask: MaskMatrix) -> np.ndarray:
-    """The imputed matrix x_hat = m*x + (1-m)*G(x_tilde, m)."""
-    if encoded.codec.attributes != model.codec.attributes or encoded.codec.width != model.codec.width:
-        raise CodecError("encoded matrix codec does not match the trained model codec")
-    x = encoded.values
-    m = expand_mask(mask, encoded.codec)
+def _fit_gain(table: Table, config: GainConfig, seed: int) -> GainModel:
+    """Train GAIN on the table's observed cells, under a codec built from it."""
+    encoded = encode(table)
+    return train_gain(encoded, expand_mask(table, encoded.codec), config, seed)
+
+
+def impute_gain(model: GainModel, table: Table) -> Table:
+    """Fill the table's missing cells from x_hat = m*x + (1-m)*G(x_tilde, m),
+    with x the table encoded under the model's codec (a CodecError when the
+    table's schema declares other codes) and m its `expand_mask`. Decoding
+    takes the block argmax for categoricals and clamps and un-scales numerics,
+    so observed cells come back through the codec's round trip."""
+    x = encode(table, codec_source=model.codec).values
+    m = expand_mask(table, model.codec)
     rng = np.random.default_rng(model.noise_seed)
     z = rng.uniform(0.0, 0.01, size=x.shape)
     x_tilde = m * x + (1.0 - m) * z
     g_out, _ = forward(model.generator, np.hstack([x_tilde, m]))
-    return m * x + (1.0 - m) * g_out
-
-
-def impute_gain(model: GainModel, encoded: EncodedMatrix, mask: MaskMatrix) -> Table:
-    """Decode the GAIN reconstruction: block argmax for categoricals, clamp and
-    un-scale for numerics; observed cells pass through untouched."""
-    x_hat = gain_reconstruction(model, encoded, mask)
-    return decode(EncodedMatrix(x_hat, encoded.codec), model.schema)
+    x_hat = m * x + (1.0 - m) * g_out
+    return decode(EncodedMatrix(x_hat, model.codec), table.schema)
 
 
 def gain_impute_table(
     table: Table, config: GainConfig | None = None, seed: int = 0
 ) -> Table:
     """Train GAIN on the table's own observed cells and fill its gaps."""
-    config = config or GainConfig()
-    mask = MaskMatrix.from_table(table)
-    encoded = encode(table)
-    model = train_gain(encoded, mask, config, seed, table.schema)
-    return impute_gain(model, encoded, mask)
+    return impute_gain(_fit_gain(table, config or GainConfig(), seed), table)
 
 
 # -- evaluation harness ---------------------------------------------------------
@@ -323,9 +311,6 @@ class ImputationContext:
 
     train_missing: Table
     test_missing: Table
-    train_mask: MaskMatrix
-    test_mask: MaskMatrix
-    schema: Schema
     seed: int
     pristine_train: Table
     pristine_test: Table
@@ -344,16 +329,8 @@ def _method_mice(ctx: ImputationContext):
 
 
 def _method_gain(ctx: ImputationContext):
-    codec = build_codec(ctx.train_missing)
-    enc_train = encode(ctx.train_missing, codec_source=codec)
-    model = train_gain(
-        enc_train, ctx.train_mask, ctx.gain_config, derive_seed(ctx.seed, "gain"), ctx.schema
-    )
-    enc_test = encode(ctx.test_missing, codec_source=codec)
-    return (
-        impute_gain(model, enc_train, ctx.train_mask),
-        impute_gain(model, enc_test, ctx.test_mask),
-    )
+    model = _fit_gain(ctx.train_missing, ctx.gain_config, derive_seed(ctx.seed, "gain"))
+    return impute_gain(model, ctx.train_missing), impute_gain(model, ctx.test_missing)
 
 
 def _method_oracle(ctx: ImputationContext):
@@ -478,12 +455,9 @@ def evaluate_imputation(
     absent: set = set()
     pristine = _classifier_metrics(train, test, codec, classifiers, seed, absent)
 
-    train_missing, train_mask = inject_missing(train, features, rate, derive_seed(seed, "inject-train"))
-    test_missing, test_mask = inject_missing(test, features, rate, derive_seed(seed, "inject-test"))
-    ctx = ImputationContext(
-        train_missing, test_missing, train_mask, test_mask, schema, seed,
-        train, test, gain_config or GainConfig(),
-    )
+    train_missing, _ = inject_missing(train, features, rate, derive_seed(seed, "inject-train"))
+    test_missing, _ = inject_missing(test, features, rate, derive_seed(seed, "inject-test"))
+    ctx = ImputationContext(train_missing, test_missing, seed, train, test, gain_config or GainConfig())
 
     report_methods: dict[str, MethodScores] = {}
     for name in methods:

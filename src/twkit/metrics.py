@@ -92,34 +92,27 @@ def auc_rank(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def compute_metrics(predicted, scores, truth, classes) -> Metrics:
-    """Score predictions against truth.
+def compute_metrics(truth, scores, classes) -> Metrics:
+    """Score class-probability rows against truth.
 
-    `scores` is an (n, k) class-probability matrix aligned with `classes`;
-    pass None to skip AUC (macro_auc reported as nan).
+    `truth` holds each row's index into `classes`; `scores` is the (n, k)
+    class-probability matrix aligned with `classes`, and each row's prediction
+    is the first maximum of its scores.
     """
     classes = tuple(classes)
-    predicted = list(predicted)
-    truth = list(truth)
-    if len(predicted) != len(truth):
-        raise DataError(f"length mismatch: {len(predicted)} predictions, {len(truth)} truths")
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (len(truth), len(classes)):
-            raise DataError(f"scores shape {scores.shape} != ({len(truth)}, {len(classes)})")
-
-    index = {c: i for i, c in enumerate(classes)}
+    truth = np.asarray(truth, dtype=np.intp)
+    scores = np.asarray(scores, dtype=np.float64)
     k = len(classes)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(truth, predicted):
-        confusion[index[t], index[p]] += 1
+    if scores.shape != (len(truth), k):
+        raise DataError(f"scores shape {scores.shape} != ({len(truth)}, {k})")
+    predicted = scores.argmax(axis=1)
+    confusion = np.bincount(truth * k + predicted, minlength=k * k).reshape(k, k)
 
     total = confusion.sum()
     accuracy = float(np.trace(confusion) / total) if total else 0.0
 
     precision, recall, f1 = {}, {}, {}
-    for c in classes:
-        i = index[c]
+    for i, c in enumerate(classes):
         tp = confusion[i, i]
         pred_c = confusion[:, i].sum()
         true_c = confusion[i, :].sum()
@@ -129,23 +122,18 @@ def compute_metrics(predicted, scores, truth, classes) -> Metrics:
         recall[c] = r
         f1[c] = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
 
-    macro_auc = float("nan")
-    if scores is not None:
-        truth_idx = np.array([index[t] for t in truth])
-        aucs, absent = [], []
-        for c in classes:
-            i = index[c]
-            pos = truth_idx == i
-            if not pos.any():
-                absent.append(c)
-                continue
-            if pos.all():  # true of one class at most, so this warns once
-                warnings.warn(f"class {c!r} is the only truth class; excluded from macro AUC")
-                continue
-            aucs.append(auc_rank(scores[:, i], pos))
-        if absent:
-            warnings.warn(AbsentClassWarning(absent))
-        if aucs:
-            macro_auc = float(np.mean(aucs))
+    aucs, absent = [], []
+    for i, c in enumerate(classes):
+        pos = truth == i
+        if not pos.any():
+            absent.append(c)
+            continue
+        if pos.all():  # true of one class at most, so this warns once
+            warnings.warn(f"class {c!r} is the only truth class; excluded from macro AUC")
+            continue
+        aucs.append(auc_rank(scores[:, i], pos))
+    if absent:
+        warnings.warn(AbsentClassWarning(absent))
+    macro_auc = float(np.mean(aucs)) if aucs else float("nan")
 
     return Metrics(accuracy, precision, recall, f1, macro_auc, confusion, classes)

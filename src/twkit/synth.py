@@ -236,8 +236,7 @@ def _dist_from_json(raw: dict[str, float], attr) -> Distribution:
     return {attr.parse_token(token): p for token, p in raw.items()}
 
 
-def load_spec(path, schema: Schema | None = None) -> SynthesisSpec:
-    schema = schema or default_schema()
+def load_spec(path, schema: Schema) -> SynthesisSpec:
     label = schema.label
 
     def parse(doc) -> SynthesisSpec:

@@ -1,4 +1,4 @@
-"""The row-major mixed-type table, CSV ingestion, masks, splits, missingness.
+"""The row-major mixed-type table, CSV ingestion, splits, missingness.
 
 Cells are declared categorical codes, floats, or ``None`` for missing. Tables
 are immutable after construction and validated against their schema. In CSV
@@ -99,25 +99,6 @@ class Table:
         return Table(self.schema, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class MaskMatrix:
-    """Observed/missing indicator aligned with a table's cell grid (1 = observed)."""
-
-    entries: np.ndarray  # (n_rows, n_attributes) of {0, 1}
-
-    def __post_init__(self):
-        if self.entries.ndim != 2:
-            raise DataError("mask must be 2-d")
-
-    @classmethod
-    def from_table(cls, table: Table) -> "MaskMatrix":
-        grid = np.array(
-            [[0 if cell is None else 1 for cell in row] for row in table.rows],
-            dtype=np.int8,
-        ).reshape(len(table), len(table.schema.attributes))
-        return cls(grid)
-
-
 def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
     """Read and validate a CSV whose header matches the schema attribute names,
     plus the `origin` column the augmenter writes, if present.
@@ -187,19 +168,29 @@ def _format_cell(cell: Cell) -> str:
     return str(cell)
 
 
+def _format_column(attr, column: list[Cell]) -> list[str]:
+    """The CSV field of each cell. A categorical column formats each distinct
+    cell once, keyed with its type so that 1, 1.0 and True keep their own
+    text; numeric cells are formatted one by one, as -0.0 equals 0.0."""
+    if attr.kind != CATEGORICAL:
+        return list(map(_format_cell, column))
+    keys = list(zip(map(type, column), column))
+    fields = {key: _format_cell(key[1]) for key in set(keys)}
+    return list(map(fields.__getitem__, keys))
+
+
 def save_csv(table: Table, path, origins: list[str] | None = None) -> None:
     """Write a table (optionally with an `origin` metadata column) as CSV."""
     if origins is not None and len(origins) != len(table):
         raise DataError("origins length does not match row count")
+    columns = [_format_column(attr, table.column(attr.name)) for attr in table.schema.attributes]
+    if origins is not None:
+        columns.append(origins)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(table.schema.names) + (["origin"] if origins is not None else [])
         writer.writerow(header)
-        for i, row in enumerate(table.rows):
-            out = [_format_cell(c) for c in row]
-            if origins is not None:
-                out.append(origins[i])
-            writer.writerow(out)
+        writer.writerows(zip(*columns))
 
 
 def class_histogram(table: Table) -> dict[Code, int]:
@@ -213,8 +204,11 @@ def class_histogram(table: Table) -> dict[Code, int]:
 
 def inject_missing(
     table: Table, features: list[str], rate: float, seed: int
-) -> tuple[Table, MaskMatrix]:
+) -> tuple[Table, np.ndarray]:
     """Blank exactly round(rate * n_rows) cells per named feature, MCAR.
+
+    Returns the new table and its (n_rows, n_attributes) int8 grid of observed
+    cells (1 = observed, 0 = missing).
 
     Each feature gets its own generator seeded from (seed, feature name), so
     adding or reordering features does not disturb the other streams. The
@@ -235,8 +229,8 @@ def inject_missing(
         tuple(None if (j in cols and i in cols[j]) else cell for j, cell in enumerate(row))
         for i, row in enumerate(table.rows)
     ]
-    out = table.replace_rows(rows)
-    return out, MaskMatrix.from_table(out)
+    observed = np.array([[cell is not None for cell in row] for row in rows], dtype=np.int8)
+    return table.replace_rows(rows), observed.reshape(n, len(table.schema.attributes))
 
 
 def kfold_stratified(table: Table, k: int, seed: int) -> list[tuple[Table, Table]]:

@@ -5,6 +5,7 @@ import pytest
 
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.augment import (
+    CGAN_NOISE_DIM,
     AugmentPlan,
     CganConfig,
     _squared_distances,
@@ -216,7 +217,7 @@ class TestCgan:
         enc = encode(table, attributes=tuple(a.name for a in schema.features))
         model = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=12, schema=schema)
         rng = np.random.default_rng(0)
-        z = rng.standard_normal((50, model.noise_dim))
+        z = rng.standard_normal((50, CGAN_NOISE_DIM))
         onehot = np.zeros((50, 7))
         onehot[:, 1] = 1.0
         out, _ = forward(model.generator, np.hstack([z, onehot]))

@@ -451,9 +451,5 @@ class TestFitAndScore:
         expected_model = CLASSIFIERS[name](X_train, label_indices(train), 7, 3)
         proba = expected_model.predict_proba(X_test)
         np.testing.assert_array_equal(model.predict_proba(X_test), proba)
-        classes = schema.class_codes
-        expected = compute_metrics(
-            [classes[i] for i in np.argmax(proba, axis=1)], proba,
-            [classes[i] for i in label_indices(test)], classes,
-        )
+        expected = compute_metrics(label_indices(test), proba, schema.class_codes)
         assert metrics.to_dict() == expected.to_dict()

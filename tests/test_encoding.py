@@ -111,7 +111,7 @@ def test_codec_reuse_and_strict(schema):
     ta = Table(schema, tuple(rows_a))
     tb = Table(schema, tuple(rows_b))
     enc_a = encode(ta)
-    enc_b = encode(tb, codec_source=enc_a)
+    enc_b = encode(tb, codec_source=enc_a.codec)
     h = _block(enc_a.codec, "height")
     assert enc_b.values[0, h.start] == 1.0  # clamped into the training range
 
@@ -124,16 +124,31 @@ def test_feature_only_codec(schema, corpus_200):
         decode(enc, schema)  # label not covered
 
 
+def _expand_mask_reference(observed, codec, schema):
+    """The expansion of a per-attribute observed grid that `expand_mask`
+    replaced, indexed by each block's column in the schema."""
+    out = np.zeros((observed.shape[0], codec.width), dtype=np.float64)
+    for block in codec.blocks:
+        col = schema.index_of(block.attribute)
+        out[:, block.start : block.stop] = observed[:, col : col + 1]
+    return out
+
+
 def test_expand_mask(schema, corpus_200):
-    injected, mask = inject_missing(corpus_200, ["headgear"], 0.3, seed=4)
+    injected, observed = inject_missing(corpus_200, ["headgear", "height"], 0.3, seed=4)
     enc = encode(injected)
-    expanded = expand_mask(mask, enc.codec)
+    expanded = expand_mask(injected, enc.codec)
     hg = _block(enc.codec, "headgear")
     idx = schema.index_of("headgear")
     for i in range(len(injected)):
         expected = 0.0 if injected.rows[i][idx] is None else 1.0
         assert (expanded[i, hg.start : hg.stop] == expected).all()
     assert expanded.shape == enc.values.shape
+    assert expanded.dtype == np.float64
+    for codec in (enc.codec, build_codec(injected, ("height", "headgear", "tw_class"))):
+        reference = _expand_mask_reference(observed, codec, schema)
+        assert expand_mask(injected, codec).tobytes() == reference.tobytes()
+    assert expand_mask(injected.replace_rows([]), enc.codec).shape == (0, enc.codec.width)
 
 
 def test_label_helpers(schema, corpus_200):
@@ -177,7 +192,7 @@ def test_encode_matches_reference_with_a_reused_clamping_codec(corpus_200):
 
 @pytest.mark.parametrize("codes", [(0, 1, 2, 3), (4, 3, 2, 1, 0), (0, 1, 2, 3, 4, 5)])
 def test_codec_codes_must_match_the_schema(corpus_200, codes):
-    codec = Codec((Block("headgear", 0, corpus_200.schema.index_of("headgear"), codes),))
+    codec = Codec((Block("headgear", 0, codes),))
     with pytest.raises(CodecError, match="'headgear'"):
         encode(corpus_200, codec)
     with pytest.raises(CodecError):  # checked per block, so also with no rows

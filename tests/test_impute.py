@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from twkit import default_synthesis_spec, synthesize_corpus
-from twkit.encoding import encode, expand_mask
+from twkit.encoding import EncodedMatrix, build_codec, decode, encode, expand_mask
 from twkit.errors import CodecError, DataError
 from twkit import impute
 from twkit.impute import (
@@ -13,16 +14,16 @@ from twkit.impute import (
     _logistic_ovr_predict,
     evaluate_imputation,
     gain_impute_table,
-    gain_reconstruction,
     impute_gain,
     impute_mice,
     impute_sta,
     train_gain,
 )
 from twkit.metrics import AbsentClassWarning
-from twkit.schema import CATEGORICAL
+from twkit.nn import forward
+from twkit.schema import CATEGORICAL, Schema
 from twkit.seeds import derive_seed
-from twkit.table import MaskMatrix, Table, class_histogram, inject_missing, split_stratified
+from twkit.table import Table, class_histogram, inject_missing, split_stratified
 
 FAST_GAIN = GainConfig(epochs=60, batch_size=64)
 
@@ -299,25 +300,28 @@ class TestMiceOracle:
         assert new == old
 
 
+def _train_gain(table, seed, config=FAST_GAIN):
+    enc = encode(table)
+    return train_gain(enc, expand_mask(table, enc.codec), config, seed)
+
+
 class TestGain:
     def test_deterministic(self):
         table = small_corpus(100, seed=9)
-        injected, mask = inject_missing(table, ["headgear", "height"], 0.3, seed=10)
-        enc = encode(injected)
-        m1 = train_gain(enc, mask, FAST_GAIN, seed=11, schema=table.schema)
-        m2 = train_gain(enc, mask, FAST_GAIN, seed=11, schema=table.schema)
+        injected, _ = inject_missing(table, ["headgear", "height"], 0.3, seed=10)
+        m1 = _train_gain(injected, seed=11)
+        m2 = _train_gain(injected, seed=11)
         for w1, w2 in zip(m1.generator.weights, m2.generator.weights):
             np.testing.assert_array_equal(w1, w2)
-        t1 = impute_gain(m1, enc, mask)
-        t2 = impute_gain(m2, enc, mask)
+        t1 = impute_gain(m1, injected)
+        t2 = impute_gain(m2, injected)
         assert t1.rows == t2.rows
 
     def test_observed_cells_pass_through(self, schema):
         table = small_corpus(100, seed=12)
-        injected, mask = inject_missing(table, ["headgear", "height"], 0.3, seed=13)
-        enc = encode(injected)
-        model = train_gain(enc, mask, FAST_GAIN, seed=14, schema=schema)
-        out = impute_gain(model, enc, mask)
+        injected, _ = inject_missing(table, ["headgear", "height"], 0.3, seed=13)
+        model = _train_gain(injected, seed=14)
+        out = impute_gain(model, injected)
         for i, row in enumerate(injected.rows):
             for j, cell in enumerate(row):
                 if cell is not None:
@@ -325,20 +329,17 @@ class TestGain:
 
     def test_fully_observed_rows_returned_exactly(self, schema):
         table = small_corpus(60, seed=15)
-        mask = MaskMatrix.from_table(table)
-        enc = encode(table)
-        model = train_gain(enc, mask, FAST_GAIN, seed=16, schema=schema)
-        out = impute_gain(model, enc, mask)
+        model = _train_gain(table, seed=16)
+        out = impute_gain(model, table)
         assert out.rows == table.rows
 
     def test_imputed_schema_valid_and_complete(self, schema):
         table = small_corpus(100, seed=17)
-        injected, mask = inject_missing(
+        injected, _ = inject_missing(
             table, ["hairstyle", "headgear", "weapon", "height"], 0.3, seed=18
         )
-        enc = encode(injected)
-        model = train_gain(enc, mask, FAST_GAIN, seed=19, schema=schema)
-        out = impute_gain(model, enc, mask)
+        model = _train_gain(injected, seed=19)
+        out = impute_gain(model, injected)
         assert out.is_complete()
         heights = [r[schema.index_of("height")] for r in injected.rows if r[4] is not None]
         for row in out.rows:
@@ -347,33 +348,34 @@ class TestGain:
     def test_reconstruction_improves_with_alpha(self, schema):
         # with a heavy reconstruction weight, training reduces observed-cell MSE
         table = small_corpus(100, seed=20)
-        injected, mask = inject_missing(table, ["headgear", "height"], 0.3, seed=21)
+        injected, _ = inject_missing(table, ["headgear", "height"], 0.3, seed=21)
         enc = encode(injected)
-        m_exp = expand_mask(mask, enc.codec)
+        m_exp = expand_mask(injected, enc.codec)
         config = GainConfig(epochs=150, batch_size=64, alpha=1e4)
         from twkit.impute import _gain_nets
-        from twkit.nn import forward, mse
+        from twkit.nn import mse
 
         gen0, _ = _gain_nets(enc.codec.width, enc.codec.categorical_spans(), None, 22)
         rng = np.random.default_rng(0)
         z = rng.uniform(0, 0.01, enc.values.shape)
         x_tilde = m_exp * enc.values + (1 - m_exp) * z
         before, _ = mse(forward(gen0, np.hstack([x_tilde, m_exp]))[0], enc.values, mask=m_exp)
-        model = train_gain(enc, mask, config, seed=22, schema=schema)
+        model = train_gain(enc, m_exp, config, seed=22)
         after, _ = mse(
             forward(model.generator, np.hstack([x_tilde, m_exp]))[0], enc.values, mask=m_exp
         )
         assert after <= before
 
     def test_codec_mismatch_rejected(self, schema):
+        # a table whose schema declares other headgear codes than the model's codec
         table = small_corpus(50, seed=23)
-        mask = MaskMatrix.from_table(table)
-        enc = encode(table)
-        model = train_gain(enc, mask, FAST_GAIN, seed=24, schema=schema)
-        other = encode(table, attributes=tuple(a.name for a in schema.features))
-        feat_mask = MaskMatrix(mask.entries)
-        with pytest.raises(CodecError):
-            gain_reconstruction(model, other, feat_mask)
+        model = _train_gain(table, seed=24)
+        other = Schema(tuple(
+            dataclasses.replace(a, categories=a.categories + ((9, "other"),)) if a.name == "headgear" else a
+            for a in schema.attributes
+        ))
+        with pytest.raises(CodecError, match="'headgear'"):
+            impute_gain(model, Table(other, table.rows))
 
     # epochs below 1 are covered through the CLI in tests/test_cli.py
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"alpha": -0.5}])
@@ -387,6 +389,63 @@ class TestGain:
         out = gain_impute_table(injected, FAST_GAIN, seed=27)
         assert out.is_complete()
         assert len(out) == len(table)
+
+
+def _observed_grid_reference(table):
+    """MaskMatrix.from_table: the observed grid GAIN's callers built beside the table."""
+    grid = [[0 if cell is None else 1 for cell in row] for row in table.rows]
+    return np.array(grid, dtype=np.int8).reshape(len(table), len(table.schema.attributes))
+
+
+def _expand_mask_reference(table, codec):
+    """expand_mask over the observed grid, indexed by each block's table column."""
+    grid = _observed_grid_reference(table)
+    out = np.zeros((len(table), codec.width), dtype=np.float64)
+    for block in codec.blocks:
+        col = table.schema.index_of(block.attribute)
+        out[:, block.start : block.stop] = grid[:, col : col + 1]
+    return out
+
+
+def _gain_reference(train, tables, config, seed):
+    """The GAIN path before the table held the only record of its missing
+    cells: train under the codec built from `train` with the separately built
+    mask, then gain_reconstruction and decode for each of `tables`."""
+    codec = build_codec(train)
+    model = train_gain(encode(train, codec_source=codec), _expand_mask_reference(train, codec), config, seed)
+    out = []
+    for table in tables:
+        x = encode(table, codec_source=codec).values
+        m = _expand_mask_reference(table, codec)
+        z = np.random.default_rng(derive_seed(seed, "gain-noise")).uniform(0.0, 0.01, size=x.shape)
+        g_out, _ = forward(model.generator, np.hstack([m * x + (1.0 - m) * z, m]))
+        out.append(decode(EncodedMatrix(m * x + (1.0 - m) * g_out, codec), table.schema))
+    return out
+
+
+def _typed_cells(table):
+    return [[(type(cell), repr(cell)) for cell in row] for row in table.rows]
+
+
+GAIN_ORACLE_FEATURES = ["headgear", "weapon", "height"]
+
+
+class TestGainOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gain_impute_table_matches_reference(self, corpus_200, seed):
+        injected, _ = inject_missing(corpus_200, GAIN_ORACLE_FEATURES, 0.3, seed=seed)
+        (expected,) = _gain_reference(injected, [injected], FAST_GAIN, seed)
+        assert _typed_cells(gain_impute_table(injected, FAST_GAIN, seed=seed)) == _typed_cells(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_harness_method_matches_reference(self, corpus_200, seed):
+        train, test = split_stratified(corpus_200, impute.TEST_FRACTION, derive_seed(seed, "split"))
+        train_missing, _ = inject_missing(train, GAIN_ORACLE_FEATURES, 0.3, derive_seed(seed, "inject-train"))
+        test_missing, _ = inject_missing(test, GAIN_ORACLE_FEATURES, 0.3, derive_seed(seed, "inject-test"))
+        ctx = impute.ImputationContext(train_missing, test_missing, seed, train, test, FAST_GAIN)
+        got = impute.METHODS["gain"](ctx)
+        expected = _gain_reference(train_missing, [train_missing, test_missing], FAST_GAIN, derive_seed(seed, "gain"))
+        assert [_typed_cells(t) for t in got] == [_typed_cells(t) for t in expected]
 
 
 class TestHarness:

@@ -49,10 +49,9 @@ def test_auc_needs_both_classes():
 
 def test_perfect_predictions():
     classes = ("a", "b", "c")
-    truth = ["a", "b", "c", "a"]
-    predicted = list(truth)
+    truth = [0, 1, 2, 0]
     scores = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-    m = compute_metrics(predicted, scores, truth, classes)
+    m = compute_metrics(truth, scores, classes)
     assert m.accuracy == 1.0
     assert all(v == 1.0 for v in m.f1.values())
     assert m.macro_auc == 1.0
@@ -60,10 +59,9 @@ def test_perfect_predictions():
 
 def test_never_predicted_class_gets_zeros():
     classes = ("a", "b")
-    truth = ["a", "b", "b"]
-    predicted = ["b", "b", "b"]
-    scores = np.array([[0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
-    m = compute_metrics(predicted, scores, truth, classes)
+    truth = [0, 1, 1]
+    scores = np.array([[0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])  # "b" predicted for every row
+    m = compute_metrics(truth, scores, classes)
     assert m.precision["a"] == 0.0
     assert m.recall["a"] == 0.0
     assert m.f1["a"] == 0.0
@@ -73,42 +71,67 @@ def test_confusion_row_sums_are_supports():
     rng = np.random.default_rng(1)
     classes = tuple(range(4))
     truth = rng.integers(0, 4, size=100).tolist()
-    predicted = rng.integers(0, 4, size=100).tolist()
-    m = compute_metrics(predicted, None, truth, classes)
+    predicted = rng.integers(0, 4, size=100)
+    m = compute_metrics(truth, np.eye(4)[predicted], classes)
     for i, c in enumerate(classes):
         assert m.confusion[i].sum() == truth.count(c)
+        assert m.confusion[:, i].sum() == (predicted == i).sum()
     assert m.accuracy == np.trace(m.confusion) / 100
 
 
 def test_absent_class_excluded_with_warning():
     classes = ("a", "b", "c")
-    truth = ["a", "b", "a"]
-    predicted = ["a", "b", "a"]
+    truth = [0, 1, 0]
     scores = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.7, 0.2, 0.1]])
     with pytest.warns(UserWarning, match="absent"):
-        m = compute_metrics(predicted, scores, truth, classes)
+        m = compute_metrics(truth, scores, classes)
     assert not np.isnan(m.macro_auc)
 
 
 def test_absent_classes_share_one_warning():
     classes = ("a", "b", "c", "d")
-    truth = ["a", "b", "a"]
+    truth = [0, 1, 0]
     scores = np.full((3, 4), 0.25)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        compute_metrics(truth, scores, truth, classes)
+        m = compute_metrics(truth, scores, classes)
+    assert m.confusion[:, 0].tolist() == [2, 1, 0, 0]  # ties go to the first class
     assert len(caught) == 1
     assert "'c'" in str(caught[0].message) and "'d'" in str(caught[0].message)
 
 
 def test_length_mismatch():
-    with pytest.raises(DataError):
-        compute_metrics(["a"], None, ["a", "b"], ("a", "b"))
+    with pytest.raises(DataError, match=r"scores shape \(2, 2\) != \(1, 2\)"):
+        compute_metrics([0], np.eye(2), ("a", "b"))
 
 
 def test_macro_f1_is_unweighted_mean():
     classes = ("a", "b")
-    truth = ["a", "a", "b"]
-    predicted = ["a", "b", "b"]
-    m = compute_metrics(predicted, None, truth, classes)
+    truth = [0, 0, 1]
+    m = compute_metrics(truth, np.eye(2)[[0, 1, 1]], classes)
     assert m.macro_f1 == pytest.approx((m.f1["a"] + m.f1["b"]) / 2)
+
+
+def _reference_confusion(predicted, truth, classes):
+    """The per-pair count compute_metrics replaced, over class codes."""
+    index = {c: i for i, c in enumerate(classes)}
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(truth, predicted):
+        confusion[index[t], index[p]] += 1
+    return confusion
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_confusion_matches_per_pair_reference(seed):
+    rng = np.random.default_rng(seed)
+    classes = ("RW", "AW", "K", 3)
+    n = int(rng.integers(1, 60))
+    truth = rng.integers(0, 4, size=n)
+    scores = rng.integers(0, 3, size=(n, 4)) / 2.0  # coarse, so rows tie
+    predicted = [classes[i] for i in np.argmax(scores, axis=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m = compute_metrics(truth, scores, classes)
+    reference = _reference_confusion(predicted, [classes[i] for i in truth], classes)
+    assert m.confusion.dtype == reference.dtype
+    assert m.confusion.tolist() == reference.tolist()

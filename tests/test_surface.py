@@ -13,15 +13,21 @@ it); Python itself calls the dunder methods.
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
 and wraps `train_tree` and each model's `predict_proba` by name. The tracer
 contract test runs it around one random-forest fit, so a change that breaks
-what it reads fails here before a benchmark run does.
+what it reads fails here before a benchmark run does. The workload setup test
+does the same for the library calls `perfbench/workloads.py` makes to build
+its inputs.
 """
 
 import ast
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
+import twkit.cli
 from twkit.classify import CLASSIFIERS, fit_and_score
 from twkit.encoding import build_codec
 from twkit.table import split_stratified
@@ -93,8 +99,8 @@ def test_every_method_is_referenced():
     assert not unused, f"methods and properties nothing in the program uses: {unused}"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -122,7 +128,7 @@ def _node_count_and_depth(node, depth=0):
 
 
 def test_tracer_contract(corpus_200, schema):
-    tracer_module = _load_tracer()
+    tracer_module = _load_script("tracer")
     train, test = split_stratified(corpus_200, 0.25, seed=1)
     codec = build_codec(train, attributes=tuple(a.name for a in schema.features))
     before = {key: dict(space) for key, space in _twkit_namespaces().items()}
@@ -150,3 +156,33 @@ def test_tracer_contract(corpus_200, schema):
         changed = [name for name in space.keys() | before[key].keys()
                    if space.get(name, None) is not before[key].get(name, None)]
         assert not changed, f"{key}: not restored: {changed}"
+
+
+# what each workload's setup writes into its inputs directory
+WORKLOAD_INPUTS = {
+    "pipeline": ("pipeline.json",),
+    "forest": ("forest.csv",),
+    "repair": ("truth.csv", "missing.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_INPUTS))
+def test_benchmark_workload_setup(name, tmp_path, schema):
+    # the benchmark's inputs come from `inject_missing`'s (table, grid) pair,
+    # `class_histogram`'s dict, `default_augment_plan` and `synthesize_corpus`
+    # without a schema; setup fails here if one of them changes shape
+    workloads = _load_script("workloads")
+    workload = workloads.WORKLOADS[name]
+    workload.setup(twkit, 7, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(WORKLOAD_INPUTS[name])
+    if name == "pipeline":
+        assert json.loads((tmp_path / "pipeline.json").read_text(encoding="utf-8"))
+        assert workload.seed >= 7
+        return
+    for csv_name in WORKLOAD_INPUTS[name]:
+        table, origins = twkit.load_augmented_csv(tmp_path / csv_name, schema)
+        assert len(table) > 0 and origins is None
+    if name == "repair":
+        missing, _ = twkit.load_augmented_csv(tmp_path / "missing.csv", schema)
+        blank = {a.name for a in schema.attributes if None in missing.column(a.name)}
+        assert blank == set(workloads.REPAIR_FEATURES)

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from twkit.errors import DataError
 from twkit.schema import CATEGORICAL, AttributeSpec, Schema, default_schema
 from twkit.table import (
-    MaskMatrix,
     Table,
     class_histogram,
     inject_missing,
@@ -41,10 +41,7 @@ def test_missing_tokens(tmp_path, schema):
     head = schema.index_of("headgear")
     assert table.rows[0][hair] is None
     assert table.rows[1][head] is None
-    mask = MaskMatrix.from_table(table)
-    assert mask.entries[0, hair] == 0
-    assert mask.entries[1, head] == 0
-    assert mask.entries[0, head] == 1
+    assert table.rows[0][head] == 3
 
 
 def test_undeclared_code_names_row_and_column(tmp_path, schema):
@@ -119,22 +116,24 @@ class TestInjectMissing:
 
         table = synthesize_corpus(default_synthesis_spec(), 520, seed=3)
         features = ["hairstyle", "headgear", "weapon", "height"]
-        injected, mask = inject_missing(table, features, 0.30, seed=9)
+        injected, observed = inject_missing(table, features, 0.30, seed=9)
+        assert observed.dtype == np.int8 and observed.shape == (520, len(schema.attributes))
         for name in features:
             idx = schema.index_of(name)
             missing = sum(1 for row in injected.rows if row[idx] is None)
             assert missing == 156
-            assert mask.entries[:, idx].sum() == 520 - 156
+            assert observed[:, idx].sum() == 520 - 156
+            assert [row[idx] is not None for row in injected.rows] == observed[:, idx].astype(bool).tolist()
         # untouched features stay complete
         for name in ("c_id", "corps", "armor_type", "tw_class"):
             idx = schema.index_of(name)
             assert all(row[idx] is not None for row in injected.rows)
 
     def test_deterministic(self, corpus_200):
-        a, mask_a = inject_missing(corpus_200, ["headgear"], 0.3, seed=5)
-        b, mask_b = inject_missing(corpus_200, ["headgear"], 0.3, seed=5)
+        a, observed_a = inject_missing(corpus_200, ["headgear"], 0.3, seed=5)
+        b, observed_b = inject_missing(corpus_200, ["headgear"], 0.3, seed=5)
         assert a.rows == b.rows
-        assert np.array_equal(mask_a.entries, mask_b.entries)
+        assert np.array_equal(observed_a, observed_b)
 
     def test_small_table_rounding(self, corpus_200, schema):
         small = corpus_200.replace_rows(corpus_200.rows[:10])
@@ -304,3 +303,26 @@ def test_table_accepts_cells_equal_to_a_code(schema):
     rows = (_with(BASE_ROW, corps=1.0), _with(BASE_ROW, corps=True), _with(BASE_ROW, corps=1))
     table = Table(schema, rows)
     assert [type(c) for c in table.column("corps")] == [float, bool, int]
+
+
+def _save_csv_reference(table, path, origins=None):
+    """The writer save_csv replaced: one format call per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.schema.names) + (["origin"] if origins is not None else []))
+        for i, row in enumerate(table.rows):
+            out = ["" if c is None else repr(c) if isinstance(c, float) else str(c) for c in row]
+            writer.writerow(out + ([origins[i]] if origins is not None else []))
+
+
+def test_save_csv_matches_per_cell_writer(tmp_path, schema, corpus_200):
+    # codes equal to 1 in five types, and heights that are equal but print apart
+    codes = (1, 1.0, True, np.int64(1), 1 + 0j, None)
+    heights = (0.0, -0.0, 178, 178.0, None)
+    rows = [_with(BASE_ROW, corps=c, c_id=c, height=h) for c in codes for h in heights]
+    injected, _ = inject_missing(corpus_200, ["headgear", "height"], 0.3, seed=3)
+    for table in (Table(schema, tuple(rows)), injected, injected.replace_rows([])):
+        for origins in (None, ["real", "cgan"] * (len(table) // 2) + ["smotenc"] * (len(table) % 2)):
+            save_csv(table, tmp_path / "new.csv", origins=origins)
+            _save_csv_reference(table, tmp_path / "old.csv", origins=origins)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
