@@ -60,6 +60,13 @@ def _trimmed_grid(grid: np.ndarray) -> np.ndarray:
     return grid[rows][:, cols]
 
 
+def _pearson(grid: np.ndarray) -> float:
+    """Pearson chi-square of a trimmed grid with at least 2 rows and 2 columns."""
+    n = grid.sum()
+    expected = grid.sum(axis=1, keepdims=True) * grid.sum(axis=0, keepdims=True) / n
+    return float(((grid - expected) ** 2 / expected).sum())
+
+
 def chi_square(ct: ContingencyTable) -> float:
     """Pearson chi-square; degenerate one-dimensional grids return 0 (flagged)."""
     grid = _trimmed_grid(np.asarray(ct.grid, dtype=np.float64))
@@ -67,9 +74,7 @@ def chi_square(ct: ContingencyTable) -> float:
     if r < 2 or c < 2:
         warnings.warn(f"degenerate {r}x{c} contingency table; chi-square is 0 by convention")
         return 0.0
-    n = grid.sum()
-    expected = grid.sum(axis=1, keepdims=True) * grid.sum(axis=0, keepdims=True) / n
-    return float(((grid - expected) ** 2 / expected).sum())
+    return _pearson(grid)
 
 
 def cramers_v(ct: ContingencyTable) -> float:
@@ -79,9 +84,8 @@ def cramers_v(ct: ContingencyTable) -> float:
     if r < 2 or c < 2:
         warnings.warn(f"degenerate {r}x{c} contingency table; V is 0 by convention")
         return 0.0
-    chi2 = chi_square(ct)
     n = grid.sum()
-    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
+    return float(np.sqrt(_pearson(grid) / (n * min(r - 1, c - 1))))
 
 
 @dataclass(frozen=True)

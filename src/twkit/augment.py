@@ -137,7 +137,6 @@ def smotenc_generate(table: Table, cls: Code, n_new: int, k: int, seed: int) -> 
 # -- conditional tabular GAN -----------------------------------------------------
 
 
-CGAN_LEARNING_RATE = 1e-3
 CGAN_NOISE_DIM = 32
 CGAN_HIDDEN = (128, 128)
 
@@ -199,9 +198,9 @@ def train_table_cgan(
         hidden_activation="tanh",
         output_activation="identity",
     )
-    g_state = AdamState.for_mlp(gen, learning_rate=CGAN_LEARNING_RATE)
-    d_state = AdamState.for_mlp(disc, learning_rate=CGAN_LEARNING_RATE)
-    c_state = AdamState.for_mlp(clf, learning_rate=CGAN_LEARNING_RATE)
+    g_state = AdamState.for_mlp(gen)
+    d_state = AdamState.for_mlp(disc)
+    c_state = AdamState.for_mlp(clf)
     rng = np.random.default_rng(derive_seed(seed, "cgan-batches"))
     n = x.shape[0]
 
@@ -287,20 +286,25 @@ def sample_table_cgan(model: TableCganModel, cls: Code, n: int, seed: int) -> li
     return rows
 
 
-def cgan_class_agreement(model: TableCganModel, rows_per_class: int = 200, seed: int = 0) -> float:
+AGREEMENT_ROWS_PER_CLASS = 200
+AGREEMENT_SEED = 0
+
+
+def cgan_class_agreement(model: TableCganModel) -> float:
     """Fraction of generated rows whose auxiliary-classifier argmax equals the
-    conditioning class (a training-quality diagnostic)."""
+    conditioning class (a training-quality diagnostic): AGREEMENT_ROWS_PER_CLASS
+    rows per class, each class sampled from AGREEMENT_SEED."""
     schema = model.schema
     total = 0
     agree = 0
     for cls in schema.class_codes:
-        rows = sample_table_cgan(model, cls, rows_per_class, seed)
+        rows = sample_table_cgan(model, cls, AGREEMENT_ROWS_PER_CLASS, AGREEMENT_SEED)
         sub = Table(schema, tuple(rows))
         enc = encode(sub, codec_source=model.codec)
         logits, _ = forward(model.classifier, enc.values)
         predicted = np.argmax(logits, axis=1)
         agree += int((predicted == schema.label.code_index(cls)).sum())
-        total += rows_per_class
+        total += AGREEMENT_ROWS_PER_CLASS
     return agree / total
 
 

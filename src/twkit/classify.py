@@ -285,11 +285,12 @@ LOGREG_L2 = 1e-4
 MLP_HIDDEN = 64
 MLP_EPOCHS = 200
 MLP_BATCH_SIZE = 64
-MLP_LEARNING_RATE = 1e-3
 SVM_EPOCHS = 30
 SVM_BATCH_SIZE = 32
 SVM_LEARNING_RATE = 0.1
 SVM_L2 = 1e-3
+PLATT_ITERS = 200
+PLATT_LEARNING_RATE = 0.1
 
 
 @dataclass
@@ -334,7 +335,7 @@ def train_mlp_classifier(X, y, n_classes: int, seed: int = 0) -> MlpClassifier:
     if len(np.unique(y)) < 2:
         raise DataError("MLP classifier needs >=2 classes in training data")
     net = init_mlp((X.shape[1], MLP_HIDDEN, n_classes), seed=seed, output_activation="identity")
-    state = AdamState.for_mlp(net, learning_rate=MLP_LEARNING_RATE)
+    state = AdamState.for_mlp(net)
     rng = np.random.default_rng(derive_seed(seed, "mlp-batches"))
     for _ in range(MLP_EPOCHS):
         for batch in iter_batches(len(X), MLP_BATCH_SIZE, rng):
@@ -359,14 +360,13 @@ class LinearSvm:
         return p / total
 
 
-def _fit_platt(margins: np.ndarray, targets: np.ndarray, iters: int = 200, lr: float = 0.1):
+def _fit_platt(margins: np.ndarray, targets: np.ndarray):
     a, c = 1.0, 0.0
-    n = len(margins)
-    for _ in range(iters):
+    for _ in range(PLATT_ITERS):
         p = 1.0 / (1.0 + np.exp(-(a * margins + c)))
         grad = p - targets
-        a -= lr * float((grad * margins).mean())
-        c -= lr * float(grad.mean())
+        a -= PLATT_LEARNING_RATE * float((grad * margins).mean())
+        c -= PLATT_LEARNING_RATE * float(grad.mean())
     return a, c
 
 

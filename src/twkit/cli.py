@@ -30,7 +30,7 @@ from .augment import (
 from .classify import CLASSIFIERS, feature_importance, fit_and_score
 from .encoding import build_codec
 from .errors import DataError, TwkitError
-from .impute import GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
+from .impute import TEST_FRACTION, GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
 from .jsonio import read_json, write_json
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
@@ -237,12 +237,14 @@ def cmd_plot(args) -> int:
 
 # -- pipeline ---------------------------------------------------------------------
 
-# The least value of each count, size and weight in a pipeline config;
-# `rate` and `test_fraction` lie in (0, 1). Names are checked by their stages.
-CONFIG_MINIMUM = {
-    "n_rows": 1, "bench_rows": 1, "total": 1, "smote_cap": 0, "gain_epochs": 1,
-    "gain_alpha": 0, "gain_hidden": 1, "cgan_epochs": 1, "box_panels": 1,
-}
+# The paper's protocol, fixed: the share of each benchmark feature's cells
+# blanked, the SMOTENC target cap, the GAIN setup, and the number of most
+# important attributes drawn as box panels (the rest are drawn as violins).
+MISSING_RATE = 0.3
+SMOTE_CAP = 130
+GAIN_ALPHA = 300.0
+GAIN_HIDDEN = (16, 16)
+BOX_PANELS = 6
 
 
 @dataclass
@@ -250,51 +252,31 @@ class PipelineConfig:
     n_rows: int = 1087
     bench_rows: int = 520
     features: tuple[str, ...] = ("hairstyle", "headgear", "weapon", "height")
-    rate: float = 0.3
     methods: tuple[str, ...] = ("sta", "mice", "gain")
     classifiers: tuple[str, ...] = ("lr", "dt", "rf", "mlp", "svm")
-    test_fraction: float = 0.2
-    total: int = 1800
-    smote_cap: int = 130
     gain_epochs: int = 1200
-    gain_alpha: float = 300.0
-    gain_hidden: tuple[int, int] = (16, 16)
     cgan_epochs: int = 250
-    box_panels: int = 6
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Any subset of the fields, each of its default's type: an int field
-        takes an integer (not a bool), a float field any number, a tuple field
-        a list of items of the default's item type. Each number must lie in
-        its field's range, so a bad config fails before any stage runs."""
-
-        def typed(key, default, value):
-            if isinstance(default, tuple):
-                if not isinstance(value, list):
-                    raise TypeError(f"{key}: expected a list, got {value!r}")
-                return tuple(typed(key, default[0], v) for v in value)
-            accepted = (int, float) if isinstance(default, float) else type(default)
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise TypeError(f"{key}: expected {type(default).__name__}, got {value!r}")
-            return value
-
-        def check_range(key, value):
-            if key in ("rate", "test_fraction"):
-                if not 0 < value < 1:
-                    raise DataError(f"{key} must be in (0, 1), got {value}")
-            elif key in CONFIG_MINIMUM:
-                least = CONFIG_MINIMUM[key]
-                if any(v < least for v in (value if isinstance(value, tuple) else (value,))):
-                    raise DataError(f"{key} must be >= {least}, got {value}")
+        """Any subset of the fields: a count is an integer (not a bool) of at
+        least 1 and a list of names holds strings, so a bad config fails
+        before any stage runs."""
 
         def parse(doc) -> PipelineConfig:
             config = cls()
             for key, value in doc.items():
                 if key not in vars(config):
                     raise ValueError(f"unknown key {key!r}")
-                setattr(config, key, typed(key, getattr(config, key), value))
-                check_range(key, getattr(config, key))
+                if isinstance(getattr(config, key), tuple):
+                    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                        raise TypeError(f"{key}: expected a list of strings, got {value!r}")
+                    value = tuple(value)
+                elif isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{key}: expected an integer, got {value!r}")
+                elif value < 1:
+                    raise DataError(f"{key} must be >= 1, got {value}")
+                setattr(config, key, value)
             return config
 
         return read_json(path, parse, "pipeline config")
@@ -332,9 +314,7 @@ def cmd_pipeline(args) -> int:
         artifacts.append(path)
 
     def augment(table, label):
-        plan = default_augment_plan(
-            class_histogram(table), schema.class_codes, config.total, config.smote_cap
-        )
+        plan = default_augment_plan(class_histogram(table), schema.class_codes, smote_cap=SMOTE_CAP)
         return two_stage_augment(
             table, plan, CganConfig(epochs=config.cgan_epochs),
             seed=derive_seed(seed, label),
@@ -352,20 +332,16 @@ def cmd_pipeline(args) -> int:
         imputation = evaluate_imputation(
             bench,
             features=list(config.features),
-            rate=config.rate,
+            rate=MISSING_RATE,
             methods=list(config.methods),
             classifiers=list(config.classifiers),
             seed=derive_seed(seed, "eval-impute"),
-            gain_config=GainConfig(
-                epochs=config.gain_epochs, alpha=config.gain_alpha, hidden=config.gain_hidden
-            ),
+            gain_config=GainConfig(epochs=config.gain_epochs, alpha=GAIN_ALPHA, hidden=GAIN_HIDDEN),
         )
         report("imputation.json", imputation.to_dict())
         completed.append("eval_impute")
 
-        train_real, test_real = split_stratified(
-            corpus, config.test_fraction, derive_seed(seed, "split")
-        )
+        train_real, test_real = split_stratified(corpus, TEST_FRACTION, derive_seed(seed, "split"))
         result = augment(corpus, "augment")
         tws_path = out / "tws.csv"
         save_csv(result.table, tws_path, origins=list(result.origins))
@@ -389,8 +365,8 @@ def cmd_pipeline(args) -> int:
 
         matrix = correlation_matrix(augmented_train)
         ranked = [a for a, _ in importance["importance"]]
-        box_attrs = ranked[: config.box_panels]
-        violin_attrs = ranked[config.box_panels :] or ranked[-4:]
+        box_attrs = ranked[:BOX_PANELS]
+        violin_attrs = ranked[BOX_PANELS:] or ranked[-4:]
         analysis = {
             "correlation": matrix.to_dict(),
             "box": _stats_payload(augmented_train, box_attrs),
@@ -449,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-impute", help="benchmark imputation methods by metric deltas")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--features", default="hairstyle,headgear,weapon,height")
-    p.add_argument("--rate", type=float, default=0.3)
+    p.add_argument("--rate", type=float, default=MISSING_RATE)
     p.add_argument("--methods", default=None)
     p.add_argument("--classifiers", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -470,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     p.add_argument("--folds", type=int, default=0, help="stratified k-fold CV instead of one split")
     p.set_defaults(func=cmd_train)
 
@@ -478,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("correlate", help="pairwise categorical correlation matrix")

@@ -19,7 +19,8 @@ Three built-in imputers:
   mask, learns to tell observed from imputed entries; the generator is trained
   to fool it on missing entries while reconstructing observed ones. GAIN reads
   the missing cells from the table itself: the mask is the table's None cells
-  spread over their encoded columns (`encoding.expand_mask`).
+  spread over their encoded columns (`encoding.expand_mask`). Only those cells
+  are filled; observed cells pass through, as in STA and MICE.
 
 The benchmark scores a method by how far classifier metrics move when models
 are retrained on imputed instead of pristine data. Accuracy and F1 deltas are
@@ -93,15 +94,21 @@ def _design_block(attr, col: np.ndarray) -> np.ndarray | None:
     return ((col - lo) / (hi - lo)).reshape(-1, 1)
 
 
-def _logistic_ovr_predict(X_obs, y, X_mis, classes, iters=200, lr=0.3, l2=1e-3):
+# MICE's one-vs-rest logistic fits: full-batch gradient descent from zero
+OVR_ITERS = 200
+OVR_LEARNING_RATE = 0.3
+OVR_L2 = 1e-3
+
+
+def _logistic_ovr_predict(X_obs, y, X_mis, classes):
     """One-vs-rest logistic scores; returns the position in `classes` of the
     argmax per missing row (ties to the earliest). Every class must occur in
     `y`. Column k of the (d x K) weights is the fit for classes[k]."""
     targets = (y[:, None] == classes).astype(np.float64)
     weights = np.zeros((X_obs.shape[1], len(classes)))
-    for _ in range(iters):
+    for _ in range(OVR_ITERS):
         p = 1.0 / (1.0 + np.exp(-(X_obs @ weights)))
-        weights -= lr * (X_obs.T @ (p - targets) / len(y) + l2 * weights)
+        weights -= OVR_LEARNING_RATE * (X_obs.T @ (p - targets) / len(y) + OVR_L2 * weights)
     return (X_mis @ weights).argmax(axis=1)
 
 
@@ -171,7 +178,6 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
 # -- GAIN ----------------------------------------------------------------------
 
 
-GAIN_LEARNING_RATE = 1e-3
 HINT_RATE = 0.9
 
 
@@ -232,8 +238,8 @@ def train_gain(encoded: EncodedMatrix, m: np.ndarray, config: GainConfig, seed: 
         raise DataError(f"mask shape {m.shape} does not match encoded shape {x.shape}")
     d = x.shape[1]
     gen, disc = _gain_nets(d, encoded.codec.categorical_spans(), config.hidden, seed)
-    g_state = AdamState.for_mlp(gen, learning_rate=GAIN_LEARNING_RATE)
-    d_state = AdamState.for_mlp(disc, learning_rate=GAIN_LEARNING_RATE)
+    g_state = AdamState.for_mlp(gen)
+    d_state = AdamState.for_mlp(disc)
     rng = np.random.default_rng(derive_seed(seed, "gain-batches"))
     n = x.shape[0]
     for epoch in range(config.epochs):
@@ -280,19 +286,24 @@ def _fit_gain(table: Table, config: GainConfig, seed: int) -> GainModel:
 
 
 def impute_gain(model: GainModel, table: Table) -> Table:
-    """Fill the table's missing cells from x_hat = m*x + (1-m)*G(x_tilde, m),
+    """Fill the table's missing cells from the generator's output G(x_tilde, m),
     with x the table encoded under the model's codec (a CodecError when the
-    table's schema declares other codes) and m its `expand_mask`. Decoding
-    takes the block argmax for categoricals and clamps and un-scales numerics,
-    so observed cells come back through the codec's round trip."""
+    table's schema declares other codes), m its `expand_mask` and x_tilde its
+    missing entries noised. Decoding takes the block argmax for categoricals
+    and clamps and un-scales numerics. Observed cells pass through untouched,
+    including a number outside the codec's range (which encoding clamps)."""
     x = encode(table, codec_source=model.codec).values
     m = expand_mask(table, model.codec)
     rng = np.random.default_rng(model.noise_seed)
     z = rng.uniform(0.0, 0.01, size=x.shape)
     x_tilde = m * x + (1.0 - m) * z
     g_out, _ = forward(model.generator, np.hstack([x_tilde, m]))
-    x_hat = m * x + (1.0 - m) * g_out
-    return decode(EncodedMatrix(x_hat, model.codec), table.schema)
+    decoded = decode(EncodedMatrix(g_out, model.codec), table.schema)
+    rows = [
+        tuple(new if cell is None else cell for cell, new in zip(row, filled))
+        for row, filled in zip(table.rows, decoded.rows)
+    ]
+    return table.replace_rows(rows)
 
 
 def gain_impute_table(

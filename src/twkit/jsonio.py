@@ -16,7 +16,7 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def read_json(path, parse=lambda doc: doc, what: str = "document"):
+def read_json(path, parse, what: str):
     """`parse(doc)` for the document at `path`. `parse` rejects a malformed
     document by raising LookupError, TypeError, ValueError or AttributeError,
     as indexing, `int()` and `.items()` do on the wrong shape, or by raising

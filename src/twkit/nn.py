@@ -23,6 +23,7 @@ import numpy as np
 from .errors import TrainingDiverged
 
 EPS = 1e-7  # probability clamp before any log
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -173,7 +174,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    learning_rate: float = 1e-3
 
     def __post_init__(self):
         # scratch buffers, so that a step allocates no parameter-sized array
@@ -182,9 +182,9 @@ class AdamState:
         self._denom = np.empty_like(self.m)
 
     @classmethod
-    def for_mlp(cls, mlp: MLP, learning_rate: float = 1e-3) -> "AdamState":
+    def for_mlp(cls, mlp: MLP) -> "AdamState":
         size = sum(w.size + b.size for w, b in zip(mlp.weights, mlp.biases))
-        return cls(m=np.zeros(size), v=np.zeros(size), learning_rate=learning_rate)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(mlp: MLP, grads, state: AdamState):
@@ -207,7 +207,7 @@ def adam_step(mlp: MLP, grads, state: AdamState):
     v += update
     # lr * m_hat / (sqrt(v_hat) + eps), in that order
     np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
-    update *= state.learning_rate
+    update *= ADAM_LEARNING_RATE
     np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS

@@ -101,7 +101,6 @@ class Schema:
     """Ordered attribute list; exactly one attribute has role='label'."""
 
     attributes: tuple[AttributeSpec, ...]
-    version: int = 1
 
     def __post_init__(self):
         names = [a.name for a in self.attributes]

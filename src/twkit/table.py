@@ -164,7 +164,7 @@ def _format_cell(cell: Cell) -> str:
     if cell is None:
         return ""
     if isinstance(cell, float):
-        return repr(cell)
+        return repr(float(cell))  # numpy's repr would spell np.float64(...)
     return str(cell)
 
 

@@ -159,6 +159,14 @@ class TestCramersV:
         assert cramers_v(make_ct(grid[::-1])) == pytest.approx(v)
         assert cramers_v(make_ct(grid[:, ::-1])) == pytest.approx(v)
 
+    def test_zero_marginals_warned_once(self):
+        grid = [[3, 1], [0, 0], [1, 4]]
+        with pytest.warns(UserWarning) as caught:
+            value = cramers_v(make_ct(grid))
+        assert [str(w.message) for w in caught] == ["dropping zero-marginal rows/columns from contingency grid"]
+        assert value == pytest.approx(np.sqrt(brute_chi_square(grid) / 9))
+        assert round(value, 2) == 0.55
+
     def test_synthetic_coupling_targets(self, corpus_1087):
         assert cramers_v(contingency(corpus_1087, "corps", "position")) >= 0.9
         assert cramers_v(contingency(corpus_1087, "headgear", "hairstyle")) >= 0.8

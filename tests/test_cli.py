@@ -236,10 +236,11 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("pipeline", {"features": 5}),
     ("pipeline", [1]),
     ("pipeline", {"n_rows": "50"}),
-    ("pipeline", {"rate": "0.3"}),
+    ("pipeline", {"gain_epochs": 12.5}),
     ("pipeline", {"stages": ["synth"]}),
-    ("pipeline", {"test_fraction": 0.0}),
+    ("pipeline", {"bench_rows": 0}),
     ("pipeline", {"n_rows": -5}),
+    ("pipeline", {"smote_cap": 10}),
     ("box", _NOT_UTF8),
     ("augment", _NOT_UTF8),
     ("synth", _NOT_UTF8),
@@ -251,8 +252,8 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
     "plan-stage1-list", "plan-text-target", "plan-undeclared-class", "spec-without-height-model", "spec-class-weights-list",
     "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "config-features-number",
-    "config-top-level-array", "config-text-int", "config-text-float", "config-stages-unknown",
-    "config-test-fraction-zero", "config-negative-rows",
+    "config-top-level-array", "config-text-int", "config-float-count", "config-stages-unknown",
+    "config-zero-count", "config-negative-rows", "config-deleted-key",
     "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8", "csv-not-utf8",
     "csv-field-over-limit",
 ])

@@ -3,6 +3,7 @@ import pytest
 
 from twkit.errors import TrainingDiverged
 from twkit.nn import (
+    ADAM_LEARNING_RATE,
     MLP,
     AdamState,
     _apply_output,
@@ -344,12 +345,12 @@ def test_adam_matches_per_array_reference_at_cgan_generator_shape():
     ref_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(ref_w, ref_b)]
     ref_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(ref_w, ref_b)]
     ref_step = 0
-    state = AdamState.for_mlp(net, learning_rate=2e-4)
+    state = AdamState.for_mlp(net)
     for _ in range(50):
         grads = [(rng.normal(0.0, 0.1, size=w.shape), rng.normal(0.0, 0.1, size=b.shape))
                  for w, b in zip(net.weights, net.biases)]
         adam_step(net, grads, state)
-        ref_step = _reference_adam_step(ref_w, ref_b, grads, ref_m, ref_v, ref_step, lr=2e-4)
+        ref_step = _reference_adam_step(ref_w, ref_b, grads, ref_m, ref_v, ref_step, lr=ADAM_LEARNING_RATE)
     assert state.step == ref_step == 50
     for w, b, rw, rb in zip(net.weights, net.biases, ref_w, ref_b):
         assert np.array_equal(w, rw) and np.array_equal(b, rb)
@@ -359,7 +360,7 @@ class TestAdam:
     def test_descent_direction(self):
         net = init_mlp((2, 1), seed=0)
         net.weights[0][:] = 1.0
-        state = AdamState.for_mlp(net, learning_rate=0.01)
+        state = AdamState.for_mlp(net)
         grads = [(np.full((2, 1), 0.5), np.full(1, 0.5))]
         for _ in range(50):
             adam_step(net, grads, state)
@@ -378,11 +379,11 @@ class TestAdam:
     def test_first_step_magnitude(self):
         net = init_mlp((2, 2), seed=2)
         before = net.weights[0].copy()
-        state = AdamState.for_mlp(net, learning_rate=0.05)
+        state = AdamState.for_mlp(net)
         g = np.array([[0.3, -0.7], [1.4, -0.01]])
         adam_step(net, [(g, np.zeros(2))], state)
         step = net.weights[0] - before
-        np.testing.assert_allclose(step, -0.05 * np.sign(g), rtol=1e-6)
+        np.testing.assert_allclose(step, -ADAM_LEARNING_RATE * np.sign(g), rtol=1e-6)
 
     def test_non_finite_gradient_raises(self):
         net = init_mlp((2, 2), seed=3)

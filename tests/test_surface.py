@@ -19,6 +19,7 @@ its inputs.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -186,3 +187,18 @@ def test_benchmark_workload_setup(name, tmp_path, schema):
         missing, _ = twkit.load_augmented_csv(tmp_path / "missing.csv", schema)
         blank = {a.name for a in schema.attributes if None in missing.column(a.name)}
         assert blank == set(workloads.REPAIR_FEATURES)
+
+
+def test_formats_doc_lists_the_pipeline_config_fields():
+    """docs/formats.md is where users learn the config fields: its table
+    names every `PipelineConfig` field, in order, with its default."""
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("## Pipeline config (`pipeline --config`)", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    documented = [(name.strip().strip("`"), json.loads(default.strip().strip("`"))) for name, *_, default in rows]
+    defaults = twkit.cli.PipelineConfig()
+    expected = []
+    for field in dataclasses.fields(defaults):
+        value = getattr(defaults, field.name)
+        expected.append((field.name, list(value) if isinstance(value, tuple) else value))
+    assert documented == expected

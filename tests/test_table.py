@@ -84,6 +84,17 @@ def test_save_load_round_trip(tmp_path, corpus_200, schema):
     assert back.rows == corpus_200.rows
 
 
+def test_save_load_round_trip_numpy_height(tmp_path, corpus_200, schema):
+    h = schema.index_of("height")
+    row = corpus_200.rows[0]
+    table = corpus_200.replace_rows([row[:h] + (np.float64(178.5),) + row[h + 1:]])
+    path = tmp_path / "out.csv"
+    save_csv(table, path)
+    back, _ = load_augmented_csv(path, schema)
+    assert back.rows[0][h] == 178.5 and type(back.rows[0][h]) is float
+    assert back.rows == table.rows
+
+
 def test_save_load_with_origins(tmp_path, corpus_200, schema):
     origins = ["real"] * len(corpus_200)
     path = tmp_path / "out.csv"
