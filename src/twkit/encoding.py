@@ -131,27 +131,36 @@ def encode(
     return EncodedMatrix(values, codec)
 
 
+def decode_block(block: Block, values: np.ndarray) -> list[Cell]:
+    """One attribute's cell for each row of `values`, the block's columns of
+    an encoded matrix: the code at the first maximum for a one-hot block; for
+    a numeric, the value clamped to [0, 1] as a Python float, unscaled and
+    rounded to 9 decimals."""
+    if block.codes:
+        return [block.codes[k] for k in values.argmax(axis=1).tolist()]
+    return [round(block.lo + min(max(t, 0.0), 1.0) * (block.hi - block.lo), 9) for t in values[:, 0].tolist()]
+
+
 def decode_cells(values: np.ndarray, codec: Codec) -> list[dict[str, Cell]]:
-    """Per-row {attribute: cell} maps: argmax within one-hot blocks, unscaled numerics."""
-    out: list[dict[str, Cell]] = []
-    for i in range(values.shape[0]):
-        cells: dict[str, Cell] = {}
-        for block in codec.blocks:
-            if block.codes:
-                k = int(np.argmax(values[i, block.start : block.stop]))
-                cells[block.attribute] = block.codes[k]
-            else:
-                t = min(max(float(values[i, block.start]), 0.0), 1.0)
-                cells[block.attribute] = round(block.lo + t * (block.hi - block.lo), 9)
-        out.append(cells)
+    """Per-row {attribute: cell} maps, each block decoded by `decode_block`."""
+    out: list[dict[str, Cell]] = [{} for _ in range(values.shape[0])]
+    for block in codec.blocks:
+        for cells, cell in zip(out, decode_block(block, values[:, block.start : block.stop])):
+            cells[block.attribute] = cell
     return out
+
+
+def require_cover(codec: Codec, schema: Schema) -> None:
+    """Raise a CodecError unless the codec covers every schema attribute, as
+    decoding a table needs."""
+    missing = set(schema.names) - set(codec.attributes)
+    if missing:
+        raise CodecError(f"codec does not cover attributes {sorted(missing)}; cannot decode a table")
 
 
 def decode(encoded: EncodedMatrix, schema: Schema) -> Table:
     """Rebuild a full table; the codec must cover every schema attribute."""
-    missing = set(schema.names) - set(encoded.codec.attributes)
-    if missing:
-        raise CodecError(f"codec does not cover attributes {sorted(missing)}; cannot decode a table")
+    require_cover(encoded.codec, schema)
     rows = []
     for cells in decode_cells(encoded.values, encoded.codec):
         rows.append(tuple(cells[name] for name in schema.names))

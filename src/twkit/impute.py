@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import CLASSIFIERS, fit_and_score
-from .encoding import Codec, EncodedMatrix, build_codec, decode, encode, expand_mask
+from .encoding import Codec, EncodedMatrix, build_codec, decode_block, encode, expand_mask, require_cover
 from .errors import DataError, TrainingDiverged
 from .metrics import AbsentClassWarning, Metrics
 from .nn import (
@@ -288,22 +288,26 @@ def _fit_gain(table: Table, config: GainConfig, seed: int) -> GainModel:
 def impute_gain(model: GainModel, table: Table) -> Table:
     """Fill the table's missing cells from the generator's output G(x_tilde, m),
     with x the table encoded under the model's codec (a CodecError when the
-    table's schema declares other codes), m its `expand_mask` and x_tilde its
-    missing entries noised. Decoding takes the block argmax for categoricals
-    and clamps and un-scales numerics. Observed cells pass through untouched,
-    including a number outside the codec's range (which encoding clamps)."""
+    table's schema declares other codes or has attributes the codec lacks),
+    m its `expand_mask` and x_tilde its missing entries noised. Only the
+    missing cells are decoded, block by block (`decode_block`): the block
+    argmax for categoricals, clamped and un-scaled numerics. Observed cells
+    pass through untouched, including a number outside the codec's range
+    (which encoding clamps)."""
     x = encode(table, codec_source=model.codec).values
     m = expand_mask(table, model.codec)
     rng = np.random.default_rng(model.noise_seed)
     z = rng.uniform(0.0, 0.01, size=x.shape)
     x_tilde = m * x + (1.0 - m) * z
     g_out, _ = forward(model.generator, np.hstack([x_tilde, m]))
-    decoded = decode(EncodedMatrix(g_out, model.codec), table.schema)
-    rows = [
-        tuple(new if cell is None else cell for cell, new in zip(row, filled))
-        for row, filled in zip(table.rows, decoded.rows)
-    ]
-    return table.replace_rows(rows)
+    require_cover(model.codec, table.schema)
+    columns = {name: table.column(name) for name in table.schema.names}
+    for block in model.codec.blocks:
+        column = columns[block.attribute]
+        missing = [i for i, cell in enumerate(column) if cell is None]
+        for i, cell in zip(missing, decode_block(block, g_out[missing, block.start : block.stop])):
+            column[i] = cell
+    return table.replace_rows(zip(*columns.values()))
 
 
 def gain_impute_table(

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from twkit import classify
 from twkit.classify import (
     CLASSIFIERS,
     FOREST_TREES,
     Forest,
     TreeNode,
-    _best_split,
+    _split_nodes,
     column_importance,
     feature_importance,
     fit_and_score,
@@ -23,7 +24,6 @@ from twkit.classify import (
 from twkit.encoding import build_codec, encode, label_indices
 from twkit.errors import DataError
 from twkit.metrics import compute_metrics
-from twkit.nn import one_hot
 from twkit.table import split_stratified
 from twkit.seeds import derive_seed
 
@@ -85,6 +85,11 @@ class TestTree:
             return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
         assert depth(tree) == 2
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1, 1]])
+    def test_label_out_of_range_rejected(self, labels):
+        with pytest.raises(DataError, match="class indices"):
+            train_tree(np.zeros((3, 1)), np.array(labels), 2, subset=1, seed=0)
+
     def test_tie_break_lowest_feature(self):
         # two identical features: the split must use feature 0
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
@@ -95,7 +100,8 @@ class TestTree:
 
 def _reference_best_split(X, y, idx, candidates, n_classes):
     """The split search before the count-based path: one stable-argsort
-    cumsum scan per candidate column. The oracle for `_best_split`."""
+    cumsum scan per candidate column, one node at a time. The oracle for
+    `_split_nodes`."""
     parent_counts = np.bincount(y[idx], minlength=n_classes)
     n = len(idx)
     parent_gini = gini(parent_counts)
@@ -171,6 +177,8 @@ class TestSplitSearchOracle:
     @pytest.mark.parametrize("n_classes", [2, 7, 9])
     @pytest.mark.parametrize("stream", [1, 2])  # two independent draws per class count
     def test_matches_sort_and_scan(self, n_classes, stream):
+        # the five nodes of each matrix go through one batched search, as the
+        # nodes of one grower step do, so they share one candidate count
         rng = np.random.default_rng(1000 * n_classes + stream)
         checked = 0
         with warnings.catch_warnings():
@@ -180,19 +188,24 @@ class TestSplitSearchOracle:
                 X = _mixed_matrix(rng, n_rows)
                 y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n_rows)
                 binary = ((X == 0) | (X == 1)).all(axis=0)
-                for _ in range(5):
-                    idx = np.sort(rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False))
-                    size = int(rng.integers(1, X.shape[1] + 1))
-                    candidates = np.sort(rng.choice(X.shape[1], size=size, replace=False))
-                    counts = np.bincount(y[idx], minlength=n_classes)
-                    got = _best_split(X, one_hot(y, n_classes), idx, candidates, counts, binary)
-                    want = _reference_best_split(X, y, idx, candidates, n_classes)
-                    assert (got is None) == (want is None)
+                size = int(rng.integers(1, X.shape[1] + 1))
+                nodes = [np.sort(rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False))
+                         for _ in range(5)]
+                candidates = np.sort([rng.choice(X.shape[1], size=size, replace=False) for _ in nodes], axis=1)
+                counts = np.array([np.bincount(y[idx], minlength=n_classes) for idx in nodes])
+                node = np.repeat(np.arange(len(nodes)), [len(idx) for idx in nodes])
+                feature, threshold, decrease, children = _split_nodes(
+                    X, y, binary, np.concatenate(nodes), node, candidates, counts
+                )
+                for i, idx in enumerate(nodes):
+                    want = _reference_best_split(X, y, idx, candidates[i], n_classes)
+                    assert (feature[i] < 0) == (want is None)
                     if want is None:
+                        assert len(children[2 * i]) == len(children[2 * i + 1]) == 0
                         continue
-                    assert got[:3] == want[:3]
-                    np.testing.assert_array_equal(got[3], want[3])
-                    np.testing.assert_array_equal(got[4], want[4])
+                    assert (float(decrease[i]), int(feature[i]), float(threshold[i])) == want[:3]
+                    np.testing.assert_array_equal(children[2 * i], want[3])
+                    np.testing.assert_array_equal(children[2 * i + 1], want[4])
                     checked += 1
         assert checked > 50
 
@@ -346,8 +359,24 @@ class TestForest:
             assert tree == train_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
         assert CLASSIFIERS["dt"](X, y, 7, 9).tree == train_tree(X, y, 7, subset=d, seed=9)
 
+    def test_trees_match_reference(self, corpus_forest):
+        # the lockstep grower against the one-node-at-a-time oracle, tree by tree
+        _, X, y, forest = corpus_forest
+        n, d = X.shape
+        subset = int(np.ceil(np.sqrt(d)))
+        for t, tree in enumerate(forest.trees):
+            boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
+            assert tree == _reference_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
+
     def test_deterministic(self, corpus_forest):
         _, X, y, forest = corpus_forest
+        assert train_forest(X, y, 7, seed=3).trees == forest.trees
+
+    def test_batch_cap_does_not_change_trees(self, corpus_forest, monkeypatch):
+        # with a cap of a few rows each step runs in many batches, and every
+        # node larger than the cap goes alone
+        _, X, y, forest = corpus_forest
+        monkeypatch.setattr(classify, "GROW_BATCH_ROWS", 6)
         assert train_forest(X, y, 7, seed=3).trees == forest.trees
 
     def test_proba_sums_to_one(self, corpus_forest):

@@ -389,6 +389,14 @@ class TestGain:
         with pytest.raises(CodecError, match="'headgear'"):
             impute_gain(model, Table(other, table.rows))
 
+    def test_uncovered_attribute_rejected(self, schema):
+        # a table with an attribute the model's codec lacks cannot be filled
+        table = small_corpus(50, seed=23)
+        model = _train_gain(table, seed=24)
+        other = Schema(schema.attributes + (dataclasses.replace(schema.attribute("headgear"), name="extra"),))
+        with pytest.raises(CodecError, match="'extra'"):
+            impute_gain(model, Table(other, tuple(row + (None,) for row in table.rows)))
+
     # epochs below 1 are covered through the CLI in tests/test_cli.py
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"alpha": -0.5}])
     def test_config_out_of_range_rejected(self, kwargs):

@@ -11,15 +11,17 @@ definition refers to an attribute of its name (or a `perfbench/` string names
 it); Python itself calls the dunder methods.
 
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
-and wraps `train_tree` and each model's `predict_proba` by name. The tracer
-contract test runs it around one random-forest fit, so a change that breaks
-what it reads fails here before a benchmark run does. The workload setup test
-does the same for the library calls `perfbench/workloads.py` makes to build
-its inputs.
+and wraps `train_tree`, `train_forest` and each model's `predict_proba` by
+name. The tracer contract test runs it around one decision-tree fit and one
+random-forest fit, so a change that breaks what it reads fails here before a
+benchmark run does. The workload setup test does the same for the library
+calls `perfbench/workloads.py` makes to build its inputs, and the forest
+workload test pins the artifacts one forest pass writes.
 """
 
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -137,19 +139,22 @@ def test_tracer_contract(corpus_200, schema):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
+        _, dt = fit_and_score("dt", train, test, codec, seed=3)
         _, forest = fit_and_score("rf", train, test, codec, seed=3)
     finally:
         tracer.uninstall()
 
+    # a forest grows its trees in lockstep inside train_forest, so only the
+    # decision tree passes through train_tree
     names = [span[tracer_module.NAME] for span in tracer.spans]
-    assert names.count("classify.train_tree") == len(forest.trees)
-    assert len(tracer.trees) == len(forest.trees)
-    assert all(t is u for t, u in zip(tracer.trees, forest.trees))
+    assert names.count("classify.train_tree") == 1
+    assert names.count("classify.train_forest") == 1
+    assert len(forest.trees) > 1
+    assert len(tracer.trees) == 1 and tracer.trees[0] is dt.tree
     assert "classify.predict_proba" in names
-    shapes = [_node_count_and_depth(tree) for tree in forest.trees]
-    direct = (sum(n for n, _ in shapes), max(d for _, d in shapes))
+    direct = _node_count_and_depth(dt.tree)
     assert tracer_module.tree_shape(tracer.trees) == direct
-    assert direct[0] > len(forest.trees)
+    assert direct[0] > 1
 
     after = _twkit_namespaces()
     assert after.keys() == before.keys()
@@ -202,3 +207,26 @@ def test_formats_doc_lists_the_pipeline_config_fields():
         value = getattr(defaults, field.name)
         expected.append((field.name, list(value) if isinstance(value, tuple) else value))
     assert documented == expected
+
+
+# sha256 of what one `forest` workload pass writes at seed 7
+FOREST_SEED_7_SHA256 = {
+    "cv.json": "1acaa33767169cd1a3627819fca8fab9d84330bdd10276f2aee5bc50aaa08737",
+    "importance.json": "ae6f7b28165e6e1c0690fe4b4fc6efed784ed1fdc2bf163dc2bb4c15be3b1957",
+}
+
+
+def test_forest_workload_artifacts(tmp_path):
+    # the benchmark's forest workload at seed 7, set up and run in-process
+    # through the CLI as perfbench/run.py runs it: six forests, their
+    # predictions and one importance ranking, each byte-pinned
+    workload = _load_script("workloads").WORKLOADS["forest"]
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    workload.setup(twkit, 7, inputs)
+    for command in workload.commands(7, inputs, out):
+        assert twkit.cli.main(command.argv) == 0, command.argv
+        command.check(out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FOREST_SEED_7_SHA256}
+    assert digests == FOREST_SEED_7_SHA256
