@@ -18,10 +18,14 @@ column (the scaled numerics) is sorted within each node and scanned at each
 boundary between distinct values. Both paths score splits with the same Gini
 expression, so a tree does not depend on which path scored a column.
 
-Prediction routes arrays of row indices down the tree: each split visited
-compares its column for the rows that reached it and sends them on to its
-children, and each leaf writes its class counts for the rows that reach it.
-A row's probabilities are its leaf's counts over their sum.
+A forest keeps every tree's nodes in one flat store, each tree's nodes
+contiguous and in pre-order: a split's left child is the node after it and
+its right child is linked. Prediction moves every (tree, row) pair down one
+level per step until it reaches a leaf, and importance is one weighted
+bincount of the splits' decreases. The single decision tree is built from
+the same store as linked `TreeNode`s, and its prediction routes arrays of row
+indices down them. Either way a row's probabilities are its leaf's counts
+over their sum, and a forest adds its trees' probabilities in tree order.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ def gini(counts) -> "float | np.ndarray":
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Split node (children set) or leaf (counts set)."""
+    """Split node (children set) or leaf (counts set) of the single decision
+    tree; a forest keeps its nodes in `Forest`'s arrays instead."""
 
     n_samples: int
     counts: tuple[int, ...]
@@ -224,7 +229,7 @@ GROW_BATCH_ROWS = 2048
 
 
 def _batches(step):
-    """Cut one step's (tree, rows) nodes into runs of at most
+    """Cut one step's (tree, rows, parent) nodes into runs of at most
     GROW_BATCH_ROWS rows; a node with more rows is a run of its own."""
     batch, total = [], 0
     for item in step:
@@ -237,8 +242,49 @@ def _batches(step):
         yield batch
 
 
-def _grow(X, y, n_classes, subset, samples, rngs) -> list[TreeNode]:
-    """Grow one tree per (sample, generator) pair, all in lockstep.
+@dataclass
+class Forest:
+    """Every node of a forest's trees in one store, tree after tree, each
+    tree's nodes in pre-order; `trees[t]` is the index of tree t's root.
+
+    Node i is a leaf when feature[i] is -1. Otherwise it sends the rows at or
+    below threshold[i] to its left child, node i + 1, and the others (NaN
+    too) to its right child, right[i]."""
+
+    trees: np.ndarray
+    n_samples: np.ndarray
+    counts: np.ndarray  # (nodes, classes)
+    feature: np.ndarray
+    threshold: np.ndarray
+    decrease: np.ndarray
+    right: np.ndarray  # -1 at a leaf
+
+    def predict_proba(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        n_trees, n_rows = len(self.trees), len(X)
+        # (tree, row) pairs, tree-major; each step moves the pairs still at a
+        # split one level down and retires those at a leaf
+        node = np.repeat(self.trees, n_rows)
+        row = np.tile(np.arange(n_rows), n_trees)
+        pair = np.arange(len(node))
+        leaf = np.empty_like(node)
+        while len(pair):
+            feature = self.feature[node]
+            split = feature >= 0
+            leaf[pair[~split]] = node[~split]
+            pair, node, row, feature = pair[split], node[split], row[split], feature[split]
+            node = np.where(X[row, feature] <= self.threshold[node], node + 1, self.right[node])
+        counts = self.counts[leaf].astype(np.float64)
+        proba = (counts / counts.sum(axis=1, keepdims=True)).reshape(n_trees, n_rows, self.counts.shape[1])
+        acc = np.zeros(proba.shape[1:])
+        for p in proba:  # in tree order
+            acc += p
+        return acc / n_trees
+
+
+def _grow(X, y, n_classes, subset, samples, rngs) -> Forest:
+    """Grow one tree per (sample, generator) pair, all in lockstep, into one
+    `Forest` store.
 
     `samples[t]` lists tree t's rows of X (with repeats, in order) and
     `rngs[t]` is its generator. Each step pops the next pre-order node of
@@ -247,26 +293,43 @@ def _grow(X, y, n_classes, subset, samples, rngs) -> list[TreeNode]:
     candidates from its own tree's generator and is split by `_split_nodes`,
     or is a leaf when no split exists. A split pushes its right child, then
     its left, so each tree draws in its own pre-order and grows exactly as
-    it would alone. A batch's node fields stay numpy arrays until
-    `_add_preorder` turns each node into a `TreeNode` as its subtree
-    completes."""
+    it would alone.
+
+    Each batch's node fields and trees are written by slice to the end of a
+    growable store, so every tree's nodes are stored in its pre-order. A
+    left child is its tree's next node. A right child carries its parent's
+    store index on the stack and links itself as the parent's right child.
+    At the end one stable sort by tree makes each tree's nodes contiguous,
+    and the links are remapped."""
     if y.min(initial=0) < 0 or y.max(initial=0) >= n_classes:
         raise DataError(f"class indices must lie in [0, {n_classes})")
     d = X.shape[1]
     binary = ((X == 0) | (X == 1)).all(axis=0)
-    stacks = [[sample] for sample in samples]
-    waiting = [[] for _ in samples]
-    roots = [None] * len(samples)
+    store = {
+        "n_samples": np.empty(0, dtype=np.int64), "counts": np.empty((0, n_classes), dtype=np.int64),
+        "feature": np.empty(0, dtype=np.intp), "threshold": np.empty(0), "decrease": np.empty(0),
+        "right": np.empty(0, dtype=np.intp), "tree": np.empty(0, dtype=np.intp),
+    }
+    size = 0  # nodes stored
+    stacks = [[(sample, -1)] for sample in samples]  # (rows, parent's index if a right child)
     active = list(range(len(samples)))
     while active:
-        for batch in _batches([(t, stacks[t].pop()) for t in active]):
+        for batch in _batches([(t, *stacks[t].pop()) for t in active]):
             m = len(batch)
-            trees = np.array([t for t, _ in batch])
-            sizes = np.array([len(rows) for _, rows in batch])
-            rows = np.concatenate([rows for _, rows in batch])
+            trees = np.array([t for t, _, _ in batch])
+            sizes = np.array([len(rows) for _, rows, _ in batch])
+            parents = np.array([parent for _, _, parent in batch])
+            rows = np.concatenate([rows for _, rows, _ in batch])
             node = np.repeat(np.arange(m), sizes)
             counts = np.bincount(node * n_classes + y[rows], minlength=m * n_classes).reshape(m, n_classes)
-            feature, threshold, decrease = np.full(m, -1), np.zeros(m), np.zeros(m)
+            if size + m > len(store["tree"]):
+                capacity = max(2 * len(store["tree"]), size + m)
+                store = {name: np.resize(a, (capacity,) + a.shape[1:]) for name, a in store.items()}
+            new = slice(size, size + m)
+            store["n_samples"][new], store["counts"][new], store["tree"][new] = sizes, counts, trees
+            store["feature"][new], store["threshold"][new], store["decrease"][new], store["right"][new] = -1, 0, 0, -1
+            is_right = parents >= 0
+            store["right"][parents[is_right]] = size + is_right.nonzero()[0]
             impure = np.count_nonzero(counts, axis=1) > 1
             if impure.any():
                 impure_trees = trees[impure].tolist()
@@ -276,44 +339,42 @@ def _grow(X, y, n_classes, subset, samples, rngs) -> list[TreeNode]:
                 else:
                     candidates = np.broadcast_to(np.arange(d), (len(impure_trees), d))
                 keep = impure[node]
-                searched = impure.nonzero()[0]
+                at = size + impure.nonzero()[0]
                 f, thr, dec, children = _split_nodes(
-                    X, y, binary, rows[keep], (impure.cumsum() - 1)[node[keep]], candidates, counts[searched]
+                    X, y, binary, rows[keep], (impure.cumsum() - 1)[node[keep]], candidates, counts[impure]
                 )
-                feature[searched], threshold[searched], decrease[searched] = f, thr, dec
-                for i, (t, split) in enumerate(zip(impure_trees, (f >= 0).tolist())):
+                store["feature"][at], store["threshold"][at], store["decrease"][at] = f, thr, dec
+                for i, (t, split, parent) in enumerate(zip(impure_trees, (f >= 0).tolist(), at.tolist())):
                     if split:
-                        stacks[t].append(children[2 * i + 1])
-                        stacks[t].append(children[2 * i])
-            for t, n, c, f, thr, dec in zip(trees.tolist(), sizes.tolist(), counts.tolist(), feature.tolist(),
-                                            threshold.tolist(), decrease.tolist()):
-                root = _add_preorder(waiting[t], n, tuple(c), f, thr, dec)
-                if root is not None:
-                    roots[t] = root
+                        stacks[t].append((children[2 * i + 1], parent))
+                        stacks[t].append((children[2 * i], -1))
+            size += m
         active = [t for t in active if stacks[t]]
-    return roots
+    tree = store.pop("tree")[:size]
+    order = np.argsort(tree, kind="stable")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    nodes = {name: a[:size][order] for name, a in store.items()}
+    right = nodes["right"]
+    right[right >= 0] = position[right[right >= 0]]
+    tree_sizes = np.bincount(tree, minlength=len(samples))
+    return Forest(trees=tree_sizes.cumsum() - tree_sizes, **nodes)
 
 
-def _add_preorder(waiting, n_samples, counts, feature, threshold, decrease) -> TreeNode | None:
-    """Add a tree's next node in pre-order; feature -1 marks a leaf.
-
-    `waiting` holds the tree's splits whose subtrees are not complete, each
-    as [fields, left child or None]. A split waits. A leaf is complete, and
-    each complete node becomes the left child of the innermost waiting
-    split, or its right child, which completes that split in turn. Returns
-    the root once the tree is complete, else None."""
-    if feature >= 0:
-        waiting.append([(n_samples, counts, feature, threshold, decrease), None])
-        return None
-    done = TreeNode(n_samples, counts)
-    while waiting:
-        fields, left = waiting[-1]
-        if left is None:
-            waiting[-1][1] = done
-            return None
-        waiting.pop()
-        done = TreeNode(*fields, left, done)
-    return done
+def _tree_node(forest: Forest, t: int) -> TreeNode:
+    """Tree t of a store as linked `TreeNode`s. Its nodes are built from its
+    last in pre-order back to its root, so a node's children exist before
+    it does."""
+    start = int(forest.trees[t])
+    stop = int(forest.trees[t + 1]) if t + 1 < len(forest.trees) else len(forest.feature)
+    fields = (forest.n_samples, forest.counts, forest.feature, forest.threshold, forest.decrease, forest.right)
+    built = {}
+    for i, n, c, f, thr, dec, r in reversed(list(zip(range(start, stop), *(a[start:stop].tolist() for a in fields)))):
+        if f < 0:
+            built[i] = TreeNode(n, tuple(c))
+        else:
+            built[i] = TreeNode(n, tuple(c), f, thr, dec, built.pop(i + 1), built.pop(r))
+    return built[start]
 
 
 def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
@@ -324,8 +385,7 @@ def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise DataError("cannot train a tree on an empty dataset")
-    (tree,) = _grow(X, y, n_classes, subset, [np.arange(len(X))], [np.random.default_rng(seed)])
-    return tree
+    return _tree_node(_grow(X, y, n_classes, subset, [np.arange(len(X))], [np.random.default_rng(seed)]), 0)
 
 
 def _route(node: TreeNode, X, rows, out) -> None:
@@ -350,19 +410,6 @@ def tree_predict_proba(node: TreeNode, X) -> np.ndarray:
 FOREST_TREES = 100
 
 
-@dataclass
-class Forest:
-    trees: list[TreeNode]
-    n_classes: int
-
-    def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((len(X), self.n_classes))
-        for tree in self.trees:
-            acc += tree_predict_proba(tree, X)
-        return acc / len(self.trees)
-
-
 def train_forest(X, y, n_classes: int, seed: int) -> Forest:
     """FOREST_TREES fully grown trees, each on a bootstrap sample and scoring
     ceil(sqrt(d)) columns per split (Breiman 2001). Tree t draws its sample
@@ -378,25 +425,25 @@ def train_forest(X, y, n_classes: int, seed: int) -> Forest:
         np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n) for t in range(FOREST_TREES)
     ]
     rngs = [np.random.default_rng(derive_seed(seed, f"tree-{t}")) for t in range(FOREST_TREES)]
-    return Forest(_grow(X, y, n_classes, int(np.ceil(np.sqrt(d))), boots, rngs), n_classes)
-
-
-def _accumulate_importance(node: TreeNode, total_samples: int, acc: np.ndarray) -> None:
-    if node.is_leaf:
-        return
-    acc[node.feature] += (node.n_samples / total_samples) * node.decrease
-    _accumulate_importance(node.left, total_samples, acc)
-    _accumulate_importance(node.right, total_samples, acc)
+    return _grow(X, y, n_classes, int(np.ceil(np.sqrt(d))), boots, rngs)
 
 
 def column_importance(forest: Forest, n_columns: int) -> np.ndarray:
-    """Mean over trees of sample-weighted impurity decrease per encoded column."""
+    """Mean over trees of sample-weighted impurity decrease per encoded column.
+
+    One weighted bincount over (tree, column) adds each tree's splits in
+    pre-order, and the trees' sums are added in tree order."""
+    n_trees = len(forest.trees)
+    tree = np.repeat(np.arange(n_trees), np.diff(forest.trees, append=len(forest.feature)))
+    split = forest.feature >= 0
+    weight = forest.n_samples / forest.n_samples[forest.trees][tree] * forest.decrease
+    per_tree = np.bincount(
+        tree[split] * n_columns + forest.feature[split], weights=weight[split], minlength=n_trees * n_columns
+    ).reshape(n_trees, n_columns)
     acc = np.zeros(n_columns)
-    for tree in forest.trees:
-        per_tree = np.zeros(n_columns)
-        _accumulate_importance(tree, tree.n_samples, per_tree)
-        acc += per_tree
-    return acc / len(forest.trees)
+    for row in per_tree:
+        acc += row
+    return acc / n_trees
 
 
 def feature_importance(forest: Forest, codec: Codec) -> list[tuple[str, float]]:

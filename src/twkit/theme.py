@@ -21,8 +21,6 @@ HEAT_HIGH = (8, 48, 107)
 
 BACKGROUND = "#ffffff"
 AXIS_COLOR = "#333333"
-GRID_COLOR = "#dddddd"
-BOX_FILL = "#9ecae1"
 BOX_EDGE = "#333333"
 BAR_FILL = "#4c78a8"
 

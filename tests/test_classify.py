@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from twkit.classify import (
     Forest,
     TreeNode,
     _split_nodes,
+    _tree_node,
     column_importance,
     feature_importance,
     fit_and_score,
@@ -246,6 +248,18 @@ def _splits(tree):
     return [(tree.feature, tree.threshold)] + _splits(tree.left) + _splits(tree.right)
 
 
+def _trees(forest):
+    """A store's trees as linked `TreeNode`s, in tree order."""
+    return [_tree_node(forest, t) for t in range(len(forest.trees))]
+
+
+def _same_store(a, b):
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) and getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        for f in dataclasses.fields(Forest)
+    )
+
+
 @pytest.fixture(scope="module")
 def corpus_forest(corpus_200, schema):
     """corpus_200's feature codec, matrix and labels, and the seed-3 forest on
@@ -280,7 +294,7 @@ class TestPredictionOracle:
     def test_bootstrap_forest(self, corpus_forest):
         _, X, _, forest = corpus_forest
         want = np.zeros((len(X), 7))
-        for tree in forest.trees:
+        for tree in _trees(forest):
             want += _reference_predict_proba(tree, X)
         assert np.array_equal(forest.predict_proba(X), want / len(forest.trees))
 
@@ -354,30 +368,41 @@ class TestForest:
         subset = int(np.ceil(np.sqrt(d)))
         assert FOREST_TREES == 100 and len(forest.trees) == FOREST_TREES
         assert subset < d
-        for t, tree in enumerate(forest.trees):
+        for t, tree in enumerate(_trees(forest)):
             boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
             assert tree == train_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
         assert CLASSIFIERS["dt"](X, y, 7, 9).tree == train_tree(X, y, 7, subset=d, seed=9)
 
     def test_trees_match_reference(self, corpus_forest):
-        # the lockstep grower against the one-node-at-a-time oracle, tree by tree
+        # the lockstep grower against the one-node-at-a-time oracle, tree by
+        # tree: tree t's nodes are stored contiguously, in the oracle's
+        # pre-order, a split's right child linked after its left subtree
         _, X, y, forest = corpus_forest
         n, d = X.shape
         subset = int(np.ceil(np.sqrt(d)))
-        for t, tree in enumerate(forest.trees):
+        bounds = np.append(forest.trees, len(forest.feature))
+        assert bounds[0] == 0
+        for t, tree in enumerate(_trees(forest)):
             boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
-            assert tree == _reference_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
+            want = _reference_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
+            assert tree == want
+            start, stop = bounds[t], bounds[t + 1]
+            right = forest.right[start:stop]
+            stored = zip(forest.n_samples[start:stop].tolist(), map(tuple, forest.counts[start:stop].tolist()),
+                         forest.feature[start:stop].tolist(), forest.threshold[start:stop].tolist(),
+                         forest.decrease[start:stop].tolist(), np.where(right >= 0, right - start, -1).tolist())
+            assert list(stored) == _flatten(want)
 
     def test_deterministic(self, corpus_forest):
         _, X, y, forest = corpus_forest
-        assert train_forest(X, y, 7, seed=3).trees == forest.trees
+        assert _same_store(train_forest(X, y, 7, seed=3), forest)
 
     def test_batch_cap_does_not_change_trees(self, corpus_forest, monkeypatch):
         # with a cap of a few rows each step runs in many batches, and every
         # node larger than the cap goes alone
         _, X, y, forest = corpus_forest
         monkeypatch.setattr(classify, "GROW_BATCH_ROWS", 6)
-        assert train_forest(X, y, 7, seed=3).trees == forest.trees
+        assert _same_store(train_forest(X, y, 7, seed=3), forest)
 
     def test_proba_sums_to_one(self, corpus_forest):
         _, X, _, forest = corpus_forest
@@ -385,9 +410,10 @@ class TestForest:
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
     def test_tie_break_lowest_class(self):
-        t1 = train_tree(np.zeros((1, 1)), np.array([0]), 2, subset=1, seed=0)
-        t2 = train_tree(np.zeros((1, 1)), np.array([1]), 2, subset=1, seed=0)
-        forest = Forest([t1, t2], 2)
+        # two one-leaf trees, one voting for each class
+        rngs = [np.random.default_rng(0), np.random.default_rng(0)]
+        forest = classify._grow(np.zeros((2, 1)), np.array([0, 1]), 2, 1, [np.array([0]), np.array([1])], rngs)
+        assert [(t.counts, t.is_leaf) for t in _trees(forest)] == [((1, 0), True), ((0, 1), True)]
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
         assert np.argmax(proba, axis=1)[0] == 0
@@ -396,9 +422,101 @@ class TestForest:
         _, X, y, forest = corpus_forest
         forest_acc = (np.argmax(forest.predict_proba(X), axis=1) == y).mean()
         tree_accs = [
-            (np.argmax(tree_predict_proba(t, X), axis=1) == y).mean() for t in forest.trees
+            (np.argmax(tree_predict_proba(t, X), axis=1) == y).mean() for t in _trees(forest)
         ]
         assert forest_acc >= np.mean(tree_accs)
+
+
+def _flatten(tree):
+    """A linked tree's nodes in pre-order, each as (n_samples, counts,
+    feature, threshold, decrease, right child's pre-order index or -1)."""
+    nodes = []
+
+    def visit(node):
+        i = len(nodes)
+        nodes.append([node.n_samples, node.counts, node.feature, node.threshold, node.decrease, -1])
+        if not node.is_leaf:
+            visit(node.left)
+            nodes[i][5] = len(nodes)
+            visit(node.right)
+
+    visit(tree)
+    return [tuple(node) for node in nodes]
+
+
+def _reference_forest_proba(trees, X):
+    """Forest prediction before the node store: each linked tree routes the
+    rows on its own, and the trees' probabilities are added in tree order.
+    The oracle for `Forest.predict_proba`."""
+    acc = np.zeros((len(X), len(trees[0].counts)))
+    for tree in trees:
+        acc += tree_predict_proba(tree, X)
+    return acc / len(trees)
+
+
+def _reference_importance(trees, n_columns):
+    """`column_importance` before the node store: a pre-order recursion
+    adds each split's sample-weighted decrease to its tree's sums, and the
+    trees' sums are added in tree order. The oracle for the bincount."""
+
+    def accumulate(node, total_samples, acc):
+        if node.is_leaf:
+            return
+        acc[node.feature] += (node.n_samples / total_samples) * node.decrease
+        accumulate(node.left, total_samples, acc)
+        accumulate(node.right, total_samples, acc)
+
+    acc = np.zeros(n_columns)
+    for tree in trees:
+        per_tree = np.zeros(n_columns)
+        accumulate(tree, tree.n_samples, per_tree)
+        acc += per_tree
+    return acc / len(trees)
+
+
+class TestForestStore:
+    @pytest.mark.parametrize("rows", ["all", "nan", "one", "one_nan", "none"])
+    def test_predict_matches_linked_trees(self, corpus_forest, rows):
+        _, X, _, forest = corpus_forest
+        X_nan = X.copy()
+        X_nan[np.random.default_rng(8).random(X.shape) < 0.3] = np.nan
+        X_nan[0] = np.nan
+        X_test = {"all": X, "nan": X_nan, "one": X[5:6], "one_nan": X_nan[:1], "none": X[:0]}[rows]
+        got = forest.predict_proba(X_test)
+        assert got.shape == (len(X_test), 7)
+        assert np.array_equal(got, _reference_forest_proba(_trees(forest), X_test))
+
+    def test_importance_matches_recursion(self, corpus_forest):
+        _, X, _, forest = corpus_forest
+        d = X.shape[1]
+        assert np.array_equal(column_importance(forest, d), _reference_importance(_trees(forest), d))
+        rng = np.random.default_rng(3)
+        X2 = np.column_stack([rng.integers(0, 2, size=120).astype(float), rng.random(120), rng.random(120)])
+        y2 = (X2[:, 0] + (X2[:, 1] > 0.7)).astype(int)
+        small = train_forest(X2, y2, 3, seed=5)
+        assert np.array_equal(column_importance(small, 3), _reference_importance(_trees(small), 3))
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_batches_stay_under_the_cap(self, corpus_forest, monkeypatch, cap):
+        # the split search's (rows x candidates) arrays stay bounded: a batch
+        # holds at most GROW_BATCH_ROWS rows unless it is a single node
+        _, X, y, forest = corpus_forest
+        if cap is not None:
+            monkeypatch.setattr(classify, "GROW_BATCH_ROWS", cap)
+        searched = []
+        split_nodes = classify._split_nodes
+
+        def recording(X, y, binary, rows, node, candidates, counts):
+            searched.append((len(rows), len(candidates)))
+            return split_nodes(X, y, binary, rows, node, candidates, counts)
+
+        monkeypatch.setattr(classify, "_split_nodes", recording)
+        assert _same_store(train_forest(X, y, 7, seed=3), forest)
+        cap = classify.GROW_BATCH_ROWS
+        assert all(rows <= cap or nodes == 1 for rows, nodes in searched)
+        assert any(nodes > 1 for _, nodes in searched)
+        if cap < len(X):
+            assert any(rows > cap for rows, _ in searched)
 
 
 class TestImportance:

@@ -11,8 +11,9 @@ definition refers to an attribute of its name (or a `perfbench/` string names
 it); Python itself calls the dunder methods.
 
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
-and wraps `train_tree`, `train_forest` and each model's `predict_proba` by
-name. The tracer contract test runs it around one decision-tree fit and one
+of the trees `train_tree` returns, and only of those: a forest keeps its
+trees' nodes in flat arrays and never passes through `train_tree`. It wraps
+`train_tree`, `train_forest` and each model's `predict_proba` by name. The tracer contract test runs it around one decision-tree fit and one
 random-forest fit, so a change that breaks what it reads fails here before a
 benchmark run does. The workload setup test does the same for the library
 calls `perfbench/workloads.py` makes to build its inputs, and the forest
