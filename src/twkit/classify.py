@@ -8,10 +8,14 @@ per code, which in the one-hot view sends the rows at 0 left.
 Trees grow in lockstep: one grower serves a single tree and all of a
 forest's trees. Each step takes the next pre-order node of every unfinished
 tree and searches the nodes' splits together, in batches of a bounded number
-of rows. Each node draws its candidate columns from its own tree's generator
-in its tree's pre-order, so a tree grown beside others is the tree grown
-alone. The split search has two paths, chosen per column of the training
-matrix. For the columns that hold only 0 and 1 (every one-hot column), one
+of rows. Each node draws its candidate columns from its own tree's seed in
+its tree's pre-order, so a tree grown beside others is the tree grown alone.
+The draws of a step's nodes are vectorised across trees, and each node's
+candidates equal `np.sort(rng.choice(d, size=s, replace=False))` for
+`rng = np.random.default_rng(seed)`: Floyd's sampling and the shuffle that
+`choice` runs are replayed as numpy's Lemire bounded draws on the tree's
+PCG64 words. The split search has two paths, chosen per column of the
+training matrix. For the columns that hold only 0 and 1 (every one-hot column), one
 weighted bincount over (node, candidate, class) gives each candidate's class
 counts at 1; the counts at 0 are the node's counts minus those. Every other
 column (the scaled numerics) is sorted within each node and scanned at each
@@ -242,6 +246,108 @@ def _batches(step):
         yield batch
 
 
+# How many nodes' candidates a tree draws at a time.
+DRAW_BLOCK_NODES = 32
+
+
+class _CandidateDraws:
+    """Sorted candidate columns for the nodes of a set of trees, drawn in bulk.
+
+    Row i of `draw(trees)` equals `np.sort(rng.choice(d, size=s, replace=False))`
+    for a `Generator` on `bit_generators[trees[i]]`, each tree's nodes taking
+    its draws in call order. The bit generators must be fresh PCG64s: their
+    32-bit stream is the low, then the high half of each raw 64-bit word.
+
+    `choice` runs Floyd's algorithm (numpy takes it whenever d <= 10000 or
+    s <= d // 50, so for every forest): for j = d - s ... d - 1 it draws a
+    value in [0, j], keeping j instead when the value is already drawn. It
+    then shuffles the s values, drawing in [0, i] for i = s - 1 ... 1; only
+    the words those draws consume matter here, as the rows are sorted. Each
+    bounded draw is Lemire's: one 32-bit word times r = range + 1, whose high
+    half is the value, rejected when its low half is below (2**32 - r) % r.
+
+    A node without a rejection takes 2s - 1 words, so a tree draws
+    DRAW_BLOCK_NODES nodes at a time, and every tree that has run out when
+    `draw` is called draws its next block in the same array operations. A
+    block ends before its first node with a rejection (a word is rejected
+    with probability below r / 2**32, about 1e-8 at forest widths), whose
+    words are read again by the next block; a block that starts with one
+    draws that node alone on a scalar path that mirrors numpy's loop."""
+
+    def __init__(self, bit_generators, d: int, s: int):
+        if not 0 < s < d:
+            raise ValueError(f"cannot draw {s} of {d} columns")
+        self.bit_generators, self.d, self.s = bit_generators, d, s
+        self.ranges = np.r_[np.arange(d - s + 1, d + 1), np.arange(s, 1, -1)].astype(np.uint64)
+        self.thresholds = (2**32 - self.ranges) % self.ranges
+        self.unread = [np.empty(0, dtype=np.uint64)] * len(bit_generators)  # each tree's words not yet used
+        # the smallest integer type that holds a column index keeps the blocks small
+        self.blocks = np.empty((len(bit_generators), DRAW_BLOCK_NODES, s), dtype=np.min_scalar_type(d))
+        self.next = np.zeros(len(bit_generators), dtype=np.intp)  # each tree's next node in its block
+        self.stop = np.zeros(len(bit_generators), dtype=np.intp)  # and the end of its block
+
+    def _take(self, t: int, n: int) -> np.ndarray:
+        """Tree t's next n words: its unread ones, then new ones."""
+        words, k = self.unread[t], len(self.unread[t])
+        if k < n:
+            raw = self.bit_generators[t].random_raw((n - k + 1) // 2)
+            words = np.empty(k + 2 * len(raw), dtype=np.uint64)
+            words[:k], words[k::2], words[k + 1 :: 2] = self.unread[t], raw & 0xFFFFFFFF, raw >> 32
+        self.unread[t] = words[n:].copy()  # not a view, which would keep all of `words`
+        return words[:n]
+
+    def _bounded(self, t: int, r: int) -> int:
+        """numpy's Lemire draw in [0, r) from tree t's words, one at a time."""
+        threshold = (2**32 - r) % r
+        while True:
+            m = int(self._take(t, 1)[0]) * r
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def _draw_one(self, t: int) -> list[int]:
+        """One node of tree t on the scalar path, rejections included."""
+        chosen: list[int] = []
+        for j in range(self.d - self.s, self.d):
+            value = self._bounded(t, j + 1)
+            chosen.append(j if value in chosen else value)
+        for i in range(self.s - 1, 0, -1):
+            self._bounded(t, i + 1)
+        return sorted(chosen)
+
+    def _refill(self, trees) -> None:
+        """Draw the next block of each of `trees`."""
+        d, s, width = self.d, self.s, len(self.ranges)
+        words = np.array([self._take(t, DRAW_BLOCK_NODES * width) for t in trees.tolist()])
+        m = words.reshape(len(trees), DRAW_BLOCK_NODES, width) * self.ranges
+        values = (m[:, :, :s] >> 32).astype(np.intp)
+        columns = [values[:, :, k] for k in range(s)]
+        for k in range(1, s):  # Floyd: a value already drawn becomes j
+            seen = columns[0] == columns[k]
+            for i in range(1, k):
+                seen |= columns[i] == columns[k]
+            columns[k][seen] = d - s + k
+        values.sort(axis=2)
+        self.blocks[trees], self.next[trees] = values, 0
+        m &= 0xFFFFFFFF
+        rejected = (m < self.thresholds).any(axis=2)
+        self.stop[trees] = np.where(rejected.any(axis=1), rejected.argmax(axis=1), DRAW_BLOCK_NODES)
+        for i in rejected.any(axis=1).nonzero()[0].tolist():
+            t, k = int(trees[i]), int(self.stop[trees[i]])
+            self.unread[t] = np.concatenate([words[i, k * width :], self.unread[t]])
+            if k == 0:
+                self.blocks[t, 0], self.stop[t] = self._draw_one(t), 1
+
+    def draw(self, trees) -> np.ndarray:
+        """The next node's sorted candidates of each of `trees` (distinct
+        tree indices), one row per tree."""
+        spent = trees[self.next[trees] == self.stop[trees]]
+        if len(spent):
+            self._refill(spent)
+        out = self.blocks[trees, self.next[trees]]
+        self.next[trees] += 1
+        return out
+
+
 @dataclass
 class Forest:
     """Every node of a forest's trees in one store, tree after tree, each
@@ -282,18 +388,21 @@ class Forest:
         return acc / n_trees
 
 
-def _grow(X, y, n_classes, subset, samples, rngs) -> Forest:
-    """Grow one tree per (sample, generator) pair, all in lockstep, into one
+def _grow(X, y, n_classes, subset, samples, seeds) -> Forest:
+    """Grow one tree per (sample, seed) pair, all in lockstep, into one
     `Forest` store.
 
     `samples[t]` lists tree t's rows of X (with repeats, in order) and
-    `rngs[t]` is its generator. Each step pops the next pre-order node of
-    every unfinished tree. Its class counts come from one bincount over
-    (node, class); a pure node is a leaf, and an impure one draws its
-    candidates from its own tree's generator and is split by `_split_nodes`,
-    or is a leaf when no split exists. A split pushes its right child, then
-    its left, so each tree draws in its own pre-order and grows exactly as
-    it would alone.
+    `seeds[t]` seeds its candidate draws. Each step pops the next pre-order
+    node of every unfinished tree. Its class counts come from one bincount
+    over (node, class); a pure node is a leaf, and an impure one is split by
+    `_split_nodes`, or is a leaf when no split exists. When `subset` < d the
+    impure nodes draw their candidates together (`_CandidateDraws`), each
+    from a fresh PCG64 on its tree's seed: the k-th node of a tree to draw
+    gets the k-th `np.sort(rng.choice(d, size=subset, replace=False))` of
+    `rng = np.random.default_rng(seed)`. A split pushes its right child,
+    then its left, so each tree draws in its own pre-order and grows exactly
+    as it would alone.
 
     Each batch's node fields and trees are written by slice to the end of a
     growable store, so every tree's nodes are stored in its pre-order. A
@@ -310,6 +419,7 @@ def _grow(X, y, n_classes, subset, samples, rngs) -> Forest:
         "feature": np.empty(0, dtype=np.intp), "threshold": np.empty(0), "decrease": np.empty(0),
         "right": np.empty(0, dtype=np.intp), "tree": np.empty(0, dtype=np.intp),
     }
+    draws = _CandidateDraws([np.random.PCG64(seed) for seed in seeds], d, subset) if subset < d else None
     size = 0  # nodes stored
     stacks = [[(sample, -1)] for sample in samples]  # (rows, parent's index if a right child)
     active = list(range(len(samples)))
@@ -332,10 +442,9 @@ def _grow(X, y, n_classes, subset, samples, rngs) -> Forest:
             store["right"][parents[is_right]] = size + is_right.nonzero()[0]
             impure = np.count_nonzero(counts, axis=1) > 1
             if impure.any():
-                impure_trees = trees[impure].tolist()
-                if subset < d:
-                    candidates = np.array([rngs[t].choice(d, size=subset, replace=False) for t in impure_trees])
-                    candidates.sort(axis=1)
+                impure_trees = trees[impure]
+                if draws is not None:
+                    candidates = draws.draw(impure_trees)
                 else:
                     candidates = np.broadcast_to(np.arange(d), (len(impure_trees), d))
                 keep = impure[node]
@@ -344,7 +453,7 @@ def _grow(X, y, n_classes, subset, samples, rngs) -> Forest:
                     X, y, binary, rows[keep], (impure.cumsum() - 1)[node[keep]], candidates, counts[impure]
                 )
                 store["feature"][at], store["threshold"][at], store["decrease"][at] = f, thr, dec
-                for i, (t, split, parent) in enumerate(zip(impure_trees, (f >= 0).tolist(), at.tolist())):
+                for i, (t, split, parent) in enumerate(zip(impure_trees.tolist(), (f >= 0).tolist(), at.tolist())):
                     if split:
                         stacks[t].append((children[2 * i + 1], parent))
                         stacks[t].append((children[2 * i], -1))
@@ -385,7 +494,7 @@ def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise DataError("cannot train a tree on an empty dataset")
-    return _tree_node(_grow(X, y, n_classes, subset, [np.arange(len(X))], [np.random.default_rng(seed)]), 0)
+    return _tree_node(_grow(X, y, n_classes, subset, [np.arange(len(X))], [seed]), 0)
 
 
 def _route(node: TreeNode, X, rows, out) -> None:
@@ -424,8 +533,8 @@ def train_forest(X, y, n_classes: int, seed: int) -> Forest:
     boots = [
         np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n) for t in range(FOREST_TREES)
     ]
-    rngs = [np.random.default_rng(derive_seed(seed, f"tree-{t}")) for t in range(FOREST_TREES)]
-    return _grow(X, y, n_classes, int(np.ceil(np.sqrt(d))), boots, rngs)
+    seeds = [derive_seed(seed, f"tree-{t}") for t in range(FOREST_TREES)]
+    return _grow(X, y, n_classes, int(np.ceil(np.sqrt(d))), boots, seeds)
 
 
 def column_importance(forest: Forest, n_columns: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The JSON document format and its error contract: UTF-8, indented by two
 spaces, with a trailing newline (reports, specs, the manifest). A document
-that cannot be read or decoded, or that its reader's `parse` rejects, raises
-one `DataError` naming the file."""
+that cannot be read or decoded, that holds `NaN`, `Infinity` or `-Infinity`
+(which Python's `json` accepts but JSON does not), or that its reader's
+`parse` rejects, raises one `DataError` naming the file."""
 
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not JSON")
+
+
 def read_json(path, parse, what: str):
     """`parse(doc)` for the document at `path`. `parse` rejects a malformed
     document by raising LookupError, TypeError, ValueError or AttributeError,
@@ -23,8 +28,8 @@ def read_json(path, parse, what: str):
     a twkit error, whose text the `DataError` keeps."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, a non-finite number or bad UTF-8
         raise DataError(f"{path}: {exc}") from exc
     try:
         return parse(doc)

@@ -226,6 +226,70 @@ class TestSplitSearchOracle:
                 assert train_tree(X, y, 7, subset, seed=seed) == _reference_tree(X, y, 7, subset, seed)
 
 
+# PCG64's 128-bit LCG multiplier: a step takes the state to state * MULT + inc.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_raw(seed, h, at):
+    """A PCG64 on `seed` whose raw output number `at` (from 0) is 0. Its
+    state after that step is (h << 64) | h with h < 2**58, so the output
+    rotation (the top 6 bits) is 0 and the high and low halves cancel; the
+    state is walked back from there one step at a time."""
+    bit_generator = np.random.PCG64(seed)
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    value = (h << 64) | h
+    for _ in range(at + 1):
+        value = (value - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["state"]["state"] = value
+    bit_generator.state = state
+    return bit_generator
+
+
+class TestCandidateDraws:
+    """`_CandidateDraws` against numpy's own `choice`, node by node."""
+
+    @pytest.mark.parametrize("d, s", [(43, 7), (49, 7), (10, 4), (12, 3), (2, 1), (9, 1), (5, 4), (30, 29)])
+    def test_matches_sorted_choice(self, d, s):
+        # five trees per seed draw as the grower's steps do: every step some
+        # trees skip (a pure node draws nothing) and each tree stops after
+        # its own node count, most after a block refill
+        for seed in range(12):
+            plan = np.random.default_rng(seed)
+            nodes = plan.integers(1, 3 * classify.DRAW_BLOCK_NODES, size=5)
+            assert (nodes > classify.DRAW_BLOCK_NODES).any()
+            seeds = [derive_seed(seed, f"tree-{t}") for t in range(5)]
+            draws = classify._CandidateDraws([np.random.PCG64(x) for x in seeds], d, s)
+            rngs = [np.random.default_rng(x) for x in seeds]
+            while nodes.any():
+                trees = ((nodes > 0) & (plan.random(5) < 0.7)).nonzero()[0]
+                if len(trees):
+                    want = [np.sort(rngs[t].choice(d, size=s, replace=False)) for t in trees.tolist()]
+                    np.testing.assert_array_equal(draws.draw(trees), want)
+                    nodes[trees] -= 1
+
+    @pytest.mark.parametrize("d, s", [(43, 7), (10, 4), (12, 3)])
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_rejected_words_match_choice(self, d, s, node):
+        # both halves of one of tree 0's raw words are 0: they are the first
+        # two words of its node `node`, and Lemire's draw in [0, d - s]
+        # rejects both, so that node takes two more words than 2s - 1. Its
+        # first block ends before it, and the next block draws it alone on
+        # the scalar path, beside trees drawn in bulk
+        at = node * (2 * s - 1) // 2  # the raw word that holds the node's first 32-bit word
+        for h in (0, 12345, 2**58 - 1):
+            assert _zero_raw(h, h, at).random_raw(at + 1)[at] == 0
+            bit_generators = [_zero_raw(h, h, at)] + [np.random.PCG64(h + t) for t in range(1, 4)]
+            rngs = [np.random.Generator(_zero_raw(h, h, at))] + [np.random.default_rng(h + t) for t in range(1, 4)]
+            draws = classify._CandidateDraws(bit_generators, d, s)
+            for step in range(2 * classify.DRAW_BLOCK_NODES):
+                np.testing.assert_array_equal(
+                    draws.draw(np.arange(4)), [np.sort(rng.choice(d, size=s, replace=False)) for rng in rngs]
+                )
+                if step == node:  # tree 0's block is the one node drawn on the scalar path
+                    assert draws.stop.tolist() == [1] + [classify.DRAW_BLOCK_NODES] * 3
+
+
 def _reference_predict_proba(tree, X):
     """The per-row walk that prediction used before routing: each row follows
     the splits to its leaf one comparison at a time. The oracle for
@@ -411,8 +475,7 @@ class TestForest:
 
     def test_tie_break_lowest_class(self):
         # two one-leaf trees, one voting for each class
-        rngs = [np.random.default_rng(0), np.random.default_rng(0)]
-        forest = classify._grow(np.zeros((2, 1)), np.array([0, 1]), 2, 1, [np.array([0]), np.array([1])], rngs)
+        forest = classify._grow(np.zeros((2, 1)), np.array([0, 1]), 2, 1, [np.array([0]), np.array([1])], [0, 0])
         assert [(t.counts, t.is_leaf) for t in _trees(forest)] == [((1, 0), True), ((0, 1), True)]
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])

@@ -245,6 +245,11 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("augment", _NOT_UTF8),
     ("synth", _NOT_UTF8),
     ("pipeline", _NOT_UTF8),
+    ("importance", b'{"importance": [["a", Infinity], ["b", 0.5]]}'),
+    ("heatmap", b'{"attributes": ["a"], "matrix_full_precision": [[Infinity]]}'),
+    ("box", json.dumps({"classes": ["RW"], "panels": [{"attribute": "height", "box": {"RW": {
+        **_BOX, "q1": float("inf")}}}]}).encode()),
+    ("augment", b'{"stage1": {"RW": -Infinity}, "stage2": {}}'),
     ("impute", b"height\n\xff\n"),
     ("impute", b"height\n" + b"1" * 131073 + b"\n"),
 ], ids=[
@@ -254,8 +259,9 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "config-features-number",
     "config-top-level-array", "config-text-int", "config-float-count", "config-stages-unknown",
     "config-zero-count", "config-negative-rows", "config-deleted-key",
-    "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8", "csv-not-utf8",
-    "csv-field-over-limit",
+    "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8",
+    "importance-infinite-weight", "heatmap-infinite-cell", "box-infinite-q1", "plan-negative-infinite-target",
+    "csv-not-utf8", "csv-field-over-limit",
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, write_spec, command, document):
     from twkit.synth import default_synthesis_spec
