@@ -168,9 +168,12 @@ def cmd_correlate(args) -> int:
 
 def _stats_payload(table, attrs):
     """Box and violin statistics per attribute and class. A class with no rows
-    is left out; one with rows but no values for an attribute is an error."""
+    is left out; one with rows but no values for an attribute is an error, and
+    so is a table with no rows, which leaves nothing to draw."""
     counts = class_histogram(table)
     present = [c for c in table.schema.class_codes if counts[c]]
+    if not present:
+        raise DataError("no class has a row: there are no statistics to compute")
     panels = []
     for attr in attrs:
         grouped = group_by_class(table, attr)
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=10, help="MICE sweeps")
+    p.add_argument("--rounds", type=int, default=10, help="most MICE sweeps")
     p.add_argument("--epochs", type=int, default=400, help="GAIN training epochs")
     p.set_defaults(func=cmd_impute)
 

@@ -11,9 +11,13 @@ Three built-in imputers:
   all its observed codes share one design and step together as the columns of
   one weight matrix.
   Each attribute's design block (one-hot codes, or min-max scaled numbers) is
-  encoded once and rebuilt only after its own column is imputed; the design
-  for a column is the intercept plus every other non-constant block in
+  encoded once and rebuilt only after an imputation changes its column; the
+  design for a column is the intercept plus every other non-constant block in
   attribute order.
+  A column is fitted only while stale: before its first fit, and after a fit
+  of another column changed any bit of its filled cells. The chain is
+  deterministic, so the sweeps end once none is stale (the fixed point) with
+  the result of `rounds` full sweeps.
 - GAIN: a generator predicts every cell from the noised row plus its mask; a
   discriminator, shown a hint vector that reveals a random subset of the true
   mask, learns to tell observed from imputed entries; the generator is trained
@@ -58,16 +62,23 @@ from .seeds import derive_seed
 from .table import Table, inject_missing, split_stratified
 
 
+def _require_observed(table: Table) -> None:
+    """A DataError naming the first attribute that has rows but no observed
+    cell: no imputer can learn a fill for it."""
+    for j, attr in enumerate(table.schema.attributes):
+        if table.rows and all(row[j] is None for row in table.rows):
+            raise DataError(f"attribute {attr.name!r} is entirely missing")
+
+
 def impute_sta(table: Table) -> Table:
     """Mode/mean imputation; observed cells pass through untouched."""
+    _require_observed(table)
     fills = {}
     for j, attr in enumerate(table.schema.attributes):
         column = [row[j] for row in table.rows]
         if all(c is not None for c in column):
             continue
         observed = [c for c in column if c is not None]
-        if not observed:
-            raise DataError(f"attribute {attr.name!r} is entirely missing")
         if attr.kind == CATEGORICAL:
             k = attr.code_indices(observed)
             # argmax takes the first maximum: ties go to the earliest declared code
@@ -113,7 +124,9 @@ def _logistic_ovr_predict(X_obs, y, X_mis, classes):
 
 
 def impute_mice(table: Table, rounds: int = 10) -> Table:
-    """Chained-equation imputation (single chain, point predictions)."""
+    """Chained-equation imputation (single chain, point predictions): at most
+    `rounds` sweeps, each fitting only the columns whose inputs changed since
+    their last fit, with the result of `rounds` full sweeps."""
     if rounds < 1:
         raise DataError(f"rounds must be >= 1, got {rounds}")
     attrs = table.schema.attributes
@@ -131,7 +144,7 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
     working = impute_sta(table)
     columns = [list(working.column(a.name)) for a in attrs]
     # every column as an array (code indices for categoricals) and its design
-    # block, rebuilt only when its column is imputed
+    # block, rebuilt only when an imputation changes its column
     values = [
         attr.code_indices(col) if attr.kind == CATEGORICAL else np.array(col, dtype=np.float64)
         for attr, col in zip(attrs, columns)
@@ -139,8 +152,14 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
     blocks = [_design_block(attr, col) for attr, col in zip(attrs, values)]
     intercept = np.ones((len(table), 1))
     constant = {}  # names in first-seen order
+    stale = set(incomplete)
     for _ in range(rounds):
+        if not stale:
+            break
         for j in incomplete:
+            if j not in stale:
+                continue
+            stale.discard(j)
             attr = attrs[j]
             parts = [intercept]
             for k, block in enumerate(blocks):
@@ -154,13 +173,17 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
             obs, mis = observed[j], missing[j]
             X_obs, X_mis = design[obs], design[mis]
             y = values[j][obs]
+            before = values[j][mis].tobytes()
             if attr.kind == CATEGORICAL:
                 seen = np.flatnonzero(np.bincount(y, minlength=len(attr.codes)))
                 values[j][mis] = seen[_logistic_ovr_predict(X_obs, y, X_mis, seen)]
             else:
                 beta, *_ = np.linalg.lstsq(X_obs, y, rcond=None)
                 values[j][mis] = np.clip(X_mis @ beta, y.min(), y.max())
-            blocks[j] = _design_block(attr, values[j])
+            if values[j][mis].tobytes() != before:
+                # every other column's design holds this column's block
+                stale = set(incomplete) - {j}
+                blocks[j] = _design_block(attr, values[j])
     if constant:
         names = ", ".join(repr(name) for name in constant)
         warnings.warn(f"constant predictors dropped from regression: {names}")
@@ -281,6 +304,7 @@ def train_gain(encoded: EncodedMatrix, m: np.ndarray, config: GainConfig, seed: 
 
 def _fit_gain(table: Table, config: GainConfig, seed: int) -> GainModel:
     """Train GAIN on the table's observed cells, under a codec built from it."""
+    _require_observed(table)
     encoded = encode(table)
     return train_gain(encoded, expand_mask(table, encoded.codec), config, seed)
 

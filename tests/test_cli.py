@@ -376,6 +376,41 @@ def test_bad_training_setting_exits_1(tmp_path, capsys, corpus_200, argv, named)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_rows", [1, 200])
+@pytest.mark.parametrize("method", ["sta", "mice", "gain"])
+def test_impute_entirely_missing_attribute_exits_1(tmp_path, capsys, corpus_200, method, n_rows):
+    # GAIN has nothing to learn the column from either, so it fails like STA and MICE
+    from twkit.table import save_csv
+
+    i = corpus_200.schema.index_of("headgear")
+    rows = [r[:i] + (None,) + r[i + 1:] for r in corpus_200.rows[:n_rows]]
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200.replace_rows(rows), src)
+    out = tmp_path / "fixed.csv"
+    assert run(["impute", "--method", method, "--in", src, "--out", out, "--epochs", 5]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "attribute 'headgear' is entirely missing" in err
+    assert not out.exists()
+
+
+def test_stats_on_a_table_without_rows_exits_1(tmp_path, capsys, corpus_200):
+    # an empty payload would only fail later, in `plot`
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200.replace_rows([]), src)
+    assert src.read_text(encoding="utf-8").count("\n") == 1
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--in", src, "--attrs", "height,headgear", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "no class has a row" in err
+    assert not out.exists()
+
+
 def test_stats_leaves_out_a_class_without_rows(tmp_path, corpus_200):
     from twkit.table import save_csv
 

@@ -253,17 +253,28 @@ def _run_both(table, rounds):
     return out
 
 
+MICE_ORACLE_FEATURES = [
+    ["height"],
+    ["headgear", "height"],
+    ["hairstyle", "weapon", "height"],
+    ["hairstyle", "headgear", "weapon", "height"],
+]
+
+
 class TestMiceOracle:
-    @pytest.mark.parametrize("rounds", [1, 3])
-    @pytest.mark.parametrize("features", [
-        ["height"],
-        ["headgear", "height"],
-        ["hairstyle", "weapon", "height"],
-        ["hairstyle", "headgear", "weapon", "height"],
-    ])
+    @pytest.mark.parametrize("rounds", [1, 3, 10])
+    @pytest.mark.parametrize("features", MICE_ORACLE_FEATURES)
     def test_matches_reference(self, corpus_200, features, rounds):
         injected, _ = inject_missing(corpus_200, features, 0.3, seed=len(features))
         new, old = _run_both(injected, rounds)
+        assert new == old
+
+    # on this 120-row corpus, injection seed 4 never reaches a fixed point in
+    # 10 sweeps (40 of 40 fits) and seed 13 reaches it inside a sweep (11 fits)
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_matches_reference_at_default_rounds(self, seed):
+        injected, _ = inject_missing(small_corpus(120, seed=11), MICE_ORACLE_FEATURES[-1], 0.3, seed=seed)
+        new, old = _run_both(injected, 10)
         assert new == old
 
     def test_constant_predictors_same_warning(self, schema):
@@ -298,6 +309,37 @@ class TestMiceOracle:
         rows = [r[:i_corps] + (float(r[i_corps]),) + r[i_corps + 1:] for r in injected.rows]
         new, old = _run_both(injected.replace_rows(rows), 1)
         assert new == old
+
+
+def _count_mice_fits(monkeypatch, table, rounds):
+    """The number of column fits (logistic or least squares) impute_mice makes."""
+    fits = []
+
+    def counted(fit):
+        def wrapper(*args, **kwargs):
+            fits.append(fit)
+            return fit(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(impute, "_logistic_ovr_predict", counted(impute._logistic_ovr_predict))
+    monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        impute_mice(table, rounds=rounds)
+    monkeypatch.undo()
+    return len(fits)
+
+
+class TestMiceFixedPoint:
+    def test_one_incomplete_column_fits_once(self, monkeypatch, corpus_200):
+        # with no other incomplete column, nothing can go stale after the first fit
+        injected, _ = inject_missing(corpus_200, ["height"], 0.3, seed=1)
+        assert _count_mice_fits(monkeypatch, injected, 10) == 1
+
+    def test_sweeps_end_at_the_fixed_point(self, monkeypatch, corpus_200):
+        injected, _ = inject_missing(corpus_200, MICE_ORACLE_FEATURES[-1], 0.3, seed=4)
+        assert _count_mice_fits(monkeypatch, injected, 10) == 12
+        assert _count_mice_fits(monkeypatch, injected, 50) <= 12
 
 
 def _train_gain(table, seed, config=FAST_GAIN):
@@ -402,6 +444,15 @@ class TestGain:
     def test_config_out_of_range_rejected(self, kwargs):
         with pytest.raises(DataError, match=next(iter(kwargs))):
             GainConfig(**kwargs)
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_entirely_missing_attribute_rejected(self, schema, n):
+        # no observed cell to learn from: rejected before training, as in STA
+        table = small_corpus(n, seed=25)
+        i = schema.index_of("headgear")
+        rows = tuple(r[:i] + (None,) + r[i + 1:] for r in table.rows)
+        with pytest.raises(DataError, match="attribute 'headgear' is entirely missing"):
+            gain_impute_table(table.replace_rows(rows), FAST_GAIN, seed=27)
 
     def test_gain_impute_table_convenience(self, schema):
         table = small_corpus(80, seed=25)
