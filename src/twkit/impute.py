@@ -21,30 +21,32 @@ Three built-in imputers:
 - GAIN: a generator predicts every cell from the noised row plus its mask; a
   discriminator, shown a hint vector that reveals a random subset of the true
   mask, learns to tell observed from imputed entries; the generator is trained
-  to fool it on missing entries while reconstructing observed ones. GAIN reads
-  the missing cells from the table itself: the mask is the table's None cells
-  spread over their encoded columns (`encoding.expand_mask`). Only those cells
-  are filled; observed cells pass through, as in STA and MICE.
+  to fool it on missing entries while reconstructing observed ones. Its mask
+  is the table's None cells spread over their encoded columns
+  (`encoding.expand_mask`).
 
-The benchmark scores a method by how far classifier metrics move when models
-are retrained on imputed instead of pristine data. Accuracy and F1 deltas are
-reported in percentage points, AUC deltas in raw units. F1 is the
-support-weighted mean over classes: with several near-empty classes in a
-520-row benchmark, the unweighted mean is dominated by single-row flips and
+Each imputer takes the missing cells from `Table.missing_rows` and writes its
+values with `Table.fill`, so only those cells change.
+
+The benchmark scores each method in `METHODS` by how far classifier metrics
+move when models are retrained on imputed instead of pristine data. Accuracy
+and F1 deltas are reported in percentage points, AUC deltas in raw units. F1
+is the support-weighted mean over classes: with several near-empty classes in
+a 520-row benchmark, the unweighted mean is dominated by single-row flips and
 would drown the signal the benchmark is after.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classify import CLASSIFIERS, fit_and_score
 from .encoding import Codec, EncodedMatrix, build_codec, decode_block, encode, expand_mask, require_cover
 from .errors import DataError, TrainingDiverged
-from .metrics import AbsentClassWarning, Metrics
+from .metrics import AbsentClassWarning
 from .nn import (
     MLP,
     AdamState,
@@ -62,36 +64,30 @@ from .seeds import derive_seed
 from .table import Table, inject_missing, split_stratified
 
 
-def _require_observed(table: Table) -> None:
-    """A DataError naming the first attribute that has rows but no observed
-    cell: no imputer can learn a fill for it."""
-    for j, attr in enumerate(table.schema.attributes):
-        if table.rows and all(row[j] is None for row in table.rows):
-            raise DataError(f"attribute {attr.name!r} is entirely missing")
+def _require_observed(table: Table) -> dict[int, list[int]]:
+    """The table's `missing_rows()`; a DataError naming the first attribute
+    whose every cell is missing: no imputer can learn a fill for it."""
+    missing = table.missing_rows()
+    for j, rows in missing.items():
+        if len(rows) == len(table):
+            raise DataError(f"attribute {table.schema.attributes[j].name!r} is entirely missing")
+    return missing
 
 
 def impute_sta(table: Table) -> Table:
     """Mode/mean imputation; observed cells pass through untouched."""
-    _require_observed(table)
     fills = {}
-    for j, attr in enumerate(table.schema.attributes):
-        column = [row[j] for row in table.rows]
-        if all(c is not None for c in column):
-            continue
-        observed = [c for c in column if c is not None]
+    for j, rows in _require_observed(table).items():
+        attr = table.schema.attributes[j]
+        observed = [row[j] for row in table.rows if row[j] is not None]
         if attr.kind == CATEGORICAL:
             k = attr.code_indices(observed)
             # argmax takes the first maximum: ties go to the earliest declared code
-            fills[j] = attr.codes[int(np.bincount(k, minlength=len(attr.codes)).argmax())]
+            fill = attr.codes[int(np.bincount(k, minlength=len(attr.codes)).argmax())]
         else:
-            fills[j] = float(np.mean(observed))
-    if not fills:
-        return table
-    rows = [
-        tuple(fills[j] if cell is None and j in fills else cell for j, cell in enumerate(row))
-        for row in table.rows
-    ]
-    return table.replace_rows(rows)
+            fill = float(np.mean(observed))
+        fills[j] = [fill] * len(rows)
+    return table.fill(fills)
 
 
 def _design_block(attr, col: np.ndarray) -> np.ndarray | None:
@@ -130,33 +126,24 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
     if rounds < 1:
         raise DataError(f"rounds must be >= 1, got {rounds}")
     attrs = table.schema.attributes
-    missing = {
-        j: [i for i, row in enumerate(table.rows) if row[j] is None]
-        for j in range(len(attrs))
-    }
-    incomplete = [j for j, rows in missing.items() if rows]
-    if not incomplete:
+    missing = table.missing_rows()
+    if not missing:
         return table
-    observed = {
-        j: [i for i, row in enumerate(table.rows) if row[j] is not None]
-        for j in incomplete
-    }
     working = impute_sta(table)
-    columns = [list(working.column(a.name)) for a in attrs]
     # every column as an array (code indices for categoricals) and its design
     # block, rebuilt only when an imputation changes its column
     values = [
         attr.code_indices(col) if attr.kind == CATEGORICAL else np.array(col, dtype=np.float64)
-        for attr, col in zip(attrs, columns)
+        for attr, col in zip(attrs, map(working.column, table.schema.names))
     ]
     blocks = [_design_block(attr, col) for attr, col in zip(attrs, values)]
     intercept = np.ones((len(table), 1))
     constant = {}  # names in first-seen order
-    stale = set(incomplete)
+    stale = set(missing)
     for _ in range(rounds):
         if not stale:
             break
-        for j in incomplete:
+        for j in missing:
             if j not in stale:
                 continue
             stale.discard(j)
@@ -170,7 +157,8 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
                 else:
                     parts.append(block)
             design = np.hstack(parts)
-            obs, mis = observed[j], missing[j]
+            mis = missing[j]
+            obs = np.delete(np.arange(len(table)), mis)
             X_obs, X_mis = design[obs], design[mis]
             y = values[j][obs]
             before = values[j][mis].tobytes()
@@ -182,20 +170,16 @@ def impute_mice(table: Table, rounds: int = 10) -> Table:
                 values[j][mis] = np.clip(X_mis @ beta, y.min(), y.max())
             if values[j][mis].tobytes() != before:
                 # every other column's design holds this column's block
-                stale = set(incomplete) - {j}
+                stale = set(missing) - {j}
                 blocks[j] = _design_block(attr, values[j])
     if constant:
         names = ", ".join(repr(name) for name in constant)
         warnings.warn(f"constant predictors dropped from regression: {names}")
-    for j in incomplete:
-        filled = values[j][missing[j]].tolist()
-        if attrs[j].kind == CATEGORICAL:
-            codes = attrs[j].codes
-            filled = [codes[k] for k in filled]
-        for i, value in zip(missing[j], filled):
-            columns[j][i] = value
-    rows = [tuple(columns[j][i] for j in range(len(attrs))) for i in range(len(table))]
-    return table.replace_rows(rows)
+    fills = {}
+    for j, rows in missing.items():
+        filled = values[j][rows].tolist()
+        fills[j] = [attrs[j].codes[k] for k in filled] if attrs[j].kind == CATEGORICAL else filled
+    return table.fill(fills)
 
 
 # -- GAIN ----------------------------------------------------------------------
@@ -325,13 +309,12 @@ def impute_gain(model: GainModel, table: Table) -> Table:
     x_tilde = m * x + (1.0 - m) * z
     g_out, _ = forward(model.generator, np.hstack([x_tilde, m]))
     require_cover(model.codec, table.schema)
-    columns = {name: table.column(name) for name in table.schema.names}
-    for block in model.codec.blocks:
-        column = columns[block.attribute]
-        missing = [i for i, cell in enumerate(column) if cell is None]
-        for i, cell in zip(missing, decode_block(block, g_out[missing, block.start : block.stop])):
-            column[i] = cell
-    return table.replace_rows(zip(*columns.values()))
+    blocks = {block.attribute: block for block in model.codec.blocks}
+    fills = {}
+    for j, rows in table.missing_rows().items():
+        block = blocks[table.schema.attributes[j].name]
+        fills[j] = decode_block(block, g_out[rows, block.start : block.stop])
+    return table.fill(fills)
 
 
 def gain_impute_table(
@@ -344,44 +327,23 @@ def gain_impute_table(
 # -- evaluation harness ---------------------------------------------------------
 
 
-@dataclass
-class ImputationContext:
-    """Everything a method in `METHODS` may use to produce imputed tables."""
-
-    train_missing: Table
-    test_missing: Table
-    seed: int
-    pristine_train: Table
-    pristine_test: Table
-    gain_config: GainConfig
+METHODS = ("sta", "mice", "gain", "oracle")
 
 
-def _method_sta(ctx: ImputationContext):
-    return impute_sta(ctx.train_missing), impute_sta(ctx.test_missing)
-
-
-def _method_mice(ctx: ImputationContext):
-    return (
-        impute_mice(ctx.train_missing, rounds=10),
-        impute_mice(ctx.test_missing, rounds=10),
-    )
-
-
-def _method_gain(ctx: ImputationContext):
-    model = _fit_gain(ctx.train_missing, ctx.gain_config, derive_seed(ctx.seed, "gain"))
-    return impute_gain(model, ctx.train_missing), impute_gain(model, ctx.test_missing)
-
-
-def _method_oracle(ctx: ImputationContext):
-    return ctx.pristine_train, ctx.pristine_test
-
-
-METHODS = {
-    "sta": _method_sta,
-    "mice": _method_mice,
-    "gain": _method_gain,
-    "oracle": _method_oracle,
-}
+def _impute_split(
+    name: str, train_missing: Table, test_missing: Table, pristine: tuple[Table, Table],
+    seed: int, gain_config: GainConfig,
+) -> tuple[Table, Table]:
+    """Method `name`'s imputed (train, test) pair. GAIN is fitted on the train
+    side only; `oracle` returns the `pristine` pair."""
+    if name == "sta":
+        return impute_sta(train_missing), impute_sta(test_missing)
+    if name == "mice":
+        return impute_mice(train_missing, rounds=10), impute_mice(test_missing, rounds=10)
+    if name == "gain":
+        model = _fit_gain(train_missing, gain_config, derive_seed(seed, "gain"))
+        return impute_gain(model, train_missing), impute_gain(model, test_missing)
+    return pristine
 
 
 @dataclass(frozen=True)
@@ -400,28 +362,15 @@ class DiffReport:
     points; AUC differences are absolute values in raw AUC units.
     """
 
-    pristine: dict[str, dict[str, float]]
-    methods: dict[str, MethodScores]
+    # the field order, here and in MethodScores, is the key order of imputation.json
     features: tuple[str, ...]
     rate: float
     seed: int
+    pristine: dict[str, dict[str, float]]
+    methods: dict[str, MethodScores]
 
     def to_dict(self) -> dict:
-        return {
-            "features": list(self.features),
-            "rate": self.rate,
-            "seed": self.seed,
-            "pristine": self.pristine,
-            "methods": {
-                name: {
-                    "per_classifier": scores.per_classifier,
-                    "avg_accuracy_diff": scores.avg_accuracy_diff,
-                    "avg_f1_diff": scores.avg_f1_diff,
-                    "avg_auc_diff": scores.avg_auc_diff,
-                }
-                for name, scores in self.methods.items()
-            },
-        }
+        return asdict(self)
 
     def format_text(self) -> str:
         lines = [f"{'Method':<10} {'Avg Accuracy':>14} {'Avg F1-score':>14} {'Avg AUC':>10}"]
@@ -434,16 +383,16 @@ class DiffReport:
 
 def _classifier_metrics(
     train: Table, test: Table, codec, classifiers, seed, absent: set
-) -> dict[str, Metrics]:
-    """Each classifier's metrics on `test`. The classes a scoring finds absent
-    from `test` are added to `absent` instead of warned; every other warning
-    passes through."""
+) -> dict[str, dict[str, float]]:
+    """Each classifier's accuracy, weighted F1 and macro AUC on `test`. The
+    classes a scoring finds absent from `test` are added to `absent` instead
+    of warned; every other warning passes through."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scores = {
-            name: fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
-            for name in classifiers
-        }
+        scores = {}
+        for name in classifiers:
+            m = fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
+            scores[name] = {"accuracy": m.accuracy, "weighted_f1": m.weighted_f1, "macro_auc": m.macro_auc}
     for w in caught:
         if issubclass(w.category, AbsentClassWarning):
             absent.update(w.message.classes)
@@ -476,10 +425,12 @@ def evaluate_imputation(
     for name in features:
         if name not in feature_names:
             raise DataError(f"cannot inject missing cells into {name!r}: not a feature attribute")
-    if not complete.is_complete(tuple(features)):
+    if set(map(schema.index_of, features)) & complete.missing_rows().keys():
         raise DataError("the benchmark table must be complete in the injected features")
     methods = list(methods) if methods is not None else ["sta", "mice", "gain"]
     classifiers = list(classifiers) if classifiers is not None else ["lr", "dt", "rf", "mlp", "svm"]
+    if not classifiers:
+        raise DataError("no classifiers to score the imputation methods with")
     for name in methods:
         if name not in METHODS:
             raise DataError(f"unknown imputation method {name!r}")
@@ -496,41 +447,25 @@ def evaluate_imputation(
 
     train_missing, _ = inject_missing(train, features, rate, derive_seed(seed, "inject-train"))
     test_missing, _ = inject_missing(test, features, rate, derive_seed(seed, "inject-test"))
-    ctx = ImputationContext(train_missing, test_missing, seed, train, test, gain_config or GainConfig())
+    gain_config = gain_config or GainConfig()
 
     report_methods: dict[str, MethodScores] = {}
     for name in methods:
-        imputed_train, imputed_test = METHODS[name](ctx)
-        scores = _classifier_metrics(imputed_train, imputed_test, codec, classifiers, seed, absent)
+        imputed = _impute_split(name, train_missing, test_missing, (train, test), seed, gain_config)
         per_clf = {}
-        acc_diffs, f1_diffs, auc_diffs = [], [], []
-        for clf in classifiers:
-            p, s = pristine[clf], scores[clf]
-            acc = abs(p.accuracy - s.accuracy) * 100.0
-            f1 = abs(p.weighted_f1 - s.weighted_f1) * 100.0
-            auc = abs(p.macro_auc - s.macro_auc)
+        for clf, s in _classifier_metrics(*imputed, codec, classifiers, seed, absent).items():
+            p = pristine[clf]
             per_clf[clf] = {
-                "accuracy": s.accuracy,
-                "weighted_f1": s.weighted_f1,
-                "macro_auc": s.macro_auc,
-                "accuracy_diff": acc,
-                "f1_diff": f1,
-                "auc_diff": auc,
+                **s,
+                "accuracy_diff": abs(p["accuracy"] - s["accuracy"]) * 100.0,
+                "f1_diff": abs(p["weighted_f1"] - s["weighted_f1"]) * 100.0,
+                "auc_diff": abs(p["macro_auc"] - s["macro_auc"]),
             }
-            acc_diffs.append(acc)
-            f1_diffs.append(f1)
-            auc_diffs.append(auc)
-        report_methods[name] = MethodScores(
-            per_classifier=per_clf,
-            avg_accuracy_diff=float(np.mean(acc_diffs)),
-            avg_f1_diff=float(np.mean(f1_diffs)),
-            avg_auc_diff=float(np.mean(auc_diffs)),
-        )
+        report_methods[name] = MethodScores(per_clf, *(
+            float(np.mean([row[key] for row in per_clf.values()]))
+            for key in ("accuracy_diff", "f1_diff", "auc_diff")
+        ))
 
     if absent:
         warnings.warn(AbsentClassWarning(c for c in schema.class_codes if c in absent))
-    pristine_dict = {
-        clf: {"accuracy": m.accuracy, "weighted_f1": m.weighted_f1, "macro_auc": m.macro_auc}
-        for clf, m in pristine.items()
-    }
-    return DiffReport(pristine_dict, report_methods, tuple(features), rate, seed)
+    return DiffReport(tuple(features), rate, seed, pristine, report_methods)

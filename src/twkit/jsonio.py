@@ -2,7 +2,8 @@
 spaces, with a trailing newline (reports, specs, the manifest). A document
 that cannot be read or decoded, that holds `NaN`, `Infinity` or `-Infinity`
 (which Python's `json` accepts but JSON does not), or that its reader's
-`parse` rejects, raises one `DataError` naming the file."""
+`parse` rejects, raises one `DataError` naming the file. Writing a document
+that holds one of those numbers raises the same error and writes nothing."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ from .errors import DataError, TwkitError
 
 
 def write_json(path, doc) -> None:
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _reject_constant(token: str):

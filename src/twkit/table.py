@@ -3,6 +3,8 @@
 Cells are declared categorical codes, floats, or ``None`` for missing. Tables
 are immutable after construction and validated against their schema. In CSV
 form a missing cell is an empty field or the literal ``NA``.
+Missing cells are found (`missing_rows`) and filled (`fill`) only here: an
+imputer decides the values, and every observed cell passes through.
 """
 
 from __future__ import annotations
@@ -91,12 +93,28 @@ class Table:
         i = self.schema.label_index
         return [row[i] for row in self.rows]
 
-    def is_complete(self, names: tuple[str, ...] | None = None) -> bool:
-        idx = range(len(self.schema.attributes)) if names is None else [self.schema.index_of(n) for n in names]
-        return all(row[i] is not None for row in self.rows for i in idx)
+    def is_complete(self) -> bool:
+        return not self.missing_rows()
 
     def replace_rows(self, rows) -> "Table":
         return Table(self.schema, tuple(tuple(r) for r in rows))
+
+    def missing_rows(self) -> dict[int, list[int]]:
+        """{column index: the ascending rows of its None cells}, for each
+        column that has any, in attribute order."""
+        columns = [(j, column) for j, column in enumerate(zip(*self.rows)) if None in column]
+        return {j: [i for i, cell in enumerate(column) if cell is None] for j, column in columns}
+
+    def fill(self, fills: dict[int, list[Cell]]) -> "Table":
+        """A copy in which column j's None cells take `fills[j]`, in row order;
+        every observed cell passes through. A ValueError when `fills[j]` does
+        not hold one value per None cell of column j."""
+        rows = [list(row) for row in self.rows]
+        missing = self.missing_rows()
+        for j, values in fills.items():
+            for i, value in zip(missing.get(j, ()), values, strict=True):
+                rows[i][j] = value
+        return self.replace_rows(rows)
 
 
 def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:

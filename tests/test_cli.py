@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -201,6 +202,37 @@ def test_pipeline_failure_writes_partial_manifest(tmp_path, capsys):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages_completed"] == ["synth"]
         assert [a["path"] for a in manifest["artifacts"]] == ["tw.csv"]
+
+
+def test_pipeline_with_no_classifiers_exits_1(tmp_path, capsys):
+    # the mean difference over no classifiers is NaN, which imputation.json cannot hold
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_rows": 60, "bench_rows": 60, "classifiers": []}), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["pipeline", "--out", out, "--seed", 3, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "no classifiers" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages_completed"] == ["synth"]
+    assert [a["path"] for a in manifest["artifacts"]] == ["tw.csv"]
+    assert not (out / "reports" / "imputation.json").exists()
+
+
+def test_non_finite_report_exits_1(tmp_path, capsys):
+    # a 0.01 test fraction of 30 rows holds out no row, whose macro AUC is NaN
+    src, report = tmp_path / "tw.csv", tmp_path / "report.json"
+    assert run(["synth", "--n", 30, "--seed", 3, "--out", src]) == 0
+    capsys.readouterr()
+    assert run(["train", "--in", src, "--model", "dt", "--test-fraction", 0.01, "--report", report]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {report}: ")
+    assert not report.exists()
 
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path):

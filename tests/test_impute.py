@@ -522,8 +522,7 @@ class TestGainOracle:
         train, test = split_stratified(corpus_200, impute.TEST_FRACTION, derive_seed(seed, "split"))
         train_missing, _ = inject_missing(train, GAIN_ORACLE_FEATURES, 0.3, derive_seed(seed, "inject-train"))
         test_missing, _ = inject_missing(test, GAIN_ORACLE_FEATURES, 0.3, derive_seed(seed, "inject-test"))
-        ctx = impute.ImputationContext(train_missing, test_missing, seed, train, test, FAST_GAIN)
-        got = impute.METHODS["gain"](ctx)
+        got = impute._impute_split("gain", train_missing, test_missing, (train, test), seed, FAST_GAIN)
         tables = [train_missing, test_missing]
         expected = _gain_reference(train_missing, tables, FAST_GAIN, derive_seed(seed, "gain"))
         assert [_typed_cells(t) for t in got] == [_typed_fill(t, e) for t, e in zip(tables, expected)]
@@ -566,6 +565,15 @@ class TestHarness:
         with pytest.raises(DataError):
             evaluate_imputation(small_corpus(60), ["height"], 0.3, methods=["nope"])
 
+    def test_no_classifiers_rejected_before_scoring(self, monkeypatch):
+        # the mean difference over no classifiers is NaN, which JSON cannot hold
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a classifier was scored before the classifiers were checked")
+
+        monkeypatch.setattr(impute, "fit_and_score", no_scoring)
+        with pytest.raises(DataError, match="no classifiers"):
+            evaluate_imputation(small_corpus(60), ["height"], 0.3, classifiers=[])
+
     def test_rate_validated_via_inject(self):
         with pytest.raises(DataError):
             evaluate_imputation(small_corpus(60), ["height"], 0.0, methods=["sta"],
@@ -598,3 +606,20 @@ class TestHarness:
         assert doc["methods"]["sta"]["avg_accuracy_diff"] >= 0.0
         text = report.format_text()
         assert "sta" in text and "Avg Accuracy" in text
+
+    def test_report_key_order(self):
+        # the key order of imputation.json
+        report = evaluate_imputation(
+            small_corpus(140, seed=32), ["headgear", "height"], 0.3,
+            methods=["sta", "oracle"], classifiers=["lr", "dt"], seed=33,
+        )
+        doc = report.to_dict()
+        assert list(doc) == ["features", "rate", "seed", "pristine", "methods"]
+        assert list(doc["methods"]) == ["sta", "oracle"]
+        for clf in ("lr", "dt"):
+            assert list(doc["pristine"][clf]) == ["accuracy", "weighted_f1", "macro_auc"]
+        for scores in doc["methods"].values():
+            assert list(scores) == ["per_classifier", "avg_accuracy_diff", "avg_f1_diff", "avg_auc_diff"]
+            assert list(scores["per_classifier"]) == ["lr", "dt"]
+            for row in scores["per_classifier"].values():
+                assert list(row) == ["accuracy", "weighted_f1", "macro_auc", "accuracy_diff", "f1_diff", "auc_diff"]

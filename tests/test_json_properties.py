@@ -1,0 +1,51 @@
+"""Property test at the JSON output boundary: `write_json` either writes a
+document that `read_json` reads back equal, or raises one data error naming
+the file and writes nothing, as for a document holding `NaN` or `Infinity`."""
+
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from twkit.errors import DataError
+from twkit.jsonio import read_json, write_json
+
+DOCUMENTS = st.recursive(
+    st.one_of(
+        st.text(max_size=5), st.integers(), st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _finite(doc) -> bool:
+    """Whether every number in `doc` is finite, written independently of twkit."""
+    if isinstance(doc, float):
+        return math.isfinite(doc)
+    if isinstance(doc, list):
+        return all(map(_finite, doc))
+    if isinstance(doc, dict):
+        return all(map(_finite, doc.values()))
+    return True
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(DOCUMENTS)
+def test_document_reads_back_or_is_one_data_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        if _finite(doc):
+            event("written")
+            write_json(path, doc)
+            assert read_json(path, lambda d: d, "document") == doc
+        else:
+            event("rejected")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+                write_json(path, doc)
+            assert not list(Path(tmp).iterdir())

@@ -337,3 +337,55 @@ def test_save_csv_matches_per_cell_writer(tmp_path, schema, corpus_200):
             save_csv(table, tmp_path / "new.csv", origins=origins)
             _save_csv_reference(table, tmp_path / "old.csv", origins=origins)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _blanked(table, cells):
+    rows = [list(row) for row in table.rows]
+    for i, j in cells:
+        rows[i][j] = None
+    return table.replace_rows(rows)
+
+
+def _typed(table):
+    return [[(type(cell), repr(cell)) for cell in row] for row in table.rows]
+
+
+class TestMissingRowsAndFill:
+    def test_missing_rows_in_attribute_and_row_order(self, corpus_200):
+        schema = corpus_200.schema
+        height, headgear = schema.index_of("height"), schema.index_of("headgear")
+        table = _blanked(corpus_200, [(5, height), (3, headgear), (1, height)])
+        assert list(table.missing_rows().items()) == sorted([(height, [1, 5]), (headgear, [3])])
+        assert corpus_200.missing_rows() == {}
+
+    def test_fill_in_row_order_and_observed_cells_untouched(self, corpus_200):
+        schema = corpus_200.schema
+        height, headgear = schema.index_of("height"), schema.index_of("headgear")
+        code = schema.attribute("headgear").codes[0]
+        table = _blanked(corpus_200, [(5, height), (3, headgear), (1, height)])
+        filled = table.fill({height: [170.0, 180.0], headgear: [code]})
+        expected = [list(row) for row in corpus_200.rows]
+        expected[1][height], expected[5][height], expected[3][headgear] = 170.0, 180.0, code
+        assert _typed(filled) == _typed(corpus_200.replace_rows(expected))
+        assert filled.missing_rows() == {}
+        assert table.missing_rows() == {height: [1, 5], headgear: [3]}  # the source is unchanged
+
+    def test_fill_leaves_columns_it_is_not_given(self, corpus_200):
+        height = corpus_200.schema.index_of("height")
+        table = _blanked(corpus_200, [(2, 0), (4, height)])
+        assert table.fill({height: [171.5]}).missing_rows() == {0: [2]}
+
+    def test_zero_rows(self, corpus_200):
+        height = corpus_200.schema.index_of("height")
+        empty = corpus_200.replace_rows([])
+        assert empty.missing_rows() == {}
+        assert len(empty.fill({})) == len(empty.fill({height: []})) == 0
+        with pytest.raises(ValueError):
+            empty.fill({height: [170.0]})
+
+    @pytest.mark.parametrize("values", [[], [170.0], [170.0, 180.0, 190.0]])
+    def test_fill_length_mismatch_raises(self, corpus_200, values):
+        height = corpus_200.schema.index_of("height")
+        table = _blanked(corpus_200, [(5, height), (1, height)])
+        with pytest.raises(ValueError):
+            table.fill({height: values})
