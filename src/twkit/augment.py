@@ -223,7 +223,7 @@ def train_table_cgan(
             loss_f, grad_f = binary_cross_entropy(d_fake, np.zeros_like(d_fake))
             grads_r, _ = backward(disc, cache_r, 0.5 * grad_r, inputs=False)
             grads_f, _ = backward(disc, cache_f, 0.5 * grad_f, inputs=False)
-            adam_step(disc, [(gr + gf, br + bf) for (gr, br), (gf, bf) in zip(grads_r, grads_f)], d_state)
+            adam_step(disc, grads_r + grads_f, d_state)
 
             # classifier on real rows
             logits, cache_c = forward(clf, xb)

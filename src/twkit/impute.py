@@ -437,6 +437,9 @@ def evaluate_imputation(
     for name in classifiers:
         if name not in CLASSIFIERS:
             raise DataError(f"unknown classifier {name!r}")
+    for what, names in (("imputation method", methods), ("classifier", classifiers)):
+        if len(set(names)) < len(names):
+            raise DataError(f"each {what} may be named once, got {names}")
     if not 0 < rate < 1:
         raise DataError(f"rate must be in (0, 1), got {rate}")
 

@@ -8,17 +8,31 @@ that holds one of those numbers raises the same error and writes nothing."""
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import DataError, TwkitError
 
 
+def _check_finite(path, value) -> None:
+    """Raise, before a byte is written, the error that `json.dump(...,
+    allow_nan=False)` would raise part-way through writing `value`."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DataError(f"{path}: Out of range float values are not JSON compliant: {value!r}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(path, key)
+            _check_finite(path, item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(path, item)
+
+
 def write_json(path, doc) -> None:
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    _check_finite(path, doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _reject_constant(token: str):

@@ -1,12 +1,13 @@
 """Minimal dense feed-forward engine with analytic gradients and Adam.
 
-Everything is plain numpy. `backward` returns parameter gradients and the
-gradient with respect to the network input, so one network can be chained
-through another (generator through discriminator). A caller that keeps only
-one of the two says so: `backward(..., params=False)` skips every weight and
-bias gradient and `backward(..., inputs=False)` skips the input gradient; the
-skipped part comes back as None and the kept part is unchanged. Output
-activations:
+Everything is plain numpy. A network keeps its weights and biases in one
+flat float64 array, `MLP.params`, laid out as `MLP.layers` reads it; the
+per-layer `weights` and `biases` are views into it, and the parameter
+gradient of `backward` and the Adam moments share the layout. `backward` also
+returns the gradient with respect to the network input, so one network can
+be chained through another (generator through discriminator).
+`backward(..., params=False)` skips the parameter gradient and `inputs=False`
+the input gradient; the skipped part comes back as None. Output activations:
 
 - "sigmoid"        elementwise logistic
 - "identity"       raw affine output
@@ -37,9 +38,27 @@ class MLP:
     output_activation: str = "sigmoid"
     output_blocks: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        given = self.weights + self.biases
+        self.params = np.empty(sum(a.size for a in given))
+        self.weights, self.biases = self.layers(self.params)
+        for view, array in zip(self.weights + self.biases, given):
+            view[...] = array
+
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+
+    def layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases) as views into `flat`, laid out W0, b0, W1, b1, ... in C order."""
+        sizes = self.layer_sizes
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            stop = offset + fan_in * fan_out
+            weights.append(flat[offset:stop].reshape(fan_in, fan_out))
+            biases.append(flat[stop : stop + fan_out])
+            offset = stop + fan_out
+        return weights, biases
 
 
 def init_mlp(
@@ -78,26 +97,12 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _sigmoid_spans(width: int, blocks) -> list[tuple[int, int]]:
-    """The (start, stop) column spans outside every softmax block."""
-    spans, start = [], 0
-    for block_start, block_stop in sorted(blocks):
-        if block_start > start:
-            spans.append((start, block_start))
-        start = max(start, block_stop)
-    if start < width:
-        spans.append((start, width))
-    return spans
-
-
 def _apply_output(mlp: MLP, z: np.ndarray) -> np.ndarray:
     if mlp.output_activation == "identity":
         return z
+    out = _sigmoid(z)
     if mlp.output_activation == "sigmoid":
-        return _sigmoid(z)
-    out = np.empty_like(z)
-    for start, stop in _sigmoid_spans(z.shape[1], mlp.output_blocks):
-        out[:, start:stop] = _sigmoid(z[:, start:stop])
+        return out
     for start, stop in mlp.output_blocks:
         out[:, start:stop] = _softmax(z[:, start:stop])
     return out
@@ -127,12 +132,9 @@ def forward(mlp: MLP, batch: np.ndarray):
 def _output_grad_to_pre(mlp: MLP, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
     if mlp.output_activation == "identity":
         return grad_out
+    dz = grad_out * out * (1.0 - out)
     if mlp.output_activation == "sigmoid":
-        return grad_out * out * (1.0 - out)
-    dz = np.empty_like(grad_out)
-    for start, stop in _sigmoid_spans(out.shape[1], mlp.output_blocks):
-        s = out[:, start:stop]
-        dz[:, start:stop] = grad_out[:, start:stop] * s * (1.0 - s)
+        return dz
     for start, stop in mlp.output_blocks:
         s = out[:, start:stop]
         g = grad_out[:, start:stop]
@@ -141,20 +143,23 @@ def _output_grad_to_pre(mlp: MLP, grad_out: np.ndarray, out: np.ndarray) -> np.n
 
 
 def backward(mlp: MLP, cache, output_gradient: np.ndarray, *, params: bool = True, inputs: bool = True):
-    """Exact reverse-mode gradients: ([(dW, db), ...], d_input).
+    """Exact reverse-mode gradients: (d_params, d_input), where d_params is a
+    new flat array laid out like `mlp.params`.
 
-    `params=False` skips the parameter gradients and `inputs=False` the input
+    `params=False` skips the parameter gradient and `inputs=False` the input
     gradient; a skipped part is returned as None."""
     pre, post = cache["pre"], cache["post"]
     out = post[-1]
     if output_gradient.shape != out.shape:
         raise ValueError(f"gradient shape {output_gradient.shape} != output shape {out.shape}")
-    grads = [None] * len(mlp.weights) if params else None
+    grads = np.empty_like(mlp.params) if params else None
+    d_weights, d_biases = mlp.layers(grads) if params else (None, None)
     d_input = None
     dz = _output_grad_to_pre(mlp, output_gradient, out)
     for i in range(len(mlp.weights) - 1, -1, -1):
         if params:
-            grads[i] = (post[i].T @ dz, dz.sum(axis=0))
+            np.matmul(post[i].T, dz, out=d_weights[i])
+            dz.sum(axis=0, out=d_biases[i])
         if i > 0:
             da_prev = dz @ mlp.weights[i].T
             if mlp.hidden_activation == "relu":
@@ -168,8 +173,7 @@ def backward(mlp: MLP, cache, output_gradient: np.ndarray, *, params: bool = Tru
 
 @dataclass
 class AdamState:
-    """Adam moments for one MLP, each one flat array over every parameter in
-    the order W0, b0, W1, b1, ... (each array raveled in C order)."""
+    """Adam moments for one MLP, each laid out like its `params`."""
 
     m: np.ndarray
     v: np.ndarray
@@ -177,22 +181,18 @@ class AdamState:
 
     def __post_init__(self):
         # scratch buffers, so that a step allocates no parameter-sized array
-        self._grad = np.empty_like(self.m)
         self._update = np.empty_like(self.m)
         self._denom = np.empty_like(self.m)
 
     @classmethod
     def for_mlp(cls, mlp: MLP) -> "AdamState":
-        size = sum(w.size + b.size for w, b in zip(mlp.weights, mlp.biases))
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        return cls(m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
 
-def adam_step(mlp: MLP, grads, state: AdamState):
-    """Bias-corrected Adam update (in place); returns (mlp, state).
+def adam_step(mlp: MLP, grad: np.ndarray, state: AdamState) -> None:
+    """Bias-corrected Adam update of `mlp.params` in place, by a `grad` laid out like it.
 
     A non-finite gradient raises before any weight or moment changes."""
-    grad = state._grad
-    np.concatenate([part for pair in grads for part in pair], axis=None, out=grad)
     if not np.isfinite(grad).all():
         raise TrainingDiverged("non-finite gradient in adam_step")
     state.step += 1
@@ -212,12 +212,7 @@ def adam_step(mlp: MLP, grads, state: AdamState):
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
-    offset = 0
-    for w, b in zip(mlp.weights, mlp.biases):
-        for target in (w, b):
-            target -= update[offset : offset + target.size].reshape(target.shape)
-            offset += target.size
-    return mlp, state
+    mlp.params -= update
 
 
 # -- losses: each returns (mean-reduced scalar, gradient wrt first argument) --

@@ -295,6 +295,8 @@ def split_stratified(table: Table, test_fraction: float, seed: int) -> tuple[Tab
         k = min(round_half_up(test_fraction * len(members)), len(members) - 1)
         picked = rng.permutation(len(members))[:k]
         test_idx.extend(members[p] for p in picked)
+    if not test_idx:
+        raise DataError(f"test_fraction {test_fraction} leaves no test rows in {len(table)} rows")
     test_set = set(test_idx)
     train_rows = [table.rows[i] for i in range(len(table)) if i not in test_set]
     test_rows = [table.rows[i] for i in sorted(test_set)]

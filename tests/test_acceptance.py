@@ -23,7 +23,7 @@ from twkit.augment import (
 from twkit.classify import feature_importance, fit_and_score
 from twkit.encoding import build_codec
 from twkit.impute import GainConfig, evaluate_imputation
-from twkit.metrics import auc_rank
+from twkit.metrics import AbsentClassWarning, auc_rank
 from twkit.seeds import derive_seed
 from twkit.table import Table, class_histogram, split_stratified
 
@@ -102,7 +102,7 @@ def test_criterion_01_gradient_correctness():
         _, grad_out, cache = _loss_for(net, X, target, kind, mask)
         analytic, _ = backward(net, cache, grad_out)
         numeric = _finite_diff(net, X, target, kind, mask)
-        worst = max(worst, _max_rel_error([g for pair in analytic for g in pair], numeric))
+        worst = max(worst, _max_rel_error(analytic, numeric))
     elapsed = time.time() - start
     assert worst < 1e-4
     assert elapsed < 30.0
@@ -114,17 +114,19 @@ def test_criterion_02_imputation_ranking():
     start = time.time()
     bench = synthesize_corpus(default_synthesis_spec(), 520, BENCH_SEED)
     results = []
-    for seed in BENCH_SEEDS:
-        r = evaluate_imputation(
-            bench, INJECTED, 0.30, methods=["sta", "mice", "gain"],
-            classifiers=["lr", "dt", "rf", "mlp", "svm"], seed=seed,
-            gain_config=GAIN_CONFIG,
-        )
-        gain, sta, mice = (r.methods[k] for k in ("gain", "sta", "mice"))
-        for field in ("avg_accuracy_diff", "avg_f1_diff", "avg_auc_diff"):
-            assert getattr(gain, field) <= getattr(sta, field), (seed, field)
-            assert getattr(gain, field) <= getattr(mice, field), (seed, field)
-        results.append((seed, gain.avg_accuracy_diff, gain.avg_f1_diff, gain.avg_auc_diff))
+    with pytest.warns(UserWarning, match=r"^constant predictors dropped from regression: 'corps'$"):
+        for seed in BENCH_SEEDS:
+            with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS'$"):
+                r = evaluate_imputation(
+                    bench, INJECTED, 0.30, methods=["sta", "mice", "gain"],
+                    classifiers=["lr", "dt", "rf", "mlp", "svm"], seed=seed,
+                    gain_config=GAIN_CONFIG,
+                )
+            gain, sta, mice = (r.methods[k] for k in ("gain", "sta", "mice"))
+            for field in ("avg_accuracy_diff", "avg_f1_diff", "avg_auc_diff"):
+                assert getattr(gain, field) <= getattr(sta, field), (seed, field)
+                assert getattr(gain, field) <= getattr(mice, field), (seed, field)
+            results.append((seed, gain.avg_accuracy_diff, gain.avg_f1_diff, gain.avg_auc_diff))
     elapsed = time.time() - start
     assert elapsed < 300.0
     report(2, f"GAIN <= STA and MICE on all aggregates at seeds {list(BENCH_SEEDS)} in {elapsed:.0f}s")
@@ -133,11 +135,12 @@ def test_criterion_02_imputation_ranking():
 def test_criterion_03_identity_imputation_zero_diffs():
     """The pass-through imputer moves no metric at all, exactly."""
     bench = synthesize_corpus(default_synthesis_spec(), 520, BENCH_SEED)
-    r = evaluate_imputation(
-        bench, INJECTED, 0.30, methods=["oracle"],
-        classifiers=["lr", "dt", "rf", "mlp", "svm"], seed=3,
-        gain_config=GAIN_CONFIG,
-    )
+    with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS'$"):
+        r = evaluate_imputation(
+            bench, INJECTED, 0.30, methods=["oracle"],
+            classifiers=["lr", "dt", "rf", "mlp", "svm"], seed=3,
+            gain_config=GAIN_CONFIG,
+        )
     oracle = r.methods["oracle"]
     assert oracle.avg_accuracy_diff == 0.0
     assert oracle.avg_f1_diff == 0.0

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from twkit.cli import main
+from twkit.metrics import AbsentClassWarning
 from twkit.table import class_histogram, load_augmented_csv
 
 
@@ -139,8 +140,9 @@ def test_train_with_folds(tmp_path, schema):
     src = tmp_path / "tw.csv"
     save_csv(corpus, src)
     report = tmp_path / "cv.json"
-    assert run(["train", "--model", "dt", "--in", src, "--report", report,
-                "--folds", 3, "--seed", 2]) == 0
+    with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CT', 'HR'$"):
+        assert run(["train", "--model", "dt", "--in", src, "--report", report,
+                    "--folds", 3, "--seed", 2]) == 0
     doc = json.loads(report.read_text())
     assert len(doc["folds"]) == 3
     assert 0.0 <= doc["mean_accuracy"] <= 1.0
@@ -223,16 +225,50 @@ def test_pipeline_with_no_classifiers_exits_1(tmp_path, capsys):
 
 
 def test_non_finite_report_exits_1(tmp_path, capsys):
-    # a 0.01 test fraction of 30 rows holds out no row, whose macro AUC is NaN
+    # a 0.03 test fraction of 30 rows (20 AW, 10 RW) holds out one AW row,
+    # and the macro AUC over a single class is NaN
     src, report = tmp_path / "tw.csv", tmp_path / "report.json"
     assert run(["synth", "--n", 30, "--seed", 3, "--out", src]) == 0
     capsys.readouterr()
-    assert run(["train", "--in", src, "--model", "dt", "--test-fraction", 0.01, "--report", report]) == 1
+    with pytest.warns(UserWarning) as caught:
+        code = run(["train", "--in", src, "--model", "dt", "--test-fraction", 0.03, "--report", report])
+    assert code == 1
+    assert [str(w.message) for w in caught] == [
+        "class 'AW' is the only truth class; excluded from macro AUC",
+        "classes absent from truth, excluded from macro AUC: 'RW', 'CS', 'CT', 'HR', 'MR', 'LR'",
+    ]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {report}: ")
     assert not report.exists()
+
+
+def test_empty_test_split_exits_1(tmp_path, capsys):
+    # a 0.01 test fraction of 30 rows holds out no row; nothing is fitted
+    src, report = tmp_path / "tw.csv", tmp_path / "report.json"
+    assert run(["synth", "--n", 30, "--seed", 3, "--out", src]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["train", "--in", src, "--model", "dt", "--test-fraction", 0.01, "--report", report])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: test_fraction 0.01 leaves no test rows in 30 rows"]
+    assert not report.exists()
+
+
+def test_eval_impute_repeated_names_exit_1(tmp_path, capsys, corpus_200):
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    out = tmp_path / "report.json"
+    for argv in (["--methods", "sta,sta", "--classifiers", "dt"], ["--methods", "sta", "--classifiers", "dt,dt"]):
+        assert run(["eval-impute", "--in", src, *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: each ") and "may be named once" in err
+        assert not out.exists()
 
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path):
@@ -484,7 +520,11 @@ def test_pipeline_completes_with_class_under_two_rows(tmp_path, schema, seed):
         "bench_rows": 200, "gain_epochs": 5, "cgan_epochs": 2, "methods": ["sta"], "classifiers": ["dt"],
     }), encoding="utf-8")
     out = tmp_path / "pipeline"
-    with pytest.warns(UserWarning, match="held at their count: 'HR'"):
+    with (
+        pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'HR'$"),
+        pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS', 'CT', 'HR', 'MR'$"),
+        pytest.warns(UserWarning, match="held at their count: 'HR'"),
+    ):
         assert run(["pipeline", "--out", out, "--seed", seed, "--config", config]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stages_completed"] == ["synth", "eval_impute", "augment", "train", "analyze", "plot"]
@@ -524,7 +564,8 @@ def test_plot_reproduces_pipeline_figures(tmp_path):
         "bench_rows": 200, "gain_epochs": 5, "cgan_epochs": 2, "methods": ["sta"], "classifiers": ["dt"],
     }), encoding="utf-8")
     out = tmp_path / "pipeline"
-    assert run(["pipeline", "--out", out, "--seed", 7, "--config", config]) == 0
+    with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS', 'HR', 'MR'$"):
+        assert run(["pipeline", "--out", out, "--seed", 7, "--config", config]) == 0
     analysis = json.loads((out / "reports" / "analysis.json").read_text())
     payloads = {"importance": out / "reports" / "classification.json"}
     for kind, key in (("box", "box"), ("violin", "violin"), ("heatmap", "correlation")):

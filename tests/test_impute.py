@@ -94,7 +94,8 @@ class TestMice:
                          "RW" if rng.random() < 0.5 else "AW"))
         table = Table(schema, tuple(rows))
         injected, _ = inject_missing(table, ["height"], 0.3, seed=1)
-        out = impute_mice(injected, rounds=3)
+        with pytest.warns(UserWarning, match=r"^constant predictors dropped from regression: 'corps', 'position', 'robe_num'$"):
+            out = impute_mice(injected, rounds=3)
         i_h, i_t = schema.index_of("height"), schema.index_of("t_id")
         for row in out.rows:
             assert row[i_h] == pytest.approx(2.0 * row[i_t], abs=1e-6)
@@ -531,14 +532,15 @@ class TestGainOracle:
 class TestHarness:
     def test_identity_oracle_zero_diffs(self):
         table = small_corpus(140, seed=28)
-        report = evaluate_imputation(
-            table,
-            features=["hairstyle", "headgear"],
-            rate=0.3,
-            methods=["oracle"],
-            classifiers=["lr", "dt"],
-            seed=29,
-        )
+        with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS', 'CT', 'HR', 'MR', 'LR'$"):
+            report = evaluate_imputation(
+                table,
+                features=["hairstyle", "headgear"],
+                rate=0.3,
+                methods=["oracle"],
+                classifiers=["lr", "dt"],
+                seed=29,
+            )
         scores = report.methods["oracle"]
         assert scores.avg_accuracy_diff == 0.0
         assert scores.avg_f1_diff == 0.0
@@ -564,6 +566,18 @@ class TestHarness:
     def test_unknown_method_rejected(self):
         with pytest.raises(DataError):
             evaluate_imputation(small_corpus(60), ["height"], 0.3, methods=["nope"])
+
+    @pytest.mark.parametrize("names", [
+        {"methods": ["sta", "sta"]},
+        {"methods": ["sta"], "classifiers": ["dt", "lr", "dt"]},
+    ])
+    def test_repeated_names_rejected_before_scoring(self, monkeypatch, names):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a classifier was scored before the names were checked")
+
+        monkeypatch.setattr(impute, "fit_and_score", no_scoring)
+        with pytest.raises(DataError, match="may be named once"):
+            evaluate_imputation(small_corpus(60), ["height"], 0.3, **names)
 
     def test_no_classifiers_rejected_before_scoring(self, monkeypatch):
         # the mean difference over no classifiers is NaN, which JSON cannot hold
@@ -596,10 +610,11 @@ class TestHarness:
 
     def test_sta_report_structure(self):
         table = small_corpus(140, seed=32)
-        report = evaluate_imputation(
-            table, ["headgear", "height"], 0.3,
-            methods=["sta"], classifiers=["lr", "dt"], seed=33,
-        )
+        with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS', 'CT', 'HR', 'MR'$"):
+            report = evaluate_imputation(
+                table, ["headgear", "height"], 0.3,
+                methods=["sta"], classifiers=["lr", "dt"], seed=33,
+            )
         doc = report.to_dict()
         assert set(doc["methods"]) == {"sta"}
         assert set(doc["methods"]["sta"]["per_classifier"]) == {"lr", "dt"}
@@ -609,10 +624,11 @@ class TestHarness:
 
     def test_report_key_order(self):
         # the key order of imputation.json
-        report = evaluate_imputation(
-            small_corpus(140, seed=32), ["headgear", "height"], 0.3,
-            methods=["sta", "oracle"], classifiers=["lr", "dt"], seed=33,
-        )
+        with pytest.warns(AbsentClassWarning, match=r"^classes absent from truth, excluded from macro AUC: 'CS', 'CT', 'HR', 'MR'$"):
+            report = evaluate_imputation(
+                small_corpus(140, seed=32), ["headgear", "height"], 0.3,
+                methods=["sta", "oracle"], classifiers=["lr", "dt"], seed=33,
+            )
         doc = report.to_dict()
         assert list(doc) == ["features", "rate", "seed", "pristine", "methods"]
         assert list(doc["methods"]) == ["sta", "oracle"]

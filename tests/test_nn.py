@@ -52,6 +52,51 @@ class TestInit:
             init_mlp((4, 0, 2), seed=0)
 
 
+class TestFlatLayout:
+    """Weights, biases, gradients and Adam moments share one flat layout."""
+
+    @staticmethod
+    def _nets():
+        rng = np.random.default_rng(6)
+        weights = [rng.normal(size=(3, 5)), rng.normal(size=(5, 2))]
+        biases = [rng.normal(size=5), rng.normal(size=2)]
+        direct = MLP(weights=weights, biases=biases)
+        for given, view in zip(weights + biases, direct.weights + direct.biases, strict=True):
+            assert np.array_equal(view, given) and not np.shares_memory(view, given)
+        return [init_mlp((4, 6, 5, 3), seed=0), direct]
+
+    def test_weights_and_biases_are_views_into_params(self):
+        for net in self._nets():
+            assert net.params.dtype == np.float64
+            assert net.params.size == sum(a.size for a in net.weights + net.biases)
+            for array in net.weights + net.biases:
+                assert np.shares_memory(array, net.params)
+            net.params[:] = np.arange(net.params.size)
+            expected = np.concatenate([a for pair in zip(net.weights, net.biases) for a in pair], axis=None)
+            assert np.array_equal(expected, np.arange(net.params.size))
+
+    def test_backward_returns_one_flat_gradient(self):
+        for net in self._nets():
+            X = np.random.default_rng(1).normal(size=(7, net.layer_sizes[0]))
+            out, cache = forward(net, X)
+            grads, _ = backward(net, cache, np.ones_like(out), inputs=False)
+            assert grads.shape == (net.params.size,) and grads.dtype == np.float64
+            assert not np.shares_memory(grads, net.params)
+
+    def test_adam_step_moves_each_view_as_it_moves_params(self):
+        for net in self._nets():
+            before = net.params.copy()
+            views_before = [a.copy() for a in net.weights + net.biases]
+            state = AdamState.for_mlp(net)
+            adam_step(net, np.random.default_rng(2).normal(size=net.params.size), state)
+            moved = net.params - before
+            moved_weights, moved_biases = net.layers(moved)
+            for view, old, delta in zip(net.weights + net.biases, views_before,
+                                        moved_weights + moved_biases, strict=True):
+                assert np.array_equal(view - old, delta)
+            assert (moved != 0).all()
+
+
 class TestForward:
     def test_zero_net_sigmoid(self):
         net = init_mlp((3, 4, 2), seed=0)
@@ -94,30 +139,21 @@ def _loss_for(net, X, target, kind, mask=None):
 
 
 def _finite_diff(net, X, target, kind, mask, eps=1e-5):
-    fd = []
-    for layer in range(len(net.weights)):
-        for arr in (net.weights[layer], net.biases[layer]):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                lp = _loss_for(net, X, target, kind, mask)[0]
-                arr[idx] = orig - eps
-                lm = _loss_for(net, X, target, kind, mask)[0]
-                arr[idx] = orig
-                g[idx] = (lp - lm) / (2 * eps)
-            fd.append(g)
+    params = net.params
+    fd = np.zeros_like(params)
+    for idx in range(params.size):
+        orig = params[idx]
+        params[idx] = orig + eps
+        lp = _loss_for(net, X, target, kind, mask)[0]
+        params[idx] = orig - eps
+        lm = _loss_for(net, X, target, kind, mask)[0]
+        params[idx] = orig
+        fd[idx] = (lp - lm) / (2 * eps)
     return fd
 
 
 def _max_rel_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        rel = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-6)
-        worst = max(worst, float(rel.max()))
-    return worst
+    return float((np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)).max())
 
 
 GRADCHECK_CONFIGS = []
@@ -151,9 +187,8 @@ def test_gradcheck_against_finite_differences(i, sizes, hidden, output, kind):
         mask = (rng.random((6, sizes[-1])) < 0.7).astype(float) if kind == "mse" else None
     loss, grad_out, cache = _loss_for(net, X, target, kind, mask)
     analytic, _ = backward(net, cache, grad_out)
-    flat_analytic = [g for pair in analytic for g in pair]
     numeric = _finite_diff(net, X, target, kind, mask)
-    assert _max_rel_error(flat_analytic, numeric) < 1e-4
+    assert _max_rel_error(analytic, numeric) < 1e-4
 
 
 def test_input_gradient_matches_finite_differences():
@@ -182,8 +217,7 @@ def test_zero_output_gradient_gives_zero_grads():
     net = init_mlp((4, 5, 2), seed=0)
     out, cache = forward(net, np.random.default_rng(0).normal(size=(3, 4)))
     grads, input_grad = backward(net, cache, np.zeros_like(out))
-    for dw, db in grads:
-        assert (dw == 0).all() and (db == 0).all()
+    assert grads.shape == net.params.shape and (grads == 0).all()
     assert (input_grad == 0).all()
 
 
@@ -195,9 +229,7 @@ def test_gradient_linearity():
     _, g = mse(out, y, np.ones_like(out))
     grads1, _ = backward(net, cache, g)
     grads2, _ = backward(net, cache, 2.0 * g)
-    for (dw1, db1), (dw2, db2) in zip(grads1, grads2):
-        np.testing.assert_allclose(dw2, 2.0 * dw1, rtol=1e-12)
-        np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12)
+    np.testing.assert_allclose(grads2, 2.0 * grads1, rtol=1e-12)
 
 
 # -- references: the masked sigmoid, the all-columns sigmoid output and the
@@ -326,15 +358,13 @@ def test_forward_and_backward_match_reference_bit_for_bit(hidden, output, blocks
     grads, d_input = backward(net, cache, grad_out)
     ref_grads, ref_d_input = _reference_backward(net, ref_cache, grad_out)
     assert np.array_equal(d_input, ref_d_input)
-    for (dw, db), (rw, rb) in zip(grads, ref_grads):
+    for dw, db, (rw, rb) in zip(*net.layers(grads), ref_grads, strict=True):
         assert np.array_equal(dw, rw) and np.array_equal(db, rb)
 
     no_params, input_only = backward(net, cache, grad_out, params=False)
     assert no_params is None and np.array_equal(input_only, d_input)
     params_only, no_input = backward(net, cache, grad_out, inputs=False)
-    assert no_input is None
-    for (dw, db), (pw, pb) in zip(grads, params_only):
-        assert np.array_equal(dw, pw) and np.array_equal(db, pb)
+    assert no_input is None and np.array_equal(params_only, grads)
 
 
 def test_adam_matches_per_array_reference_at_cgan_generator_shape():
@@ -349,7 +379,7 @@ def test_adam_matches_per_array_reference_at_cgan_generator_shape():
     for _ in range(50):
         grads = [(rng.normal(0.0, 0.1, size=w.shape), rng.normal(0.0, 0.1, size=b.shape))
                  for w, b in zip(net.weights, net.biases)]
-        adam_step(net, grads, state)
+        adam_step(net, np.concatenate([g for pair in grads for g in pair], axis=None), state)
         ref_step = _reference_adam_step(ref_w, ref_b, grads, ref_m, ref_v, ref_step, lr=ADAM_LEARNING_RATE)
     assert state.step == ref_step == 50
     for w, b, rw, rb in zip(net.weights, net.biases, ref_w, ref_b):
@@ -361,7 +391,7 @@ class TestAdam:
         net = init_mlp((2, 1), seed=0)
         net.weights[0][:] = 1.0
         state = AdamState.for_mlp(net)
-        grads = [(np.full((2, 1), 0.5), np.full(1, 0.5))]
+        grads = np.full(net.params.size, 0.5)
         for _ in range(50):
             adam_step(net, grads, state)
         assert (net.weights[0] < 1.0).all()
@@ -371,7 +401,7 @@ class TestAdam:
         net = init_mlp((3, 2), seed=1)
         before = [w.copy() for w in net.weights]
         state = AdamState.for_mlp(net)
-        adam_step(net, [(np.zeros((3, 2)), np.zeros(2))], state)
+        adam_step(net, np.zeros(net.params.size), state)
         for w, b in zip(net.weights, before):
             np.testing.assert_array_equal(w, b)
         assert state.step == 1
@@ -381,32 +411,31 @@ class TestAdam:
         before = net.weights[0].copy()
         state = AdamState.for_mlp(net)
         g = np.array([[0.3, -0.7], [1.4, -0.01]])
-        adam_step(net, [(g, np.zeros(2))], state)
+        adam_step(net, np.concatenate([g.ravel(), np.zeros(2)]), state)
         step = net.weights[0] - before
         np.testing.assert_allclose(step, -ADAM_LEARNING_RATE * np.sign(g), rtol=1e-6)
 
     def test_non_finite_gradient_raises(self):
         net = init_mlp((2, 2), seed=3)
         state = AdamState.for_mlp(net)
-        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        bad = np.zeros(net.params.size)
+        bad[0] = np.nan
         with pytest.raises(TrainingDiverged):
-            adam_step(net, [(bad, np.zeros(2))], state)
+            adam_step(net, bad, state)
 
         # a NaN only in the last layer's bias gradient: nothing may change
         net = init_mlp((3, 4, 2), seed=4)
         state = AdamState.for_mlp(net)
-        ones = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(net.weights, net.biases)]
-        adam_step(net, ones, state)
-        weights = [w.copy() for w in net.weights]
-        biases = [b.copy() for b in net.biases]
+        adam_step(net, np.ones(net.params.size), state)
+        params = net.params.copy()
         m, v = state.m.copy(), state.v.copy()
-        bad_bias = np.array([0.0, np.nan])
+        bad = np.ones(net.params.size)
+        net.layers(bad)[1][-1][1] = np.nan
         with pytest.raises(TrainingDiverged):
-            adam_step(net, ones[:-1] + [(ones[-1][0], bad_bias)], state)
+            adam_step(net, bad, state)
         assert state.step == 1
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        for w, b, w0, b0 in zip(net.weights, net.biases, weights, biases):
-            assert np.array_equal(w, w0) and np.array_equal(b, b0)
+        assert np.array_equal(net.params, params)
 
 
 class TestLosses:

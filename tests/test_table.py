@@ -183,6 +183,11 @@ class TestSplitStratified:
         assert class_histogram(train)["HR"] == 1
         assert class_histogram(test)["HR"] == 0
 
+    def test_fraction_that_leaves_no_test_row_rejected(self, schema):
+        rows = [(1, 1, 1, 1, 178.0, 0, 0, 3, 1, 1, "RW") for _ in range(20)]
+        with pytest.raises(DataError, match=r"^test_fraction 0\.01 leaves no test rows"):
+            split_stratified(Table(schema, tuple(rows)), 0.01, seed=0)
+
     def test_deterministic(self, corpus_200):
         a1, b1 = split_stratified(corpus_200, 0.2, seed=11)
         a2, b2 = split_stratified(corpus_200, 0.2, seed=11)
