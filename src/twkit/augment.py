@@ -417,14 +417,12 @@ def two_stage_augment(
         rows.extend(new_rows)
         origins.extend([ORIGIN_SMOTENC] * len(new_rows))
 
-    stage1_table = Table(schema, tuple(rows))
-    gaps = {
-        cls: plan.stage2.get(cls, counts[cls]) - plan.stage1.get(cls, counts[cls])
-        for cls in schema.class_codes
-    }
+    # `plan.validate` keeps each stage-1 target at or above its count, and
+    # SMOTENC added exactly the difference
+    stage1_counts = {cls: plan.stage1.get(cls, counts[cls]) for cls in schema.class_codes}
+    gaps = {cls: plan.stage2.get(cls, counts[cls]) - stage1_counts[cls] for cls in schema.class_codes}
     if any(g > 0 for g in gaps.values()):
         # a class with a single row and nothing to sample is left out of training
-        stage1_counts = class_histogram(stage1_table)
         held = {cls for cls in schema.class_codes if stage1_counts[cls] == 1 and gaps[cls] <= 0}
         label_idx = schema.label_index
         train_table = Table(schema, tuple(r for r in rows if r[label_idx] not in held))

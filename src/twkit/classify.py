@@ -20,7 +20,11 @@ weighted bincount over (node, candidate, class) gives each candidate's class
 counts at 1; the counts at 0 are the node's counts minus those. Every other
 column (the scaled numerics) is sorted within each node and scanned at each
 boundary between distinct values. Both paths score splits with the same Gini
-expression, so a tree does not depend on which path scored a column.
+expression, so a tree does not depend on which path scored a column. A node
+takes its largest decrease, ties broken by (candidate position, threshold). A
+scanned split's threshold is taken at its boundary's rank among the column's
+boundaries, not at the boundary (the threshold-rank fault, kept so that trees
+stay fixed).
 
 A forest keeps every tree's nodes in one flat store, each tree's nodes
 contiguous and in pre-order: a split's left child is the node after it and
@@ -113,8 +117,7 @@ def _run_starts(keys) -> np.ndarray:
 def _count_splits(at_one, pair, counts, parent_gini, s):
     """The split of each binary (node, candidate) pair in `pair`, whose row
     of `at_one` holds its class counts at 1. Returns (pair, decrease,
-    threshold, rank) for the pairs with rows on both sides; the rank is 0,
-    as a 0/1 column has one boundary."""
+    threshold) for the pairs with rows on both sides."""
     right_counts = at_one[pair]
     right_n = right_counts.sum(axis=1)
     n = counts.sum(axis=1)[pair // s]
@@ -124,17 +127,21 @@ def _count_splits(at_one, pair, counts, parent_gini, s):
     pair, right_counts, left_n, right_n, n = pair[valid], right_counts[valid], left_n[valid], right_n[valid], n[valid]
     node = pair // s
     decrease = _gini_decrease(parent_gini[node], n, counts[node] - right_counts, right_counts, left_n, right_n)
-    return pair, decrease, np.where(left_n >= 2, 0.0, 0.5), np.zeros(len(pair), dtype=np.intp)
+    return pair, decrease, np.where(left_n >= 2, 0.0, 0.5)
 
 
 def _scan_splits(pair, values, labels, counts, parent_gini, s):
     """The splits of the other (node, candidate) pairs, given as one entry
-    per row of the node: one stable lexsort orders each pair's values (equal
-    values keep row order), and a cumulative class count gives the rows left
-    of every boundary between distinct values. Returns (pair, decrease,
-    threshold, rank) with one element per boundary, rank being its place
-    among its pair's boundaries. The threshold is taken at the rank, not at
-    the boundary's position (see `_split_nodes`)."""
+    per row of the node, each pair's entries in row order: one stable lexsort
+    orders each pair's values (equal values keep row order), and a cumulative
+    class count gives the rows left of every boundary between distinct
+    values. Returns (pair, decrease, threshold) with one element per boundary,
+    each pair's boundaries in ascending order. The threshold of a pair's r-th
+    boundary is the midpoint of its r-th and (r + 1)-th smallest values, not
+    of the values at the boundary (the threshold-rank fault). It still does
+    not decrease along a pair's boundaries, so among a pair's tied boundaries
+    the (candidate position, threshold) tie-break of `_split_nodes` takes the
+    first."""
     k = counts.shape[1]
     order = np.lexsort((values, pair))
     pair, values, labels = pair[order], values[order], labels[order]
@@ -150,8 +157,7 @@ def _scan_splits(pair, values, labels, counts, parent_gini, s):
     n = counts.sum(axis=1)[node]
     decrease = _gini_decrease(parent_gini[node], n, left_counts, counts[node] - left_counts, left_n, n - left_n)
     rank = np.arange(len(pair)) - _run_starts(pair)
-    threshold = 0.5 * (values[start + rank] + values[start + rank + 1])
-    return pair, decrease, threshold, rank
+    return pair, decrease, 0.5 * (values[start + rank] + values[start + rank + 1])
 
 
 def _split_nodes(X, y, binary, rows, node, candidates, counts):
@@ -171,14 +177,14 @@ def _split_nodes(X, y, binary, rows, node, candidates, counts):
     a 0/1 column, so a tree does not depend on which one scored it. A node
     takes its largest decrease that is at least 0 (zero-gain splits let
     XOR-style patterns split, and growth still ends because children
-    shrink), with ties to the lowest candidate position, then the lowest
-    threshold.
+    shrink), with ties broken by (candidate position, threshold): the lowest
+    position, then the lowest threshold.
 
     The stored threshold is the midpoint of the sorted values at positions r
     and r + 1, where r is the best boundary's rank among the column's
-    boundaries. It is the boundary's own midpoint only when the values up to
-    it are distinct; for a 0/1 column it is 0.0 when two or more rows are 0
-    and 0.5 otherwise.
+    boundaries (the threshold-rank fault). It is the boundary's own midpoint
+    only when the values up to it are distinct; for a 0/1 column it is 0.0
+    when two or more rows are 0 and 0.5 otherwise.
 
     Returns (feature, threshold, decrease, children): feature is -1 where a
     node has no split, and children[2 * i] and children[2 * i + 1] are node
@@ -188,26 +194,20 @@ def _split_nodes(X, y, binary, rows, node, candidates, counts):
     k = counts.shape[1]
     parent_gini = gini(counts)
     labels = y[rows]
-    values = X.ravel()[(rows * X.shape[1])[:, None] + candidates[node]]  # (rows, candidate positions)
+    values = X[rows[:, None], candidates[node]]  # (rows, candidate positions)
     key = (node * (s * k) + labels)[:, None] + np.arange(0, s * k, k)  # ((node, position), class)
     at_one = np.bincount(key.ravel(), weights=values.ravel(), minlength=m * s * k).reshape(m * s, k)
-    pair_binary = binary[candidates].ravel()  # per (node, position) pair
-    options = [_count_splits(at_one, pair_binary.nonzero()[0], counts, parent_gini, s)]
-    scanned = (~pair_binary).nonzero()[0]
-    if len(scanned):
-        # each scanned pair has one entry per row of its node, in row order
-        node_sizes = np.bincount(node, minlength=m)
-        sizes = node_sizes[scanned // s]
-        first = (node_sizes.cumsum() - node_sizes)[scanned // s] - (sizes.cumsum() - sizes)
-        entry = np.repeat(first, sizes) + np.arange(sizes.sum())
-        options.append(_scan_splits(
-            np.repeat(scanned, sizes), values[entry, np.repeat(scanned % s, sizes)], labels[entry],
-            counts, parent_gini, s,
-        ))
-    pair, decrease, threshold, rank = (np.concatenate(o) for o in zip(*options))
+    pair_binary = binary[candidates]  # (node, position)
+    # the scanned (row, position) entries, row-major, so each pair's rows come in row order
+    entry, position = np.divmod(np.flatnonzero(~pair_binary[node]), s)
+    options = (
+        _count_splits(at_one, pair_binary.ravel().nonzero()[0], counts, parent_gini, s),
+        _scan_splits(node[entry] * s + position, values[entry, position], labels[entry], counts, parent_gini, s),
+    )
+    pair, decrease, threshold = (np.concatenate(o) for o in zip(*options))
     ok = decrease >= 0
-    pair, decrease, threshold, rank = pair[ok], decrease[ok], threshold[ok], rank[ok]
-    order = np.lexsort((rank, pair, -decrease, pair // s))
+    pair, decrease, threshold = pair[ok], decrease[ok], threshold[ok]
+    order = np.lexsort((threshold, pair, -decrease, pair // s))
     best = order[_run_starts(pair[order] // s) == np.arange(len(order))]
     split = pair[best] // s
     feature = np.full(m, -1)
@@ -382,17 +382,15 @@ class Forest:
             node = np.where(X[row, feature] <= self.threshold[node], node + 1, self.right[node])
         counts = self.counts[leaf].astype(np.float64)
         proba = (counts / counts.sum(axis=1, keepdims=True)).reshape(n_trees, n_rows, self.counts.shape[1])
-        acc = np.zeros(proba.shape[1:])
-        for p in proba:  # in tree order
-            acc += p
-        return acc / n_trees
+        # the builtin sum adds in tree order; ndarray.sum(axis=0) may add pairwise
+        return sum(proba) / n_trees
 
 
-def _grow(X, y, n_classes, subset, samples, seeds) -> Forest:
-    """Grow one tree per (sample, seed) pair, all in lockstep, into one
-    `Forest` store.
+def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
+    """Grow one tree per seed, all in lockstep, into one `Forest` store.
 
-    `samples[t]` lists tree t's rows of X (with repeats, in order) and
+    Tree t takes every row of X in order or, when `boot_seeds` is given,
+    the bootstrap sample of len(X) rows drawn from `boot_seeds[t]`;
     `seeds[t]` seeds its candidate draws. Each step pops the next pre-order
     node of every unfinished tree. Its class counts come from one bincount
     over (node, class); a pure node is a leaf, and an impure one is split by
@@ -410,9 +408,17 @@ def _grow(X, y, n_classes, subset, samples, seeds) -> Forest:
     store index on the stack and links itself as the parent's right child.
     At the end one stable sort by tree makes each tree's nodes contiguous,
     and the links are remapped."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    if n == 0:
+        raise DataError("cannot train trees on an empty dataset")
     if y.min(initial=0) < 0 or y.max(initial=0) >= n_classes:
         raise DataError(f"class indices must lie in [0, {n_classes})")
-    d = X.shape[1]
+    if boot_seeds is None:
+        samples = [np.arange(n)]
+    else:
+        samples = [np.random.default_rng(boot).integers(0, n, size=n) for boot in boot_seeds]
     binary = ((X == 0) | (X == 1)).all(axis=0)
     store = {
         "n_samples": np.empty(0, dtype=np.int64), "counts": np.empty((0, n_classes), dtype=np.int64),
@@ -490,11 +496,7 @@ def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
     """Greedy CART-style tree maximizing Gini-impurity decrease, grown until
     every leaf is pure or has no split. Each split node scores `subset`
     columns drawn without replacement, or every column when `subset` >= d."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(X) == 0:
-        raise DataError("cannot train a tree on an empty dataset")
-    return _tree_node(_grow(X, y, n_classes, subset, [np.arange(len(X))], [seed]), 0)
+    return _tree_node(_grow(X, y, n_classes, subset, [seed]), 0)
 
 
 def _route(node: TreeNode, X, rows, out) -> None:
@@ -525,23 +527,16 @@ def train_forest(X, y, n_classes: int, seed: int) -> Forest:
     from the boot-{t} seed and its candidates from the tree-{t} seed, both
     derived from the master seed. The trees grow in lockstep (`_grow`), and
     each equals `train_tree` on its sample with its seed."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(X) == 0:
-        raise DataError("cannot train a forest on an empty dataset")
-    n, d = X.shape
-    boots = [
-        np.random.default_rng(derive_seed(seed, f"boot-{t}")).integers(0, n, size=n) for t in range(FOREST_TREES)
-    ]
     seeds = [derive_seed(seed, f"tree-{t}") for t in range(FOREST_TREES)]
-    return _grow(X, y, n_classes, int(np.ceil(np.sqrt(d))), boots, seeds)
+    boot_seeds = [derive_seed(seed, f"boot-{t}") for t in range(FOREST_TREES)]
+    return _grow(X, y, n_classes, int(np.ceil(np.sqrt(np.shape(X)[1]))), seeds, boot_seeds)
 
 
 def column_importance(forest: Forest, n_columns: int) -> np.ndarray:
     """Mean over trees of sample-weighted impurity decrease per encoded column.
 
     One weighted bincount over (tree, column) adds each tree's splits in
-    pre-order, and the trees' sums are added in tree order."""
+    pre-order, and the builtin sum adds the trees' sums in tree order."""
     n_trees = len(forest.trees)
     tree = np.repeat(np.arange(n_trees), np.diff(forest.trees, append=len(forest.feature)))
     split = forest.feature >= 0
@@ -549,10 +544,7 @@ def column_importance(forest: Forest, n_columns: int) -> np.ndarray:
     per_tree = np.bincount(
         tree[split] * n_columns + forest.feature[split], weights=weight[split], minlength=n_trees * n_columns
     ).reshape(n_trees, n_columns)
-    acc = np.zeros(n_columns)
-    for row in per_tree:
-        acc += row
-    return acc / n_trees
+    return sum(per_tree) / n_trees
 
 
 def feature_importance(forest: Forest, codec: Codec) -> list[tuple[str, float]]:
@@ -588,6 +580,15 @@ PLATT_ITERS = 200
 PLATT_LEARNING_RATE = 0.1
 
 
+def _two_class_data(X, y, model: str):
+    """X as float64 and y as int64 class indices, which must hold two classes
+    or more."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if len(np.unique(y)) < 2:
+        raise DataError(f"{model} needs >=2 classes in training data")
+    return X, y
+
+
 @dataclass
 class LogisticModel:
     W: np.ndarray  # (d, k)
@@ -599,10 +600,7 @@ class LogisticModel:
 
 def train_logreg(X, y, n_classes: int, seed: int = 0) -> LogisticModel:
     """Multinomial softmax regression by full-batch gradient descent (zero init)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
-        raise DataError("logistic regression needs >=2 classes in training data")
+    X, y = _two_class_data(X, y, "logistic regression")
     d = X.shape[1]
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
@@ -625,10 +623,7 @@ class MlpClassifier:
 
 def train_mlp_classifier(X, y, n_classes: int, seed: int = 0) -> MlpClassifier:
     """One hidden relu layer, softmax head, Adam on minibatches."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
-        raise DataError("MLP classifier needs >=2 classes in training data")
+    X, y = _two_class_data(X, y, "MLP classifier")
     net = init_mlp((X.shape[1], MLP_HIDDEN, n_classes), seed=seed, output_activation="identity")
     state = AdamState.for_mlp(net)
     rng = np.random.default_rng(derive_seed(seed, "mlp-batches"))
@@ -668,10 +663,7 @@ def _fit_platt(margins: np.ndarray, targets: np.ndarray):
 def train_linear_svm(X, y, n_classes: int, seed: int = 0) -> LinearSvm:
     """One-vs-rest linear hinge loss by stochastic subgradient descent, with a
     logistic link fitted on the margins so predict_proba is available."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
-        raise DataError("SVM needs >=2 classes in training data")
+    X, y = _two_class_data(X, y, "SVM")
     d = X.shape[1]
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)

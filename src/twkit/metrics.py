@@ -1,8 +1,8 @@
 """Classification metrics: accuracy, per-class P/R/F1, macro one-vs-rest AUC.
 
-AUC uses the rank statistic with tie-averaged ranks; classes absent from the
-truth vector are excluded from the macro mean with a warning. F1 is defined
-as 0 when precision and recall are both 0.
+AUC uses the rank statistic with tie-averaged ranks. A truth vector must hold
+two classes or more; classes absent from it are excluded from the macro mean
+with a warning. F1 is defined as 0 when precision and recall are both 0.
 """
 
 from __future__ import annotations
@@ -40,14 +40,10 @@ class Metrics:
 
     @property
     def weighted_f1(self) -> float:
-        """Support-weighted mean of per-class F1 (0 when the test set is empty)."""
+        """Support-weighted mean of per-class F1; `compute_metrics` leaves no
+        test set empty."""
         supports = self.confusion.sum(axis=1)
-        total = supports.sum()
-        if total == 0:
-            return 0.0
-        return float(
-            sum(self.f1[c] * supports[i] for i, c in enumerate(self.classes)) / total
-        )
+        return float(sum(self.f1[c] * supports[i] for i, c in enumerate(self.classes)) / supports.sum())
 
     def to_dict(self) -> dict:
         return {
@@ -68,16 +64,15 @@ class Metrics:
 
 
 def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied scores share the average of their rank span."""
+    """1-based ranks; tied scores share the average of their rank span. A NaN
+    ties with nothing, so each keeps its own place in the stable order."""
     order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    starts = np.r_[True, ranked[1:] != ranked[:-1]][: len(scores)]  # where each run of ties starts
+    first = starts.nonzero()[0]
+    last = np.r_[first[1:], len(scores)] - 1
     ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = (0.5 * (first + last) + 1.0)[starts.cumsum() - 1]
     return ranks
 
 
@@ -97,7 +92,8 @@ def compute_metrics(truth, scores, classes) -> Metrics:
 
     `truth` holds each row's index into `classes`; `scores` is the (n, k)
     class-probability matrix aligned with `classes`, and each row's prediction
-    is the first maximum of its scores.
+    is the first maximum of its scores. Fewer than two classes in `truth`
+    leave the macro AUC undefined, which is a `DataError` naming them.
     """
     classes = tuple(classes)
     truth = np.asarray(truth, dtype=np.intp)
@@ -107,9 +103,12 @@ def compute_metrics(truth, scores, classes) -> Metrics:
         raise DataError(f"scores shape {scores.shape} != ({len(truth)}, {k})")
     predicted = scores.argmax(axis=1)
     confusion = np.bincount(truth * k + predicted, minlength=k * k).reshape(k, k)
+    support = confusion.sum(axis=1)
+    if np.count_nonzero(support) < 2:
+        held = ", ".join(repr(c) for c, n in zip(classes, support) if n) or "none"
+        raise DataError(f"macro AUC needs truth rows of two classes or more, got {held}")
 
-    total = confusion.sum()
-    accuracy = float(np.trace(confusion) / total) if total else 0.0
+    accuracy = float(np.trace(confusion) / confusion.sum())
 
     precision, recall, f1 = {}, {}, {}
     for i, c in enumerate(classes):
@@ -122,18 +121,10 @@ def compute_metrics(truth, scores, classes) -> Metrics:
         recall[c] = r
         f1[c] = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
 
-    aucs, absent = [], []
-    for i, c in enumerate(classes):
-        pos = truth == i
-        if not pos.any():
-            absent.append(c)
-            continue
-        if pos.all():  # true of one class at most, so this warns once
-            warnings.warn(f"class {c!r} is the only truth class; excluded from macro AUC")
-            continue
-        aucs.append(auc_rank(scores[:, i], pos))
+    aucs = [auc_rank(scores[:, i], truth == i) for i in support.nonzero()[0]]
+    absent = [c for c, n in zip(classes, support) if not n]
     if absent:
         warnings.warn(AbsentClassWarning(absent))
-    macro_auc = float(np.mean(aucs)) if aucs else float("nan")
+    macro_auc = float(np.mean(aucs))
 
     return Metrics(accuracy, precision, recall, f1, macro_auc, confusion, classes)

@@ -61,13 +61,16 @@ def _rf_eval(train_table, test_table, seed):
     return metrics, forest, codec
 
 
+def _augment_plan(train):
+    """The plan the criterion-5 fixture augments its training split with."""
+    return default_augment_plan(class_histogram(train), CLASSES, total=1800, smote_cap=SMOTE_CAP)
+
+
 @pytest.fixture(scope="module")
 def augmented_train(split):
     train, _ = split
-    counts = class_histogram(train)
-    plan = default_augment_plan(counts, CLASSES, total=1800, smote_cap=SMOTE_CAP)
     result = two_stage_augment(
-        train, plan, CganConfig(epochs=CGAN_EPOCHS),
+        train, _augment_plan(train), CganConfig(epochs=CGAN_EPOCHS),
         seed=derive_seed(CORPUS_SEED, "aug"),
     )
     return result
@@ -191,6 +194,24 @@ def test_criterion_05_minority_recovery(corpus, split, augmented_train):
         f"HR F1 {before.f1['HR']:.2f} -> {after.f1['HR']:.2f}, accuracy {after.accuracy:.3f}, "
         f"macro AUC {before.macro_auc:.3f} -> {after.macro_auc:.3f} in {elapsed:.0f}s",
     )
+
+
+def test_augmented_cgan_rows_follow_the_plan(split, augmented_train):
+    """Criterion 4's plan never reaches stage 2, so its checks cover no CGAN
+    row; the criterion-5 fixture's plan does, and its CGAN rows are checked
+    here: valid, complete, last, and as many per class as the plan asks."""
+    train, _ = split
+    plan = _augment_plan(train)
+    rows, origins = augmented_train.table.rows, augmented_train.origins
+    cgan = [row for row, origin in zip(rows, origins) if origin == "cgan"]
+    assert cgan
+    assert Table(SCHEMA, tuple(cgan)).is_complete()  # every CGAN row schema-valid and complete
+    last_smotenc = max(i for i, origin in enumerate(origins) if origin == "smotenc")
+    assert origins.index("cgan") > last_smotenc
+    # each class's rows are sampled, and labelled, by its conditioning class,
+    # one class after another in declared order
+    conditioned = [cls for cls in CLASSES for _ in range(plan.stage2[cls] - plan.stage1[cls])]
+    assert [row[SCHEMA.label_index] for row in cgan] == conditioned
 
 
 def test_criterion_06_importance_ranking(split, augmented_train):

@@ -475,7 +475,10 @@ class TestForest:
 
     def test_tie_break_lowest_class(self):
         # two one-leaf trees, one voting for each class
-        forest = classify._grow(np.zeros((2, 1)), np.array([0, 1]), 2, 1, [np.array([0]), np.array([1])], [0, 0])
+        forest = Forest(
+            trees=np.array([0, 1]), n_samples=np.array([1, 1]), counts=np.array([[1, 0], [0, 1]]),
+            feature=np.array([-1, -1]), threshold=np.zeros(2), decrease=np.zeros(2), right=np.array([-1, -1]),
+        )
         assert [(t.counts, t.is_leaf) for t in _trees(forest)] == [((1, 0), True), ((0, 1), True)]
         proba = forest.predict_proba(np.zeros((1, 1)))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
@@ -558,6 +561,26 @@ class TestForestStore:
         y2 = (X2[:, 0] + (X2[:, 1] > 0.7)).astype(int)
         small = train_forest(X2, y2, 3, seed=5)
         assert np.array_equal(column_importance(small, 3), _reference_importance(_trees(small), 3))
+
+    def test_one_column_forest_adds_trees_in_order(self):
+        # a one-column importance sums a (trees, 1) array, which
+        # ndarray.sum(axis=0) adds pairwise, and these bits then move
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(60, 1)), rng.integers(0, 3, size=60)
+        forest = train_forest(X, y, 3, seed=1)
+        trees = _trees(forest)
+        assert column_importance(forest, 1).tobytes() == _reference_importance(trees, 1).tobytes()
+        assert forest.predict_proba(X).tobytes() == _reference_forest_proba(trees, X).tobytes()
+
+    def test_one_class_forest_one_row_adds_trees_in_order(self):
+        # a one-row prediction from a one-class forest sums a (trees, 1, 1)
+        # array, the other shape that ndarray.sum(axis=0) adds pairwise; each
+        # tree gives exactly 1.0 there, so this sum is exact in any order
+        X = np.random.default_rng(1).normal(size=(10, 2))
+        forest = train_forest(X, np.zeros(10, dtype=int), 1, seed=2)
+        trees = _trees(forest)
+        assert forest.predict_proba(X[:1]).tobytes() == _reference_forest_proba(trees, X[:1]).tobytes()
+        assert column_importance(forest, 2).tobytes() == _reference_importance(trees, 2).tobytes()
 
     @pytest.mark.parametrize("cap", [None, 64])
     def test_batches_stay_under_the_cap(self, corpus_forest, monkeypatch, cap):

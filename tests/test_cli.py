@@ -226,21 +226,37 @@ def test_pipeline_with_no_classifiers_exits_1(tmp_path, capsys):
 
 def test_non_finite_report_exits_1(tmp_path, capsys):
     # a 0.03 test fraction of 30 rows (20 AW, 10 RW) holds out one AW row,
-    # and the macro AUC over a single class is NaN
+    # whose macro AUC would be NaN; the metrics reject it before any report
     src, report = tmp_path / "tw.csv", tmp_path / "report.json"
     assert run(["synth", "--n", 30, "--seed", 3, "--out", src]) == 0
     capsys.readouterr()
-    with pytest.warns(UserWarning) as caught:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(["train", "--in", src, "--model", "dt", "--test-fraction", 0.03, "--report", report])
     assert code == 1
-    assert [str(w.message) for w in caught] == [
-        "class 'AW' is the only truth class; excluded from macro AUC",
-        "classes absent from truth, excluded from macro AUC: 'RW', 'CS', 'CT', 'HR', 'MR', 'LR'",
-    ]
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {report}: ")
+    assert err.splitlines() == ["error: macro AUC needs truth rows of two classes or more, got 'AW'"]
+    assert not report.exists()
+
+
+def test_empty_fold_exits_1(tmp_path, capsys, schema):
+    # two rows of each of two classes dealt into three folds leave the last
+    # fold's test rows empty
+    from twkit.table import save_csv
+
+    src, report = tmp_path / "tw.csv", tmp_path / "report.json"
+    assert run(["synth", "--n", 30, "--seed", 3, "--out", src]) == 0
+    table, _ = load_augmented_csv(src, schema)
+    rows = [r for c in ("AW", "RW") for r in [r for r in table.rows if r[schema.label_index] == c][:2]]
+    save_csv(table.replace_rows(rows), src)
+    capsys.readouterr()
+    with pytest.warns(AbsentClassWarning) as caught:
+        code = run(["train", "--in", src, "--model", "dt", "--folds", 3, "--report", report])
+    assert code == 1
+    # folds 0 and 1 hold one row of each class and are scored
+    assert [w.message.classes for w in caught] == [("CS", "CT", "HR", "MR", "LR")] * 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: macro AUC needs truth rows of two classes or more, got none"]
     assert not report.exists()
 
 

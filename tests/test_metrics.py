@@ -1,10 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twkit.errors import DataError
-from twkit.metrics import auc_rank, compute_metrics
+from twkit.metrics import _tie_averaged_ranks, auc_rank, compute_metrics
 
 
 def brute_force_auc(scores, positives):
@@ -40,6 +43,36 @@ def test_auc_matches_brute_force_with_ties():
         assert auc_rank(scores, positives) == pytest.approx(
             brute_force_auc(scores, positives), abs=1e-12
         )
+
+
+def _reference_tie_averaged_ranks(scores):
+    """The nested-loop ranking `_tie_averaged_ranks` replaced: walk the stable
+    order and give each run of equal scores the mean of its 1-based ranks."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most scores tie; NaN ties nothing, -0.0 ties 0.0
+TIED_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, math.inf, -math.inf, math.nan]), max_size=60
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(TIED_SCORES)
+def test_tie_averaged_ranks_match_loop_bit_for_bit(scores):
+    scores = np.array(scores, dtype=np.float64)
+    got = _tie_averaged_ranks(scores)
+    want = _reference_tie_averaged_ranks(scores)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_auc_needs_both_classes():
@@ -98,6 +131,18 @@ def test_absent_classes_share_one_warning():
     assert m.confusion[:, 0].tolist() == [2, 1, 0, 0]  # ties go to the first class
     assert len(caught) == 1
     assert "'c'" in str(caught[0].message) and "'d'" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("truth, held", [([1, 1], "'b'"), ([], "none")])
+def test_fewer_than_two_truth_classes_rejected(truth, held):
+    # one class held out (a tiny test split) or none (an empty k-fold test
+    # fold) leaves the macro AUC undefined, and no warning comes first
+    scores = np.full((len(truth), 3), 1 / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as caught:
+            compute_metrics(truth, scores, ("a", "b", "c"))
+    assert str(caught.value) == f"macro AUC needs truth rows of two classes or more, got {held}"
 
 
 def test_length_mismatch():

@@ -17,7 +17,7 @@ trees' nodes in flat arrays and never passes through `train_tree`. It wraps
 random-forest fit, so a change that breaks what it reads fails here before a
 benchmark run does. The workload setup test does the same for the library
 calls `perfbench/workloads.py` makes to build its inputs, and the forest
-workload test pins the artifacts one forest pass writes.
+and repair workload tests pin the artifacts one pass of each writes.
 """
 
 import ast
@@ -217,11 +217,11 @@ FOREST_SEED_7_SHA256 = {
 }
 
 
-def test_forest_workload_artifacts(tmp_path):
-    # the benchmark's forest workload at seed 7, set up and run in-process
-    # through the CLI as perfbench/run.py runs it: six forests, their
-    # predictions and one importance ranking, each byte-pinned
-    workload = _load_script("workloads").WORKLOADS["forest"]
+def _run_workload(name, tmp_path):
+    """Set up and run one benchmark workload at seed 7 in-process, through
+    the CLI as perfbench/run.py runs it, checking each command's outputs.
+    Returns the directory they were written to."""
+    workload = _load_script("workloads").WORKLOADS[name]
     inputs, out = tmp_path / "inputs", tmp_path / "out"
     inputs.mkdir()
     out.mkdir()
@@ -229,5 +229,33 @@ def test_forest_workload_artifacts(tmp_path):
     for command in workload.commands(7, inputs, out):
         assert twkit.cli.main(command.argv) == 0, command.argv
         command.check(out)
+    return out
+
+
+def test_forest_workload_artifacts(tmp_path):
+    # the benchmark's forest workload at seed 7: six forests, their
+    # predictions and one importance ranking, each byte-pinned
+    out = _run_workload("forest", tmp_path)
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FOREST_SEED_7_SHA256}
     assert digests == FOREST_SEED_7_SHA256
+
+
+# sha256 of what one `repair` workload pass writes at seed 7
+REPAIR_SEED_7_SHA256 = {
+    "sta.csv": "ea24b6e52b3b70e78787884513365fb22b73a9a74e7a78792866eb6b69ca4561",
+    "mice.csv": "9585b1709d574fc4530293f2d3ca00a7a821cb405c69aa052c37e8057b636e6a",
+    "corr.json": "e542a39613bd13bff371f0d48a6b64986292d3550b16e9f9a581aaaac1b9e242",
+    "stats.json": "b00d9506d2c09db6eb191b4b654d25ec358c12cadf390a1d08027f95ee72c6ae",
+    "box.svg": "001efa3aa98aa157dc472672337ff8c6bc9ca9885f1fc19c08d78ed4325cae70",
+    "violin.svg": "ca8956a62b06a96bb7a4d01f8de12a6ffe35e91c550c49764f6e61b4d3f75b5d",
+    "heatmap.svg": "48da6fef884098300e38e23f76ceab0b7f04b017ead779c0cb8b897f40add5b9",
+}
+
+
+def test_repair_workload_artifacts(tmp_path):
+    # the benchmark's repair workload at seed 7: STA and MICE repair of
+    # 3,000 rows, then correlation, statistics and three figures, each
+    # byte-pinned
+    out = _run_workload("repair", tmp_path)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPAIR_SEED_7_SHA256}
+    assert digests == REPAIR_SEED_7_SHA256
