@@ -26,14 +26,15 @@ scanned split's threshold is taken at its boundary's rank among the column's
 boundaries, not at the boundary (the threshold-rank fault, kept so that trees
 stay fixed).
 
-A forest keeps every tree's nodes in one flat store, each tree's nodes
-contiguous and in pre-order: a split's left child is the node after it and
-its right child is linked. Prediction moves every (tree, row) pair down one
-level per step until it reaches a leaf, and importance is one weighted
-bincount of the splits' decreases. The single decision tree is built from
-the same store as linked `TreeNode`s, and its prediction routes arrays of row
-indices down them. Either way a row's probabilities are its leaf's counts
-over their sum, and a forest adds its trees' probabilities in tree order.
+Every tree lives in one flat store, a `Forest`: a forest's trees one after
+another and the single decision tree as a store of one tree, each tree's
+nodes contiguous and in pre-order (a split's left child is the node after
+it and its right child is linked). `train_tree` returns a `TreeNode`, a view
+of its store's root that reads each field in place. There is one prediction
+walk, `Forest.predict_proba`: it moves every (tree, row) pair down one level
+per step until it reaches a leaf. A row's probabilities are its leaf's counts
+over their sum, and the trees' probabilities are added in tree order.
+Importance is one weighted bincount of the splits' decreases.
 """
 
 from __future__ import annotations
@@ -77,24 +78,6 @@ def gini(counts) -> "float | np.ndarray":
     p = counts / n
     impurity = 1.0 - (p * p).sum(axis=-1)
     return float(impurity) if counts.ndim == 1 else impurity
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Split node (children set) or leaf (counts set) of the single decision
-    tree; a forest keeps its nodes in `Forest`'s arrays instead."""
-
-    n_samples: int
-    counts: tuple[int, ...]
-    feature: int = -1
-    threshold: float = 0.0
-    decrease: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _gini_decrease(parent_gini, n, left_counts, right_counts, left_n, right_n):
@@ -194,7 +177,8 @@ def _split_nodes(X, y, binary, rows, node, candidates, counts):
     k = counts.shape[1]
     parent_gini = gini(counts)
     labels = y[rows]
-    values = X[rows[:, None], candidates[node]]  # (rows, candidate positions)
+    # (rows, candidate positions), gathered by flat index from the C-contiguous X
+    values = X.ravel()[(rows * X.shape[1])[:, None] + candidates[node]]
     key = (node * (s * k) + labels)[:, None] + np.arange(0, s * k, k)  # ((node, position), class)
     at_one = np.bincount(key.ravel(), weights=values.ravel(), minlength=m * s * k).reshape(m * s, k)
     pair_binary = binary[candidates]  # (node, position)
@@ -386,6 +370,37 @@ class Forest:
         return sum(proba) / n_trees
 
 
+def _view_field(name: str, cast) -> property:
+    """A `TreeNode` property that reads its node's entry of store field `name`."""
+    return property(lambda node: cast(getattr(node.store, name)[node.index]))
+
+
+@dataclass(frozen=True, eq=False)
+class TreeNode:
+    """Node `index` of a `Forest` store, read in place: a split, whose
+    children are views too, or a leaf, whose `left` and `right` are None."""
+
+    store: Forest
+    index: int
+    n_samples = _view_field("n_samples", int)
+    counts = _view_field("counts", lambda row: tuple(row.tolist()))
+    feature = _view_field("feature", int)
+    threshold = _view_field("threshold", float)
+    decrease = _view_field("decrease", float)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature < 0
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.store, self.index + 1)
+
+    @property
+    def right(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.store, int(self.store.right[self.index]))
+
+
 def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     """Grow one tree per seed, all in lockstep, into one `Forest` store.
 
@@ -476,46 +491,12 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     return Forest(trees=tree_sizes.cumsum() - tree_sizes, **nodes)
 
 
-def _tree_node(forest: Forest, t: int) -> TreeNode:
-    """Tree t of a store as linked `TreeNode`s. Its nodes are built from its
-    last in pre-order back to its root, so a node's children exist before
-    it does."""
-    start = int(forest.trees[t])
-    stop = int(forest.trees[t + 1]) if t + 1 < len(forest.trees) else len(forest.feature)
-    fields = (forest.n_samples, forest.counts, forest.feature, forest.threshold, forest.decrease, forest.right)
-    built = {}
-    for i, n, c, f, thr, dec, r in reversed(list(zip(range(start, stop), *(a[start:stop].tolist() for a in fields)))):
-        if f < 0:
-            built[i] = TreeNode(n, tuple(c))
-        else:
-            built[i] = TreeNode(n, tuple(c), f, thr, dec, built.pop(i + 1), built.pop(r))
-    return built[start]
-
-
 def train_tree(X, y, n_classes: int, subset: int, seed: int) -> TreeNode:
     """Greedy CART-style tree maximizing Gini-impurity decrease, grown until
     every leaf is pure or has no split. Each split node scores `subset`
-    columns drawn without replacement, or every column when `subset` >= d."""
-    return _tree_node(_grow(X, y, n_classes, subset, [seed]), 0)
-
-
-def _route(node: TreeNode, X, rows, out) -> None:
-    """Write into `out` the class counts of the leaf that each of `rows`
-    reaches. Rows at or below a split's threshold go left, NaN goes right."""
-    if node.is_leaf:
-        out[rows] = node.counts
-        return
-    go_left = X[rows, node.feature] <= node.threshold
-    for child, child_rows in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
-        if len(child_rows):
-            _route(child, X, child_rows, out)
-
-
-def tree_predict_proba(node: TreeNode, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    counts = np.empty((len(X), len(node.counts)))
-    _route(node, X, np.arange(len(X)), counts)
-    return counts / counts.sum(axis=1, keepdims=True)
+    columns drawn without replacement, or every column when `subset` >= d.
+    Returns the root of its one-tree store."""
+    return TreeNode(_grow(X, y, n_classes, subset, [seed]), 0)
 
 
 FOREST_TREES = 100
@@ -701,7 +682,7 @@ class _TreeModel:
     tree: TreeNode
 
     def predict_proba(self, X) -> np.ndarray:
-        return tree_predict_proba(self.tree, X)
+        return self.tree.store.predict_proba(X)
 
 
 CLASSIFIERS = {

@@ -28,10 +28,11 @@ from .augment import (
     two_stage_augment,
 )
 from .classify import CLASSIFIERS, feature_importance, fit_and_score
-from .encoding import build_codec
+from .encoding import build_codec, label_indices
 from .errors import DataError, TwkitError
 from .impute import TEST_FRACTION, GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
 from .jsonio import read_json, write_json
+from .metrics import require_two_classes
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
 from .seeds import derive_seed
@@ -115,6 +116,7 @@ def _importance_payload(forest, codec) -> dict:
 
 def _single_split_fit(table, model, seed, test_fraction):
     train, test = split_stratified(table, test_fraction, derive_seed(seed, "split"))
+    require_two_classes(label_indices(test), table.schema.class_codes)
     codec = _feature_codec(train)
     metrics, fitted = fit_and_score(model, train, test, codec, derive_seed(seed, model))
     return metrics, fitted, codec
@@ -124,8 +126,11 @@ def cmd_train(args) -> int:
     schema = default_schema()
     table = _load_table(args.infile, schema)
     if args.folds:
+        folds = kfold_stratified(table, args.folds, derive_seed(args.seed, "folds"))
+        for _, test in folds:  # every fold is checked before the first fit
+            require_two_classes(label_indices(test), schema.class_codes)
         fold_docs = []
-        for f, (train, test) in enumerate(kfold_stratified(table, args.folds, derive_seed(args.seed, "folds"))):
+        for f, (train, test) in enumerate(folds):
             metrics, _ = fit_and_score(
                 args.model, train, test, _feature_codec(train),
                 derive_seed(args.seed, f"{args.model}-fold-{f}"),

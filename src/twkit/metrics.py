@@ -87,13 +87,23 @@ def auc_rank(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def require_two_classes(truth, classes) -> None:
+    """Reject a truth vector (indices into `classes`) that holds fewer than
+    two classes, which leaves the macro AUC undefined, naming the classes it
+    holds."""
+    support = np.bincount(np.asarray(truth, dtype=np.intp), minlength=len(classes))
+    if np.count_nonzero(support) < 2:
+        held = ", ".join(repr(c) for c, n in zip(classes, support) if n) or "none"
+        raise DataError(f"macro AUC needs truth rows of two classes or more, got {held}")
+
+
 def compute_metrics(truth, scores, classes) -> Metrics:
     """Score class-probability rows against truth.
 
     `truth` holds each row's index into `classes`; `scores` is the (n, k)
     class-probability matrix aligned with `classes`, and each row's prediction
     is the first maximum of its scores. Fewer than two classes in `truth`
-    leave the macro AUC undefined, which is a `DataError` naming them.
+    are rejected (`require_two_classes`).
     """
     classes = tuple(classes)
     truth = np.asarray(truth, dtype=np.intp)
@@ -104,9 +114,7 @@ def compute_metrics(truth, scores, classes) -> Metrics:
     predicted = scores.argmax(axis=1)
     confusion = np.bincount(truth * k + predicted, minlength=k * k).reshape(k, k)
     support = confusion.sum(axis=1)
-    if np.count_nonzero(support) < 2:
-        held = ", ".join(repr(c) for c, n in zip(classes, support) if n) or "none"
-        raise DataError(f"macro AUC needs truth rows of two classes or more, got {held}")
+    require_two_classes(truth, classes)
 
     accuracy = float(np.trace(confusion) / confusion.sum())
 

@@ -10,8 +10,8 @@ from twkit.classify import (
     FOREST_TREES,
     Forest,
     TreeNode,
+    _TreeModel,
     _split_nodes,
-    _tree_node,
     column_importance,
     feature_importance,
     fit_and_score,
@@ -21,7 +21,6 @@ from twkit.classify import (
     train_logreg,
     train_mlp_classifier,
     train_tree,
-    tree_predict_proba,
 )
 from twkit.encoding import build_codec, encode, label_indices
 from twkit.errors import DataError
@@ -66,7 +65,7 @@ class TestTree:
         assert tree.feature == 0
         assert tree.threshold == 3.0
         assert tree.left.is_leaf and tree.right.is_leaf
-        proba = tree_predict_proba(tree, X)
+        proba = _TreeModel(tree).predict_proba(X)
         assert (np.argmax(proba, axis=1) == y).all()
 
     def test_single_class_is_leaf(self):
@@ -81,7 +80,7 @@ class TestTree:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         tree = train_tree(X, y, 2, subset=2, seed=0)
-        proba = tree_predict_proba(tree, X)
+        proba = _TreeModel(tree).predict_proba(X)
         assert (np.argmax(proba, axis=1) == y).all()
         def depth(node):
             return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
@@ -136,9 +135,37 @@ def _reference_best_split(X, y, idx, candidates, n_classes):
     return best
 
 
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    """A linked node of `_reference_tree`, with the field names of `TreeNode`."""
+
+    n_samples: int
+    counts: tuple[int, ...]
+    feature: int = -1
+    threshold: float = 0.0
+    decrease: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+
+    @property
+    def is_leaf(self):
+        return self.left is None
+
+
+def _preorder(tree):
+    """(n_samples, counts, feature, threshold, decrease) of every node of a
+    tree, in pre-order: two trees are equal when these lists are."""
+    return [(node.n_samples, node.counts, node.feature, node.threshold, node.decrease) for node in _walk(tree)]
+
+
+def _walk(tree):
+    """A tree's nodes in pre-order."""
+    return [tree] if tree.is_leaf else [tree] + _walk(tree.left) + _walk(tree.right)
+
+
 def _reference_tree(X, y, n_classes, subset, seed):
-    """`train_tree` built on `_reference_best_split`, drawing candidates in the
-    same pre-order."""
+    """`train_tree` built on `_reference_best_split` as linked `_Node`s,
+    drawing candidates in the same pre-order."""
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
@@ -146,7 +173,7 @@ def _reference_tree(X, y, n_classes, subset, seed):
         counts = np.bincount(y[idx], minlength=n_classes)
         kwargs = dict(n_samples=len(idx), counts=tuple(int(c) for c in counts))
         if (counts > 0).sum() <= 1:
-            return TreeNode(**kwargs)
+            return _Node(**kwargs)
         d = X.shape[1]
         if subset < d:
             candidates = np.sort(rng.choice(d, size=subset, replace=False))
@@ -154,9 +181,9 @@ def _reference_tree(X, y, n_classes, subset, seed):
             candidates = np.arange(d)
         best = _reference_best_split(X, y, idx, candidates, n_classes)
         if best is None:
-            return TreeNode(**kwargs)
+            return _Node(**kwargs)
         decrease, f, threshold, left_idx, right_idx = best
-        return TreeNode(
+        return _Node(
             **kwargs, feature=f, threshold=threshold, decrease=decrease,
             left=build(left_idx), right=build(right_idx),
         )
@@ -223,7 +250,7 @@ class TestSplitSearchOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(3):
-                assert train_tree(X, y, 7, subset, seed=seed) == _reference_tree(X, y, 7, subset, seed)
+                assert _preorder(train_tree(X, y, 7, subset, seed=seed)) == _preorder(_reference_tree(X, y, 7, subset, seed))
 
 
 # PCG64's 128-bit LCG multiplier: a step takes the state to state * MULT + inc.
@@ -291,9 +318,9 @@ class TestCandidateDraws:
 
 
 def _reference_predict_proba(tree, X):
-    """The per-row walk that prediction used before routing: each row follows
-    the splits to its leaf one comparison at a time. The oracle for
-    `tree_predict_proba`."""
+    """The per-row walk: each row follows the splits to its leaf one
+    comparison at a time. The oracle for a tree's `Forest.predict_proba`,
+    and the per-tree prediction of these tests."""
     X = np.asarray(X, dtype=np.float64)
     out = np.empty((len(X), len(tree.counts)))
     for i, row in enumerate(X):
@@ -313,8 +340,8 @@ def _splits(tree):
 
 
 def _trees(forest):
-    """A store's trees as linked `TreeNode`s, in tree order."""
-    return [_tree_node(forest, t) for t in range(len(forest.trees))]
+    """A store's trees as root `TreeNode` views, in tree order."""
+    return [TreeNode(forest, int(root)) for root in forest.trees]
 
 
 def _same_store(a, b):
@@ -353,7 +380,7 @@ class TestPredictionOracle:
             tree = train_tree(X_fit, y_fit, 7, subset, seed=seed)
             assert not tree.is_leaf
             for X_test in (X, X[rows[:37]], X[:1]):
-                assert np.array_equal(tree_predict_proba(tree, X_test), _reference_predict_proba(tree, X_test))
+                assert np.array_equal(_TreeModel(tree).predict_proba(X_test), _reference_predict_proba(tree, X_test))
 
     def test_bootstrap_forest(self, corpus_forest):
         _, X, _, forest = corpus_forest
@@ -366,7 +393,7 @@ class TestPredictionOracle:
         tree = train_tree(np.zeros((4, 2)), np.array([2, 2, 2, 2]), 3, subset=2, seed=0)
         assert tree.is_leaf
         X = np.array([[0.0, 0.0], [5.0, -1.0], [np.nan, 1.0]])
-        got = tree_predict_proba(tree, X)
+        got = _TreeModel(tree).predict_proba(X)
         assert np.array_equal(got, _reference_predict_proba(tree, X))
         assert np.array_equal(got, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
@@ -374,7 +401,7 @@ class TestPredictionOracle:
         _, X, y, forest = corpus_forest
         tree = train_tree(X, y, 7, subset=X.shape[1], seed=0)
         empty = np.empty((0, X.shape[1]))
-        got = tree_predict_proba(tree, empty)
+        got = _TreeModel(tree).predict_proba(empty)
         assert got.shape == (0, 7)
         assert np.array_equal(got, _reference_predict_proba(tree, empty))
         assert forest.predict_proba(empty).shape == (0, 7)
@@ -388,14 +415,17 @@ class TestPredictionOracle:
             row[feature] = threshold
             rows.append(row)
         X_test = np.array(rows)
-        assert np.array_equal(tree_predict_proba(tree, X_test), _reference_predict_proba(tree, X_test))
+        assert np.array_equal(_TreeModel(tree).predict_proba(X_test), _reference_predict_proba(tree, X_test))
         # a row at a threshold goes left and NaN goes right
-        stump = TreeNode(2, (1, 1), feature=0, threshold=0.5,
-                         left=TreeNode(1, (1, 0)), right=TreeNode(1, (0, 1)))
+        stump = TreeNode(Forest(
+            trees=np.array([0]), n_samples=np.array([2, 1, 1]), counts=np.array([[1, 1], [1, 0], [0, 1]]),
+            feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]), decrease=np.zeros(3),
+            right=np.array([2, -1, -1]),
+        ), 0)
         X_stump = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nan], [-np.inf]])
         want = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(_reference_predict_proba(stump, X_stump), want)
-        assert np.array_equal(tree_predict_proba(stump, X_stump), want)
+        assert np.array_equal(_TreeModel(stump).predict_proba(X_stump), want)
 
     def test_rows_with_nan(self, encoded):
         X, y = encoded
@@ -404,7 +434,7 @@ class TestPredictionOracle:
         rng = np.random.default_rng(4)
         X_test[rng.random(X_test.shape) < 0.3] = np.nan
         X_test[0] = np.nan
-        assert np.array_equal(tree_predict_proba(tree, X_test), _reference_predict_proba(tree, X_test))
+        assert np.array_equal(_TreeModel(tree).predict_proba(X_test), _reference_predict_proba(tree, X_test))
 
 
 class TestThresholdRankFault:
@@ -434,8 +464,8 @@ class TestForest:
         assert subset < d
         for t, tree in enumerate(_trees(forest)):
             boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
-            assert tree == train_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
-        assert CLASSIFIERS["dt"](X, y, 7, 9).tree == train_tree(X, y, 7, subset=d, seed=9)
+            assert _preorder(tree) == _preorder(train_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}")))
+        assert _preorder(CLASSIFIERS["dt"](X, y, 7, 9).tree) == _preorder(train_tree(X, y, 7, subset=d, seed=9))
 
     def test_trees_match_reference(self, corpus_forest):
         # the lockstep grower against the one-node-at-a-time oracle, tree by
@@ -444,18 +474,23 @@ class TestForest:
         _, X, y, forest = corpus_forest
         n, d = X.shape
         subset = int(np.ceil(np.sqrt(d)))
-        bounds = np.append(forest.trees, len(forest.feature))
-        assert bounds[0] == 0
+        assert forest.trees[0] == 0
         for t, tree in enumerate(_trees(forest)):
             boot = np.random.default_rng(derive_seed(3, f"boot-{t}")).integers(0, n, size=n)
             want = _reference_tree(X[boot], y[boot], 7, subset, derive_seed(3, f"tree-{t}"))
-            assert tree == want
-            start, stop = bounds[t], bounds[t + 1]
-            right = forest.right[start:stop]
-            stored = zip(forest.n_samples[start:stop].tolist(), map(tuple, forest.counts[start:stop].tolist()),
-                         forest.feature[start:stop].tolist(), forest.threshold[start:stop].tolist(),
-                         forest.decrease[start:stop].tolist(), np.where(right >= 0, right - start, -1).tolist())
-            assert list(stored) == _flatten(want)
+            assert _preorder(tree) == _preorder(want)
+            assert _store_slice(forest, t) == _flatten(want)
+
+    def test_views_read_the_store(self, corpus_forest):
+        # the pre-order walk of each tree's root view visits the tree's store
+        # slice node by node, every field read in place, and a leaf view has
+        # no children
+        _, _, _, forest = corpus_forest
+        for t, root in enumerate(forest.trees.tolist()):
+            view, stored = TreeNode(forest, root), _store_slice(forest, t)
+            assert [node.index for node in _walk(view)] == list(range(root, root + len(stored)))
+            assert _flatten(view) == stored
+            assert all(node.left is None and node.right is None for node in _walk(view) if node.is_leaf)
 
     def test_deterministic(self, corpus_forest):
         _, X, y, forest = corpus_forest
@@ -488,14 +523,26 @@ class TestForest:
         _, X, y, forest = corpus_forest
         forest_acc = (np.argmax(forest.predict_proba(X), axis=1) == y).mean()
         tree_accs = [
-            (np.argmax(tree_predict_proba(t, X), axis=1) == y).mean() for t in _trees(forest)
+            (np.argmax(_reference_predict_proba(t, X), axis=1) == y).mean() for t in _trees(forest)
         ]
         assert forest_acc >= np.mean(tree_accs)
 
 
+def _store_slice(forest, t):
+    """Tree t's nodes as stored, each as (n_samples, counts, feature,
+    threshold, decrease, right child's index in the tree or -1)."""
+    start = int(forest.trees[t])
+    stop = int(forest.trees[t + 1]) if t + 1 < len(forest.trees) else len(forest.feature)
+    right = forest.right[start:stop]
+    stored = zip(forest.n_samples[start:stop].tolist(), map(tuple, forest.counts[start:stop].tolist()),
+                 forest.feature[start:stop].tolist(), forest.threshold[start:stop].tolist(),
+                 forest.decrease[start:stop].tolist(), np.where(right >= 0, right - start, -1).tolist())
+    return list(stored)
+
+
 def _flatten(tree):
-    """A linked tree's nodes in pre-order, each as (n_samples, counts,
-    feature, threshold, decrease, right child's pre-order index or -1)."""
+    """A tree's nodes in pre-order, each as (n_samples, counts, feature,
+    threshold, decrease, right child's pre-order index or -1)."""
     nodes = []
 
     def visit(node):
@@ -511,12 +558,12 @@ def _flatten(tree):
 
 
 def _reference_forest_proba(trees, X):
-    """Forest prediction before the node store: each linked tree routes the
-    rows on its own, and the trees' probabilities are added in tree order.
-    The oracle for `Forest.predict_proba`."""
+    """Forest prediction before the node store: each tree walks the rows on
+    its own, and the trees' probabilities are added in tree order. The oracle
+    for `Forest.predict_proba`."""
     acc = np.zeros((len(X), len(trees[0].counts)))
     for tree in trees:
-        acc += tree_predict_proba(tree, X)
+        acc += _reference_predict_proba(tree, X)
     return acc / len(trees)
 
 

@@ -11,13 +11,17 @@ definition refers to an attribute of its name (or a `perfbench/` string names
 it); Python itself calls the dunder methods.
 
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
-of the trees `train_tree` returns, and only of those: a forest keeps its
-trees' nodes in flat arrays and never passes through `train_tree`. It wraps
-`train_tree`, `train_forest` and each model's `predict_proba` by name. The tracer contract test runs it around one decision-tree fit and one
-random-forest fit, so a change that breaks what it reads fails here before a
-benchmark run does. The workload setup test does the same for the library
-calls `perfbench/workloads.py` makes to build its inputs, and the forest
-and repair workload tests pin the artifacts one pass of each writes.
+of the trees `train_tree` returns, and only of those. Each is a view of the
+root of a one-tree `Forest` store, and its children are views of that store
+too; a forest's trees grow inside `train_forest` and never pass through
+`train_tree`. The tracer wraps `train_tree`, `train_forest` and each model's
+`predict_proba` by name. The tracer contract test runs it around one
+decision-tree fit and one random-forest fit, so a change that breaks what it
+reads fails here before a benchmark run does. The workload setup test does
+the same for the library calls `perfbench/workloads.py` makes to build its
+inputs, the forest and repair workload tests pin the artifacts one pass of
+each writes, and the decision-tree test pins the two `train --model dt`
+reports on the forest workload's input.
 """
 
 import ast
@@ -238,6 +242,28 @@ def test_forest_workload_artifacts(tmp_path):
     out = _run_workload("forest", tmp_path)
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FOREST_SEED_7_SHA256}
     assert digests == FOREST_SEED_7_SHA256
+
+
+# sha256 of the reports `train --model dt --seed 7` writes on the forest
+# workload's seed-7 input, with five folds and with one split
+DT_SEED_7_SHA256 = {
+    "dt-folds.json": "42c697eb6112b04b98ff09c00f466c5cb0cd40148b730174e31ff2554d91c266",
+    "dt-split.json": "a3f67d9fff14bdd1f396be2f18ccb1b0472a752868af098cd4bba18fb42e75ee",
+}
+
+
+def test_decision_tree_reports(tmp_path):
+    # the single tree's two `train` reports on the forest workload's input,
+    # run in-process as the workloads are, each byte-pinned
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    _load_script("workloads").WORKLOADS["forest"].setup(twkit, 7, inputs)
+    for name, extra in (("dt-folds.json", ["--folds", "5"]), ("dt-split.json", [])):
+        argv = ["train", "--in", str(inputs / "forest.csv"), "--model", "dt", "--seed", "7", *extra,
+                "--report", str(tmp_path / name)]
+        assert twkit.cli.main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DT_SEED_7_SHA256}
+    assert digests == DT_SEED_7_SHA256
 
 
 # sha256 of what one `repair` workload pass writes at seed 7
