@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoding import Codec, EncodedMatrix, decode_cells, encode, label_indices
 from .errors import DataError, TrainingDiverged
-from .jsonio import read_json
+from .jsonio import integer, read_json
 from .nn import (
     MLP,
     AdamState,
@@ -336,11 +336,11 @@ class AugmentPlan:
 def load_plan(path, schema: Schema) -> AugmentPlan:
     label = schema.label
 
+    def targets(doc, stage: str) -> dict[Code, int]:
+        return {label.parse_token(c): integer(f"{stage} {c!r}", t) for c, t in doc[stage].items()}
+
     def parse(doc) -> AugmentPlan:
-        return AugmentPlan(
-            stage1={label.parse_token(c): int(t) for c, t in doc["stage1"].items()},
-            stage2={label.parse_token(c): int(t) for c, t in doc["stage2"].items()},
-        )
+        return AugmentPlan(stage1=targets(doc, "stage1"), stage2=targets(doc, "stage2"))
 
     return read_json(path, parse, "plan")
 

@@ -12,10 +12,10 @@ of rows. Each node draws its candidate columns from its own tree's seed in
 its tree's pre-order, so a tree grown beside others is the tree grown alone.
 The draws of a step's nodes are vectorised across trees, and each node's
 candidates equal `np.sort(rng.choice(d, size=s, replace=False))` for
-`rng = np.random.default_rng(seed)`: Floyd's sampling and the shuffle that
-`choice` runs are replayed as numpy's Lemire bounded draws on the tree's
-PCG64 words. The split search has two paths, chosen per column of the
-training matrix. For the columns that hold only 0 and 1 (every one-hot column), one
+`rng = np.random.default_rng(seed)`: the bounded draws of Floyd's sampling
+and of the shuffle that `choice` runs are made by `Generator.integers` on
+the tree's PCG64, a block of nodes a call. The split search has two paths,
+chosen per column of the training matrix. For the columns that hold only 0 and 1 (every one-hot column), one
 weighted bincount over (node, candidate, class) gives each candidate's class
 counts at 1; the counts at 0 are the node's counts minus those. Every other
 column (the scaled numerics) is sorted within each node and scanned at each
@@ -239,71 +239,32 @@ class _CandidateDraws:
 
     Row i of `draw(trees)` equals `np.sort(rng.choice(d, size=s, replace=False))`
     for a `Generator` on `bit_generators[trees[i]]`, each tree's nodes taking
-    its draws in call order. The bit generators must be fresh PCG64s: their
-    32-bit stream is the low, then the high half of each raw 64-bit word.
+    its draws in call order.
 
     `choice` runs Floyd's algorithm (numpy takes it whenever d <= 10000 or
     s <= d // 50, so for every forest): for j = d - s ... d - 1 it draws a
     value in [0, j], keeping j instead when the value is already drawn. It
     then shuffles the s values, drawing in [0, i] for i = s - 1 ... 1; only
-    the words those draws consume matter here, as the rows are sorted. Each
-    bounded draw is Lemire's: one 32-bit word times r = range + 1, whose high
-    half is the value, rejected when its low half is below (2**32 - r) % r.
-
-    A node without a rejection takes 2s - 1 words, so a tree draws
-    DRAW_BLOCK_NODES nodes at a time, and every tree that has run out when
-    `draw` is called draws its next block in the same array operations. A
-    block ends before its first node with a rejection (a word is rejected
-    with probability below r / 2**32, about 1e-8 at forest widths), whose
-    words are read again by the next block; a block that starts with one
-    draws that node alone on a scalar path that mirrors numpy's loop."""
+    the draws matter here, as the rows are sorted. `Generator.integers` with
+    an array of bounds makes each of those bounded draws in turn on the same
+    stream, rejections included, so a tree draws DRAW_BLOCK_NODES nodes in
+    one call, and every tree that has run out when `draw` is called applies
+    Floyd's rule to its next block in the same array operations."""
 
     def __init__(self, bit_generators, d: int, s: int):
         if not 0 < s < d:
             raise ValueError(f"cannot draw {s} of {d} columns")
-        self.bit_generators, self.d, self.s = bit_generators, d, s
-        self.ranges = np.r_[np.arange(d - s + 1, d + 1), np.arange(s, 1, -1)].astype(np.uint64)
-        self.thresholds = (2**32 - self.ranges) % self.ranges
-        self.unread = [np.empty(0, dtype=np.uint64)] * len(bit_generators)  # each tree's words not yet used
+        self.generators, self.d, self.s = [np.random.Generator(bg) for bg in bit_generators], d, s
+        self.bounds = np.tile(np.r_[np.arange(d - s + 1, d + 1), np.arange(s, 1, -1)], DRAW_BLOCK_NODES)
         # the smallest integer type that holds a column index keeps the blocks small
         self.blocks = np.empty((len(bit_generators), DRAW_BLOCK_NODES, s), dtype=np.min_scalar_type(d))
-        self.next = np.zeros(len(bit_generators), dtype=np.intp)  # each tree's next node in its block
-        self.stop = np.zeros(len(bit_generators), dtype=np.intp)  # and the end of its block
-
-    def _take(self, t: int, n: int) -> np.ndarray:
-        """Tree t's next n words: its unread ones, then new ones."""
-        words, k = self.unread[t], len(self.unread[t])
-        if k < n:
-            raw = self.bit_generators[t].random_raw((n - k + 1) // 2)
-            words = np.empty(k + 2 * len(raw), dtype=np.uint64)
-            words[:k], words[k::2], words[k + 1 :: 2] = self.unread[t], raw & 0xFFFFFFFF, raw >> 32
-        self.unread[t] = words[n:].copy()  # not a view, which would keep all of `words`
-        return words[:n]
-
-    def _bounded(self, t: int, r: int) -> int:
-        """numpy's Lemire draw in [0, r) from tree t's words, one at a time."""
-        threshold = (2**32 - r) % r
-        while True:
-            m = int(self._take(t, 1)[0]) * r
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def _draw_one(self, t: int) -> list[int]:
-        """One node of tree t on the scalar path, rejections included."""
-        chosen: list[int] = []
-        for j in range(self.d - self.s, self.d):
-            value = self._bounded(t, j + 1)
-            chosen.append(j if value in chosen else value)
-        for i in range(self.s - 1, 0, -1):
-            self._bounded(t, i + 1)
-        return sorted(chosen)
+        self.next = np.full(len(bit_generators), DRAW_BLOCK_NODES)  # each tree's next node in its block
 
     def _refill(self, trees) -> None:
         """Draw the next block of each of `trees`."""
-        d, s, width = self.d, self.s, len(self.ranges)
-        words = np.array([self._take(t, DRAW_BLOCK_NODES * width) for t in trees.tolist()])
-        m = words.reshape(len(trees), DRAW_BLOCK_NODES, width) * self.ranges
-        values = (m[:, :, :s] >> 32).astype(np.intp)
+        d, s = self.d, self.s
+        drawn = np.array([self.generators[t].integers(0, self.bounds) for t in trees.tolist()])
+        values = drawn.reshape(len(trees), DRAW_BLOCK_NODES, -1)[:, :, :s]
         columns = [values[:, :, k] for k in range(s)]
         for k in range(1, s):  # Floyd: a value already drawn becomes j
             seen = columns[0] == columns[k]
@@ -312,19 +273,11 @@ class _CandidateDraws:
             columns[k][seen] = d - s + k
         values.sort(axis=2)
         self.blocks[trees], self.next[trees] = values, 0
-        m &= 0xFFFFFFFF
-        rejected = (m < self.thresholds).any(axis=2)
-        self.stop[trees] = np.where(rejected.any(axis=1), rejected.argmax(axis=1), DRAW_BLOCK_NODES)
-        for i in rejected.any(axis=1).nonzero()[0].tolist():
-            t, k = int(trees[i]), int(self.stop[trees[i]])
-            self.unread[t] = np.concatenate([words[i, k * width :], self.unread[t]])
-            if k == 0:
-                self.blocks[t, 0], self.stop[t] = self._draw_one(t), 1
 
     def draw(self, trees) -> np.ndarray:
         """The next node's sorted candidates of each of `trees` (distinct
         tree indices), one row per tree."""
-        spent = trees[self.next[trees] == self.stop[trees]]
+        spent = trees[self.next[trees] == DRAW_BLOCK_NODES]
         if len(spent):
             self._refill(spent)
         out = self.blocks[trees, self.next[trees]]

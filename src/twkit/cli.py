@@ -31,7 +31,7 @@ from .classify import CLASSIFIERS, feature_importance, fit_and_score
 from .encoding import build_codec, label_indices
 from .errors import DataError, TwkitError
 from .impute import TEST_FRACTION, GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
-from .jsonio import read_json, write_json
+from .jsonio import integer, read_json, write_json
 from .metrics import require_two_classes
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
@@ -280,9 +280,7 @@ class PipelineConfig:
                     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                         raise TypeError(f"{key}: expected a list of strings, got {value!r}")
                     value = tuple(value)
-                elif isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError(f"{key}: expected an integer, got {value!r}")
-                elif value < 1:
+                elif integer(key, value) < 1:
                     raise DataError(f"{key} must be >= 1, got {value}")
                 setattr(config, key, value)
             return config

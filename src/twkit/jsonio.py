@@ -35,6 +35,14 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def integer(key: str, value) -> int:
+    """`value` when it is an integer and not a bool; else the TypeError, naming
+    `key`, that a reader's `parse` raises for it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} is not JSON")
 

@@ -121,8 +121,9 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
     """Read and validate a CSV whose header matches the schema attribute names,
     plus the `origin` column the augmenter writes, if present.
 
-    Header order is free. Errors name the offending row and column, or the
-    row and value of an `origin` other than real, smotenc and cgan.
+    Header order is free, and each column is named once. Errors name the
+    offending row and column, or the row and value of an `origin` other than
+    real, smotenc and cgan.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -136,13 +137,13 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
         raise DataError(f"{path}: {exc}") from exc
 
     header = [h.strip() for h in header]
-    origin_col = None
-    if "origin" in header:
-        origin_col = header.index("origin")
-    known = set(schema.names)
-    for name in header:
-        if name not in known and (origin_col is None or name != "origin"):
+    known = {*schema.names, "origin"}
+    for i, name in enumerate(header):
+        if name not in known:
             raise DataError(f"{path}: unknown column {name!r}")
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name!r} appears twice")
+    origin_col = header.index("origin") if "origin" in header else None
     for name in schema.names:
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")

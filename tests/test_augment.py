@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -182,11 +184,19 @@ class TestPlan:
         counts = {"RW": 20, "AW": 30, "CS": 3, "CT": 3, "HR": 2, "MR": 3, "LR": 5}
         plan = default_augment_plan(counts, schema.class_codes, total=100, smote_cap=10)
         path = tmp_path / "plan.json"
-        import json
-
         path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
         back = load_plan(path, schema)
         assert back == plan
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    @pytest.mark.parametrize("target", [150.9, 150.0, "150", True])
+    def test_plan_target_not_an_integer_rejected(self, tmp_path, schema, stage, target):
+        doc = {"stage1": {"RW": 150}, "stage2": {"RW": 150}}
+        doc[stage]["RW"] = target
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{stage} 'RW': expected an integer, got {target!r}")):
+            load_plan(path, schema)
 
 
 class TestCgan:

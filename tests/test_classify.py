@@ -276,7 +276,7 @@ def _zero_raw(seed, h, at):
 class TestCandidateDraws:
     """`_CandidateDraws` against numpy's own `choice`, node by node."""
 
-    @pytest.mark.parametrize("d, s", [(43, 7), (49, 7), (10, 4), (12, 3), (2, 1), (9, 1), (5, 4), (30, 29)])
+    @pytest.mark.parametrize("d, s", [(43, 7), (49, 7), (10, 4), (12, 3), (2, 1), (9, 1), (5, 4), (30, 29), (2**31 + 5, 3)])
     def test_matches_sorted_choice(self, d, s):
         # five trees per seed draw as the grower's steps do: every step some
         # trees skip (a pure node draws nothing) and each tree stops after
@@ -300,9 +300,9 @@ class TestCandidateDraws:
     def test_rejected_words_match_choice(self, d, s, node):
         # both halves of one of tree 0's raw words are 0: they are the first
         # two words of its node `node`, and Lemire's draw in [0, d - s]
-        # rejects both, so that node takes two more words than 2s - 1. Its
-        # first block ends before it, and the next block draws it alone on
-        # the scalar path, beside trees drawn in bulk
+        # rejects both, so that node takes two more words than 2s - 1 and
+        # every later node of tree 0 reads its words two later, beside trees
+        # without a rejection
         at = node * (2 * s - 1) // 2  # the raw word that holds the node's first 32-bit word
         for h in (0, 12345, 2**58 - 1):
             assert _zero_raw(h, h, at).random_raw(at + 1)[at] == 0
@@ -313,8 +313,6 @@ class TestCandidateDraws:
                 np.testing.assert_array_equal(
                     draws.draw(np.arange(4)), [np.sort(rng.choice(d, size=s, replace=False)) for rng in rngs]
                 )
-                if step == node:  # tree 0's block is the one node drawn on the scalar path
-                    assert draws.stop.tolist() == [1] + [classify.DRAW_BLOCK_NODES] * 3
 
 
 def _reference_predict_proba(tree, X):

@@ -478,6 +478,22 @@ def test_impute_entirely_missing_attribute_exits_1(tmp_path, capsys, corpus_200,
     assert not out.exists()
 
 
+def test_stats_on_a_column_named_twice_exits_1(tmp_path, capsys, corpus_200):
+    # a second `height` column would otherwise be ignored
+    from twkit.table import save_csv
+
+    src = tmp_path / "tw.csv"
+    save_csv(corpus_200, src)
+    header, *rows = src.read_text(encoding="utf-8").splitlines()
+    src.write_text("\n".join([header + ",height"] + [row + ",999.0" for row in rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--in", src, "--attrs", "height,headgear", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {src}: column 'height' appears twice"]
+    assert not out.exists()
+
+
 def test_stats_on_a_table_without_rows_exits_1(tmp_path, capsys, corpus_200):
     # an empty payload would only fail later, in `plot`
     from twkit.table import save_csv

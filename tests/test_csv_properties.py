@@ -49,6 +49,8 @@ def _reference_load(data: bytes):
     allowed = set(SCHEMA.names) | {"origin"}
     if any(h not in allowed for h in header) or any(n not in header for n in SCHEMA.names):
         raise ValueError("columns")
+    if len(set(header)) != len(header):
+        raise ValueError("column named twice")
     positions = [header.index(n) for n in SCHEMA.names]
     origin = header.index("origin") if "origin" in header else None
     table_rows, origins = [], []

@@ -59,6 +59,15 @@ def test_unknown_column_rejected(tmp_path, schema):
         load_augmented_csv(path, schema)
 
 
+@pytest.mark.parametrize("column, value", [("height", "999.0"), ("origin", "cgan")])
+def test_column_named_twice_rejected(tmp_path, schema, column, value):
+    path = tmp_path / "twice.csv"
+    lines = [f"{HEADER},origin,{column}", f"1,1,1,1,178.0,0,0,3,1,1,RW,real,{value}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: column {column!r} appears twice")):
+        load_augmented_csv(path, schema)
+
+
 def test_non_numeric_height(tmp_path, schema):
     path = write_csv(tmp_path, ["1,1,1,1,tall,0,0,3,1,1,RW"])
     with pytest.raises(DataError, match="height"):
