@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .encoding import build_codec, label_indices
 from .errors import DataError, TwkitError
 from .impute import TEST_FRACTION, GainConfig, evaluate_imputation, gain_impute_table, impute_mice, impute_sta
 from .jsonio import integer, read_json, write_json
-from .metrics import require_two_classes
+from .metrics import AbsentClassWarning, require_two_classes
 from .render import PlotSpec, render_box_grid, render_heatmap, render_importance_bar, render_violin_grid
 from .schema import default_schema
 from .seeds import derive_seed
@@ -114,11 +115,17 @@ def _importance_payload(forest, codec) -> dict:
     return {"importance": [[a, w] for a, w in ranked]}
 
 
+def _warn_absent(metrics) -> None:
+    if metrics.absent_classes:
+        warnings.warn(AbsentClassWarning(metrics.absent_classes))
+
+
 def _single_split_fit(table, model, seed, test_fraction):
     train, test = split_stratified(table, test_fraction, derive_seed(seed, "split"))
     require_two_classes(label_indices(test), table.schema.class_codes)
     codec = _feature_codec(train)
     metrics, fitted = fit_and_score(model, train, test, codec, derive_seed(seed, model))
+    _warn_absent(metrics)
     return metrics, fitted, codec
 
 
@@ -135,6 +142,7 @@ def cmd_train(args) -> int:
                 args.model, train, test, _feature_codec(train),
                 derive_seed(args.seed, f"{args.model}-fold-{f}"),
             )
+            _warn_absent(metrics)
             fold_docs.append(metrics.to_dict())
         summary = {
             "folds": fold_docs,
@@ -363,6 +371,7 @@ def cmd_pipeline(args) -> int:
             metrics, forest = fit_and_score(
                 "rf", train_table, test_real, codec, derive_seed(seed, f"rf-{name}")
             )
+            _warn_absent(metrics)
             reports[name] = metrics.to_dict()
         # importance comes from the last forest, the one fit on the augmented split
         importance = _importance_payload(forest, codec)

@@ -61,7 +61,7 @@ from .nn import (
 )
 from .schema import CATEGORICAL
 from .seeds import derive_seed
-from .table import Table, inject_missing, split_stratified
+from .table import Table, class_histogram, inject_missing, split_stratified
 
 
 def _require_observed(table: Table) -> dict[int, list[int]]:
@@ -381,23 +381,12 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _classifier_metrics(
-    train: Table, test: Table, codec, classifiers, seed, absent: set
-) -> dict[str, dict[str, float]]:
-    """Each classifier's accuracy, weighted F1 and macro AUC on `test`. The
-    classes a scoring finds absent from `test` are added to `absent` instead
-    of warned; every other warning passes through."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scores = {}
-        for name in classifiers:
-            m = fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
-            scores[name] = {"accuracy": m.accuracy, "weighted_f1": m.weighted_f1, "macro_auc": m.macro_auc}
-    for w in caught:
-        if issubclass(w.category, AbsentClassWarning):
-            absent.update(w.message.classes)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+def _classifier_metrics(train: Table, test: Table, codec, classifiers, seed) -> dict[str, dict[str, float]]:
+    """Each classifier's accuracy, weighted F1 and macro AUC on `test`."""
+    scores = {}
+    for name in classifiers:
+        m = fit_and_score(name, train, test, codec, derive_seed(seed, f"clf-{name}"))[0]
+        scores[name] = {"accuracy": m.accuracy, "weighted_f1": m.weighted_f1, "macro_auc": m.macro_auc}
     return scores
 
 
@@ -418,7 +407,8 @@ def evaluate_imputation(
     Splits the pristine table (TEST_FRACTION held out), records pristine metrics, injects missingness
     into both split copies, then per method: impute, retrain identically, and
     report absolute metric differences plus their means over classifiers.
-    Classes absent from the test split are warned once, after every scoring.
+    Classes absent from the test split, and so from every scoring's
+    `Metrics.absent_classes`, are warned once, after every scoring.
     """
     schema = complete.schema
     feature_names = tuple(a.name for a in schema.features)
@@ -445,8 +435,7 @@ def evaluate_imputation(
 
     train, test = split_stratified(complete, TEST_FRACTION, derive_seed(seed, "split"))
     codec = build_codec(train, attributes=feature_names)
-    absent: set = set()
-    pristine = _classifier_metrics(train, test, codec, classifiers, seed, absent)
+    pristine = _classifier_metrics(train, test, codec, classifiers, seed)
 
     train_missing, _ = inject_missing(train, features, rate, derive_seed(seed, "inject-train"))
     test_missing, _ = inject_missing(test, features, rate, derive_seed(seed, "inject-test"))
@@ -456,7 +445,7 @@ def evaluate_imputation(
     for name in methods:
         imputed = _impute_split(name, train_missing, test_missing, (train, test), seed, gain_config)
         per_clf = {}
-        for clf, s in _classifier_metrics(*imputed, codec, classifiers, seed, absent).items():
+        for clf, s in _classifier_metrics(*imputed, codec, classifiers, seed).items():
             p = pristine[clf]
             per_clf[clf] = {
                 **s,
@@ -469,6 +458,7 @@ def evaluate_imputation(
             for key in ("accuracy_diff", "f1_diff", "auc_diff")
         ))
 
+    absent = [c for c, n in class_histogram(test).items() if not n]
     if absent:
-        warnings.warn(AbsentClassWarning(c for c in schema.class_codes if c in absent))
+        warnings.warn(AbsentClassWarning(absent))
     return DiffReport(tuple(features), rate, seed, pristine, report_methods)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .errors import DataError, TwkitError
 
@@ -41,6 +42,14 @@ def integer(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key}: expected an integer, got {value!r}")
     return value
+
+
+def number(key: str, value) -> float:
+    """`value` as a float when it is a finite integer or float and not a bool;
+    else the TypeError, naming `key`, that a reader's `parse` raises for it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _reject_constant(token: str):

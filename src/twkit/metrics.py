@@ -2,12 +2,12 @@
 
 AUC uses the rank statistic with tie-averaged ranks. A truth vector must hold
 two classes or more; classes absent from it are excluded from the macro mean
-with a warning. F1 is defined as 0 when precision and recall are both 0.
+and listed in `Metrics.absent_classes`, not warned. F1 is defined as 0 when
+precision and recall are both 0.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,11 @@ class Metrics:
         test set empty."""
         supports = self.confusion.sum(axis=1)
         return float(sum(self.f1[c] * supports[i] for i, c in enumerate(self.classes)) / supports.sum())
+
+    @property
+    def absent_classes(self) -> tuple:
+        """The classes with no truth rows, in declared order; no AUC is taken."""
+        return tuple(c for c, n in zip(self.classes, self.confusion.sum(axis=1)) if not n)
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +118,6 @@ def compute_metrics(truth, scores, classes) -> Metrics:
         raise DataError(f"scores shape {scores.shape} != ({len(truth)}, {k})")
     predicted = scores.argmax(axis=1)
     confusion = np.bincount(truth * k + predicted, minlength=k * k).reshape(k, k)
-    support = confusion.sum(axis=1)
     require_two_classes(truth, classes)
 
     accuracy = float(np.trace(confusion) / confusion.sum())
@@ -129,10 +133,7 @@ def compute_metrics(truth, scores, classes) -> Metrics:
         recall[c] = r
         f1[c] = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
 
-    aucs = [auc_rank(scores[:, i], truth == i) for i in support.nonzero()[0]]
-    absent = [c for c, n in zip(classes, support) if not n]
-    if absent:
-        warnings.warn(AbsentClassWarning(absent))
+    aucs = [auc_rank(scores[:, i], truth == i) for i in confusion.sum(axis=1).nonzero()[0]]
     macro_auc = float(np.mean(aucs))
 
     return Metrics(accuracy, precision, recall, f1, macro_auc, confusion, classes)

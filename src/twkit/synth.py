@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .jsonio import read_json
+from .jsonio import number, read_json
 from .schema import CATEGORICAL, Code, Schema, default_schema
 from .table import Table
 
@@ -58,12 +58,17 @@ class SynthesisSpec:
                 for code in per_class[cls]:
                     if code not in attr.codes:
                         raise DataError(f"attribute {attr.name!r}: undeclared code {code!r}")
-        for coupling in self.couplings:
+        for i, coupling in enumerate(self.couplings):
+            if coupling.source not in schema.names or coupling.source in {c.target for c in self.couplings[i:]}:
+                raise DataError(f"coupling {coupling.target!r}: source {coupling.source!r} is not drawn before it")
             for src, dist in coupling.mapping.items():
                 _check_distribution(f"{coupling.target}|{coupling.source}={src}", dist)
         for cls in schema.class_codes:
             if cls not in self.height_model:
                 raise DataError(f"height_model: no entry for class {cls!r}")
+            sigma = self.height_model[cls][1]
+            if not sigma >= 0:
+                raise DataError(f"height_model {cls!r}: sigma must be >= 0, got {sigma}")
 
 
 def _check_distribution(name: str, dist: Distribution) -> None:
@@ -232,8 +237,14 @@ def default_synthesis_spec() -> SynthesisSpec:
 # ---------------------------------------------------------------------------
 
 
-def _dist_from_json(raw: dict[str, float], attr) -> Distribution:
-    return {attr.parse_token(token): p for token, p in raw.items()}
+def _dist_from_json(name: str, raw: dict[str, float], attr) -> Distribution:
+    return {attr.parse_token(token): number(f"{name} {token!r}", p) for token, p in raw.items()}
+
+
+def _height_from_json(cls: str, raw) -> tuple[float, float]:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ValueError(f"height_model {cls!r}: expected [mean, sigma], got {raw!r}")
+    return number(f"height_model {cls!r} mean", raw[0]), number(f"height_model {cls!r} sigma", raw[1])
 
 
 def load_spec(path, schema: Schema) -> SynthesisSpec:
@@ -241,17 +252,16 @@ def load_spec(path, schema: Schema) -> SynthesisSpec:
 
     def parse(doc) -> SynthesisSpec:
         spec = SynthesisSpec(
-            class_weights=_dist_from_json(doc["class_weights"], label),
+            class_weights=_dist_from_json("class_weights", doc["class_weights"], label),
             conditionals={
                 attr: {
-                    label.parse_token(cls): _dist_from_json(dist, schema.attribute(attr))
+                    label.parse_token(cls): _dist_from_json(f"{attr}|{cls}", dist, schema.attribute(attr))
                     for cls, dist in per_class.items()
                 }
                 for attr, per_class in doc["conditionals"].items()
             },
             height_model={
-                label.parse_token(cls): (float(ms[0]), float(ms[1]))
-                for cls, ms in doc["height_model"].items()
+                label.parse_token(cls): _height_from_json(cls, ms) for cls, ms in doc["height_model"].items()
             },
             couplings=tuple(
                 Coupling(
@@ -259,7 +269,7 @@ def load_spec(path, schema: Schema) -> SynthesisSpec:
                     source=c["source"],
                     mapping={
                         schema.attribute(c["source"]).parse_token(src): _dist_from_json(
-                            d, schema.attribute(c["target"])
+                            f"{c['target']}|{c['source']}={src}", d, schema.attribute(c["target"])
                         )
                         for src, d in c["mapping"].items()
                     },

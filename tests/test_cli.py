@@ -316,6 +316,13 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("synth", lambda d: [d]),
     ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178]}}),
     ("synth", lambda d: {**d, "class_weights": {c: str(p) for c, p in d["class_weights"].items()}}),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": ["178.5", 4.0]}}),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178.5, True]}}),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178.5, -4.0]}}),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178.5, 4.0, 9]}}),
+    ("synth", lambda d: {**d, "conditionals": {**d["conditionals"], "weapon": {
+        **d["conditionals"]["weapon"], "HR": {"2": True}}}}),
+    ("synth", lambda d: {**d, "couplings": [{**d["couplings"][0], "source": "hairstyle"}, d["couplings"][1]]}),
     ("pipeline", {"features": 5}),
     ("pipeline", [1]),
     ("pipeline", {"n_rows": "50"}),
@@ -339,7 +346,10 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
     "plan-stage1-list", "plan-text-target", "plan-undeclared-class", "spec-without-height-model", "spec-class-weights-list",
-    "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "config-features-number",
+    "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "spec-text-height-mean",
+    "spec-bool-height-sigma", "spec-negative-height-sigma", "spec-long-height-entry", "spec-bool-probability",
+    "spec-coupling-source-drawn-later",
+    "config-features-number",
     "config-top-level-array", "config-text-int", "config-float-count", "config-stages-unknown",
     "config-zero-count", "config-negative-rows", "config-deleted-key",
     "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8",

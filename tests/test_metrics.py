@@ -112,25 +112,27 @@ def test_confusion_row_sums_are_supports():
     assert m.accuracy == np.trace(m.confusion) / 100
 
 
-def test_absent_class_excluded_with_warning():
+def test_absent_class_excluded_and_listed():
     classes = ("a", "b", "c")
     truth = [0, 1, 0]
     scores = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.7, 0.2, 0.1]])
-    with pytest.warns(UserWarning, match="absent"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # listed, not warned
         m = compute_metrics(truth, scores, classes)
-    assert not np.isnan(m.macro_auc)
+    assert m.absent_classes == ("c",)
+    assert m.macro_auc == 1.0
 
 
-def test_absent_classes_share_one_warning():
-    classes = ("a", "b", "c", "d")
-    truth = [0, 1, 0]
+def test_absent_classes_listed_in_declared_order():
+    classes = ("d", "a", "c", "b")
+    truth = [1, 3, 1]
     scores = np.full((3, 4), 0.25)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         m = compute_metrics(truth, scores, classes)
-    assert m.confusion[:, 0].tolist() == [2, 1, 0, 0]  # ties go to the first class
-    assert len(caught) == 1
-    assert "'c'" in str(caught[0].message) and "'d'" in str(caught[0].message)
+    assert m.confusion[:, 0].tolist() == [0, 2, 0, 1]  # ties go to the first class
+    assert m.absent_classes == ("d", "c")
+    assert "absent_classes" not in m.to_dict()
 
 
 @pytest.mark.parametrize("truth, held", [([1, 1], "'b'"), ([], "none")])

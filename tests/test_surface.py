@@ -8,7 +8,8 @@ package `__init__.py` only re-exports names, so it does not count.
 string naming a definition counts there. A method or property is reached
 through an attribute, so it counts as used when code outside its own
 definition refers to an attribute of its name (or a `perfbench/` string names
-it); Python itself calls the dunder methods.
+it); Python itself calls the dunder methods. No module records, filters or
+replays warnings, which would swap process-wide state.
 
 The benchmark's tracer also reads the tree layout (`TreeNode.left`/`.right`)
 of the trees `train_tree` returns, and only of those. Each is a view of the
@@ -105,6 +106,19 @@ def test_every_method_is_referenced():
         and not any(part.name in names for _, _, other, names in units if other is not part)
     ]
     assert not unused, f"methods and properties nothing in the program uses: {unused}"
+
+
+def test_no_module_captures_or_replays_warnings():
+    # warning filters are process-wide state: the library warns, and only its
+    # callers filter, record or replay
+    names = ("catch_warnings", "warn_explicit", "simplefilter", "filterwarnings")
+    used = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "twkit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in names
+    ]
+    assert not used, f"warning state touched in the library: {used}"
 
 
 def _load_script(name):

@@ -69,6 +69,16 @@ def test_malformed_spec_rejected(schema):
         SynthesisSpec(missing, spec.conditionals, spec.height_model, spec.couplings).validate(schema)
 
 
+def test_negative_height_sigma_rejected(schema):
+    spec = default_synthesis_spec()
+    heights = {**spec.height_model, "RW": (178.0, -4.0)}
+    bad = SynthesisSpec(spec.class_weights, spec.conditionals, heights, spec.couplings)
+    with pytest.raises(DataError, match=r"^height_model 'RW': sigma must be >= 0, got -4.0$"):
+        bad.validate(schema)
+    with pytest.raises(DataError, match=r"^height_model 'RW': sigma must be >= 0, got -4.0$"):
+        synthesize_corpus(bad, 10, seed=1)
+
+
 def test_n_must_be_positive():
     with pytest.raises(DataError):
         synthesize_corpus(default_synthesis_spec(), 0, seed=1)
