@@ -26,10 +26,6 @@ class ContingencyTable:
     col_codes: tuple[Code, ...]
     grid: np.ndarray  # (r, c) counts
 
-    @property
-    def n(self) -> int:
-        return int(self.grid.sum())
-
 
 def contingency(table: Table, attr_a: str, attr_b: str) -> ContingencyTable:
     """Cross-tabulate two categorical attributes over rows complete in both."""

@@ -3,10 +3,11 @@
 Stage 1 (SMOTENC) interpolates new minority rows between same-class
 neighbors: numerics move along the segment between the two parents, each
 categorical takes the majority vote of the seed row's k nearest same-class
-neighbors. Stage 2 (a conditional tabular GAN with generator, discriminator
-and an auxiliary classifier that penalizes label-inconsistent samples) tops
-classes up to their final targets. Original rows ride through verbatim and
-every row carries an origin flag: real, smotenc, or cgan.
+neighbors (k = min(5, class size - 1); a tie keeps the seed row's code).
+Stage 2 (a conditional tabular GAN with generator, discriminator and an
+auxiliary classifier that penalizes label-inconsistent samples) tops classes
+up to their final targets. Original rows ride through verbatim and every row
+carries an origin flag: real, smotenc, or cgan.
 """
 
 from __future__ import annotations
@@ -35,103 +36,83 @@ from .schema import NUMERIC, Code, Schema
 from .table import ORIGIN_CGAN, ORIGIN_REAL, ORIGIN_SMOTENC, Row, Table, class_histogram
 from .seeds import derive_seed
 
-SMOTENC_K = 5  # nearest same-class neighbours per seed row
+SMOTENC_K = 5  # nearest same-class neighbours per seed row, at most the class size - 1
 
 
-def categorical_penalty(table: Table, cls: Code) -> float:
-    """Median of the numeric-feature standard deviations over the class rows.
+def _feature_arrays(table: Table) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's numeric features as an (n, p) float array, a blank cell
+    NaN, and its categorical features as an (n, q) array of code indices, a
+    blank cell -1; columns in declared feature order."""
+    feats, n = table.schema.features, len(table)
+    num = np.array([table.column(a.name) for a in feats if a.kind == NUMERIC], dtype=float)
+    cat = np.array([a.code_indices(table.column(a.name)) for a in feats if a.kind != NUMERIC], dtype=np.intp)
+    return num.reshape(-1, n).T, cat.reshape(-1, n).T
+
+
+def categorical_penalty(num: np.ndarray, member: np.ndarray) -> float:
+    """Median of the numeric-feature standard deviations over the class rows
+    (`num`'s rows where `member` is set), blank cells left out.
 
     Falls back to the table-wide value (then 1.0) when the class is constant
     in every numeric feature, so categorical mismatches keep a nonzero cost.
     """
-    numeric = [a.name for a in table.schema.features if a.kind == NUMERIC]
-    if not numeric:
-        return 1.0
-    for rows in (_class_rows(table, cls), list(table.rows)):
-        stds = []
-        for name in numeric:
-            j = table.schema.index_of(name)
-            values = [row[j] for row in rows if row[j] is not None]
-            if len(values) > 1:
-                stds.append(float(np.std(values)))
+    for values in (num[member], num):
+        columns = [col[~np.isnan(col)] for col in values.T]
+        stds = [float(np.std(col)) for col in columns if len(col) > 1]
         if stds and np.median(stds) > 0:
             return float(np.median(stds))
     return 1.0
 
 
-def _squared_distances(rows: list[Row], schema: Schema, penalty: float) -> np.ndarray:
-    """Pairwise mixed-feature squared distances between complete rows: numeric
-    squared differences plus penalty^2 per categorical mismatch."""
-    feats = schema.features
-    cols = [schema.index_of(a.name) for a in feats]
-    numeric_mask = np.array([a.kind == NUMERIC for a in feats])
-    num = np.array(
-        [[float(r[j]) if numeric_mask[i] else 0.0 for i, j in enumerate(cols)] for r in rows]
-    )[:, numeric_mask]
-    cat = np.array(
-        [a.code_indices([r[j] for r in rows]) for a, j in zip(feats, cols) if a.kind != NUMERIC],
-        dtype=np.intp,
-    ).reshape(-1, len(rows)).T
+def _squared_distances(num: np.ndarray, cat: np.ndarray, penalty: float) -> np.ndarray:
+    """Pairwise mixed-feature squared distances between the rows of complete
+    feature arrays: numeric squared differences plus penalty^2 per
+    categorical mismatch."""
     dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
     dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
     return dist2
 
 
-def _class_rows(table: Table, cls: Code) -> list[Row]:
-    label_idx = table.schema.label_index
-    return [row for row in table.rows if row[label_idx] == cls]
-
-
-def smotenc_generate(table: Table, cls: Code, n_new: int, k: int, seed: int) -> list[Row]:
-    """Synthesize `n_new` rows of class `cls` between existing class members."""
-    if cls not in table.schema.class_codes:
-        raise DataError(f"unknown class {cls!r}")
-    rows = _class_rows(table, cls)
-    if len(rows) < 2:
-        raise DataError(f"class {cls!r} has {len(rows)} member(s); SMOTENC needs >=2")
-    if k > len(rows) - 1:
-        warnings.warn(f"k={k} exceeds class size - 1; lowered to {len(rows) - 1}")
-        k = len(rows) - 1
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if n_new == 0:
-        return []
-
+def smotenc_generate(table: Table, cls: Code, n_new: int, seed: int) -> list[Row]:
+    """Synthesize `n_new` rows of class `cls` between existing class members,
+    each seed row's k = min(SMOTENC_K, m - 1) nearest neighbours among the
+    class's m rows."""
     schema = table.schema
-    dist2 = _squared_distances(rows, schema, categorical_penalty(table, cls))
-    m = len(rows)
-    neighbor_lists = []
-    for i in range(m):
-        order = np.argsort(dist2[i], kind="stable")
-        neighbor_lists.append([int(o) for o in order if o != i][:k])
+    if cls not in schema.class_codes:
+        raise DataError(f"unknown class {cls!r}")
+    member = np.array(table.labels(), dtype=object) == cls
+    m = int(member.sum())
+    if m < 2:
+        raise DataError(f"class {cls!r} has {m} member(s); SMOTENC needs >=2")
+    num_all, cat_all = _feature_arrays(table)
+    num, cat = num_all[member], cat_all[member]
+    if np.isnan(num).any() or (cat < 0).any():
+        raise DataError(f"class {cls!r} has a blank feature cell; SMOTENC needs every feature on every row")
 
+    # each row's neighbours, nearest first, ties in row order, itself left out
+    k = min(SMOTENC_K, m - 1)
+    order = np.argsort(_squared_distances(num, cat, categorical_penalty(num_all, member)), axis=1, kind="stable")
+    neighbours = order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
+    # each categorical takes the majority code of the seed row's neighbours;
+    # a tie keeps the seed row's code
+    votes = (cat[neighbours][..., None] == np.arange(cat.max(initial=0) + 1)).sum(axis=1)
+    unique = (votes == votes.max(axis=2, keepdims=True)).sum(axis=2) == 1
+    voted = np.where(unique, votes.argmax(axis=2), cat)
+
+    # each new row draws its seed row, its neighbour and its fraction one
+    # scalar at a time, in that order: bulk draws would change the stream
     rng = np.random.default_rng(seed)
+    ri, slot, u = np.empty(n_new, dtype=np.intp), np.empty(n_new, dtype=np.intp), np.empty(n_new)
+    for t in range(n_new):
+        ri[t], slot[t], u[t] = rng.integers(0, m), rng.integers(0, k), rng.random()
+    si = neighbours[ri, slot]
     feats = schema.features
-    cols = [schema.index_of(a.name) for a in feats]
-    label_idx = schema.label_index
-    out: list[Row] = []
-    for _ in range(n_new):
-        ri = int(rng.integers(0, m))
-        neighbors = neighbor_lists[ri]
-        si = neighbors[int(rng.integers(0, len(neighbors)))]
-        u = float(rng.random())
-        r_row, s_row = rows[ri], rows[si]
-        cells: list = list(r_row)
-        for attr, j in zip(feats, cols):
-            if attr.kind == NUMERIC:
-                cells[j] = float(r_row[j]) + u * (float(s_row[j]) - float(r_row[j]))
-            else:
-                votes: dict = {}
-                for ni in neighbors:
-                    code = rows[ni][j]
-                    votes[code] = votes.get(code, 0) + 1
-                top = max(votes.values())
-                winners = [c for c in attr.codes if votes.get(c, 0) == top]
-                # a tie keeps the seed row's value
-                cells[j] = winners[0] if len(winners) == 1 else r_row[j]
-        cells[label_idx] = cls
-        out.append(tuple(cells))
-    return out
+    columns = {schema.label.name: [cls] * n_new}
+    new_num = num[ri] + u[:, None] * (num[si] - num[ri])
+    columns.update(zip([a.name for a in feats if a.kind == NUMERIC], new_num.T.tolist()))
+    for a, col in zip([a for a in feats if a.kind != NUMERIC], voted[ri].T.tolist()):
+        columns[a.name] = list(map(a.codes.__getitem__, col))
+    return list(zip(*(columns[name] for name in schema.names)))
 
 
 # -- conditional tabular GAN -----------------------------------------------------
@@ -326,12 +307,6 @@ class AugmentPlan:
                     f"({s2} >= {s1} >= {count})"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "stage1": {str(c): t for c, t in self.stage1.items()},
-            "stage2": {str(c): t for c, t in self.stage2.items()},
-        }
-
 
 def load_plan(path, schema: Schema) -> AugmentPlan:
     label = schema.label
@@ -412,8 +387,7 @@ def two_stage_augment(
         need = plan.stage1.get(cls, counts[cls]) - counts[cls]
         if need <= 0:
             continue
-        k = min(SMOTENC_K, counts[cls] - 1)
-        new_rows = smotenc_generate(table, cls, need, k, derive_seed(seed, f"smote-{cls}"))
+        new_rows = smotenc_generate(table, cls, need, derive_seed(seed, f"smote-{cls}"))
         rows.extend(new_rows)
         origins.extend([ORIGIN_SMOTENC] * len(new_rows))
 

@@ -1,7 +1,8 @@
 """The JSON document format and its error contract: UTF-8, indented by two
 spaces, with a trailing newline (reports, specs, the manifest). A document
 that cannot be read or decoded, that holds `NaN`, `Infinity` or `-Infinity`
-(which Python's `json` accepts but JSON does not), or that its reader's
+(which Python's `json` accepts but JSON does not) or a number that overflows
+a float (which Python's `json` reads as infinite), or that its reader's
 `parse` rejects, raises one `DataError` naming the file. Writing a document
 that holds one of those numbers raises the same error and writes nothing."""
 
@@ -52,8 +53,14 @@ def number(key: str, value) -> float:
     return float(value)
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token} is not JSON")
+def _finite(token: str) -> float:
+    """The float a JSON number token names; a token that names no finite
+    float (`NaN`, `Infinity`, or a number that overflows, such as `1e400`)
+    is rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} is not JSON")
+    return value
 
 
 def read_json(path, parse, what: str):
@@ -63,7 +70,7 @@ def read_json(path, parse, what: str):
     a twkit error, whose text the `DataError` keeps."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, a non-finite number or bad UTF-8
         raise DataError(f"{path}: {exc}") from exc
     try:

@@ -61,8 +61,17 @@ class SynthesisSpec:
         for i, coupling in enumerate(self.couplings):
             if coupling.source not in schema.names or coupling.source in {c.target for c in self.couplings[i:]}:
                 raise DataError(f"coupling {coupling.target!r}: source {coupling.source!r} is not drawn before it")
+            source, target = schema.attribute(coupling.source), schema.attribute(coupling.target)
+            if source.kind != CATEGORICAL or target.kind != CATEGORICAL:
+                raise DataError(f"coupling {coupling.target!r}: source and target must be categorical")
+            for src in source.codes:
+                if src not in coupling.mapping:
+                    raise DataError(f"coupling {coupling.target!r}: no mapping for {coupling.source}={src!r}")
             for src, dist in coupling.mapping.items():
                 _check_distribution(f"{coupling.target}|{coupling.source}={src}", dist)
+                for code in dist:
+                    if code not in target.codes:
+                        raise DataError(f"coupling {coupling.target!r}: undeclared code {code!r}")
         for cls in schema.class_codes:
             if cls not in self.height_model:
                 raise DataError(f"height_model: no entry for class {cls!r}")
@@ -115,13 +124,7 @@ def synthesize_corpus(
                 mean, sigma = spec.height_model[cls]
                 cells[attr.name] = round(float(rng.normal(mean, sigma)), 1)
         for coupling in spec.couplings:
-            src = cells[coupling.source]
-            try:
-                cells[coupling.target] = _draw(coupling.mapping[src], rng)
-            except KeyError:
-                raise DataError(
-                    f"coupling {coupling.target!r}: no mapping for {coupling.source}={src!r}"
-                ) from None
+            cells[coupling.target] = _draw(coupling.mapping[cells[coupling.source]], rng)
         rows.append(tuple(cells[name] for name in schema.names))
     return Table(schema, tuple(rows))
 

@@ -48,7 +48,7 @@ class TestContingency:
 
     def test_grid_sum_counts_complete_rows(self, corpus_200):
         ct = contingency(corpus_200, "corps", "position")
-        assert ct.n == len(corpus_200)
+        assert ct.grid.sum() == len(corpus_200)
 
     def test_numeric_rejected(self, corpus_200):
         with pytest.raises(DataError):
@@ -62,7 +62,7 @@ class TestContingency:
         ]
         table = Table(schema, tuple(rows))
         ct = contingency(table, "hairstyle", "corps")
-        assert ct.n == 2
+        assert ct.grid.sum() == 2
 
 
 def _reference_contingency(table, attr_a, attr_b):

@@ -8,8 +8,10 @@ import pytest
 from twkit import default_synthesis_spec, synthesize_corpus
 from twkit.augment import (
     CGAN_NOISE_DIM,
+    SMOTENC_K,
     AugmentPlan,
     CganConfig,
+    _feature_arrays,
     _squared_distances,
     categorical_penalty,
     default_augment_plan,
@@ -21,6 +23,7 @@ from twkit.augment import (
 )
 from twkit.encoding import encode, label_indices
 from twkit.errors import DataError
+from twkit.schema import NUMERIC
 from twkit.table import Table, class_histogram
 
 FAST_CGAN = CganConfig(epochs=40, batch_size=64)
@@ -38,29 +41,34 @@ def make_row(schema, height=178.0, cls="HR", **overrides):
     return tuple(cells[name] for name in schema.names)
 
 
+def _distances(schema, rows, penalty):
+    num, cat = _feature_arrays(Table(schema, tuple(rows)))
+    return _squared_distances(num, cat, penalty)
+
+
 class TestDistance:
     def test_identical_rows_zero(self, schema):
         row = make_row(schema)
-        assert _squared_distances([row, row], schema, penalty=3.0)[0, 1] == 0.0
+        assert _distances(schema, [row, row], penalty=3.0)[0, 1] == 0.0
 
     def test_single_categorical_mismatch(self, schema):
         a = make_row(schema)
         b = make_row(schema, headgear=0)
-        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 9.0
+        assert _distances(schema, [a, b], penalty=3.0)[0, 1] == 9.0
 
     def test_three_four_five(self, schema):
         a = make_row(schema, height=178.0)
         b = make_row(schema, height=182.0, headgear=0)
-        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 25.0
+        assert _distances(schema, [a, b], penalty=3.0)[0, 1] == 25.0
 
     def test_label_excluded(self, schema):
         a = make_row(schema, cls="HR")
         b = make_row(schema, cls="MR")
-        assert _squared_distances([a, b], schema, penalty=3.0)[0, 1] == 0.0
+        assert _distances(schema, [a, b], penalty=3.0)[0, 1] == 0.0
 
     def test_symmetric_with_zero_diagonal(self, schema):
         rows = small_corpus(40, seed=3).rows
-        dist2 = _squared_distances(list(rows), schema, penalty=2.5)
+        dist2 = _distances(schema, rows, penalty=2.5)
         assert dist2.shape == (len(rows), len(rows))
         assert (dist2 == dist2.T).all()
         assert (np.diag(dist2) == 0.0).all()
@@ -70,7 +78,7 @@ class TestGenerate:
     def test_interpolation_bounds(self, schema):
         rows = (make_row(schema, height=170.0), make_row(schema, height=180.0))
         table = Table(schema, rows)
-        out = smotenc_generate(table, "HR", 30, k=1, seed=0)
+        out = smotenc_generate(table, "HR", 30, seed=0)
         i_h = schema.index_of("height")
         for row in out:
             assert 170.0 <= row[i_h] <= 180.0
@@ -78,7 +86,7 @@ class TestGenerate:
     def test_unanimous_vote(self, schema):
         rows = tuple(make_row(schema, height=170.0 + i, headgear=3) for i in range(5))
         table = Table(schema, rows)
-        out = smotenc_generate(table, "HR", 10, k=4, seed=1)
+        out = smotenc_generate(table, "HR", 10, seed=1)
         i_hg = schema.index_of("headgear")
         assert all(row[i_hg] == 3 for row in out)
 
@@ -89,7 +97,7 @@ class TestGenerate:
             for _ in range(5)
         )
         table = Table(schema, rows)
-        out = smotenc_generate(table, "HR", 45, k=4, seed=3)
+        out = smotenc_generate(table, "HR", 45, seed=3)
         assert len(out) == 45
         heights = [r[schema.index_of("height")] for r in table.rows]
         for row in out:
@@ -98,28 +106,40 @@ class TestGenerate:
         Table(schema, out)  # schema-valid
 
     def test_k_clamped_with_warning(self, schema):
+        # three rows give each seed row two neighbours, fewer than SMOTENC_K
         rows = tuple(make_row(schema, height=170.0 + i) for i in range(3))
         table = Table(schema, rows)
-        with pytest.warns(UserWarning, match="lowered"):
-            out = smotenc_generate(table, "HR", 5, k=10, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smotenc_generate(table, "HR", 5, seed=4)
         assert len(out) == 5
 
     def test_tiny_class_rejected(self, schema):
         table = Table(schema, (make_row(schema),))
         with pytest.raises(DataError):
-            smotenc_generate(table, "HR", 5, k=1, seed=5)
+            smotenc_generate(table, "HR", 5, seed=5)
 
     def test_deterministic(self, schema):
         table = small_corpus(200, seed=6)
-        a = smotenc_generate(table, "RW", 20, k=5, seed=7)
-        b = smotenc_generate(table, "RW", 20, k=5, seed=7)
+        a = smotenc_generate(table, "RW", 20, seed=7)
+        b = smotenc_generate(table, "RW", 20, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("attribute", ["height", "headgear"])
+    def test_blank_class_cell_rejected(self, schema, attribute):
+        table = small_corpus(300, seed=8)
+        i = schema.index_of(attribute)
+        rows = list(table.rows)
+        first = next(r for r, row in enumerate(rows) if row[schema.label_index] == "LR")
+        rows[first] = rows[first][:i] + (None,) + rows[first][i + 1:]
+        with pytest.raises(DataError, match="class 'LR' has a blank feature cell"):
+            smotenc_generate(Table(schema, tuple(rows)), "LR", 5, seed=9)
 
     def test_numeric_on_parent_segment(self, schema):
         # single numeric feature: every synthetic height must sit between the
         # two parents, which the class min/max bound from outside
         table = small_corpus(300, seed=8)
-        out = smotenc_generate(table, "AW", 50, k=5, seed=9)
+        out = smotenc_generate(table, "AW", 50, seed=9)
         i_h = schema.index_of("height")
         i_lab = schema.label_index
         heights = [r[i_h] for r in table.rows if r[i_lab] == "AW"]
@@ -127,12 +147,133 @@ class TestGenerate:
             assert min(heights) - 1e-9 <= row[i_h] <= max(heights) + 1e-9
 
 
+def _reference_penalty(table, cls):
+    schema = table.schema
+    numeric = [a.name for a in schema.features if a.kind == NUMERIC]
+    if not numeric:
+        return 1.0
+    class_rows = [row for row in table.rows if row[schema.label_index] == cls]
+    for rows in (class_rows, list(table.rows)):
+        stds = []
+        for name in numeric:
+            j = schema.index_of(name)
+            values = [row[j] for row in rows if row[j] is not None]
+            if len(values) > 1:
+                stds.append(float(np.std(values)))
+        if stds and np.median(stds) > 0:
+            return float(np.median(stds))
+    return 1.0
+
+
+def _reference_smotenc(table, cls, n_new, seed):
+    """The row-by-row SMOTENC the array form replaced: neighbour lists from a
+    per-row argsort that skips the row itself, and the neighbour vote counted
+    again for every generated row."""
+    schema = table.schema
+    label_idx = schema.label_index
+    rows = [row for row in table.rows if row[label_idx] == cls]
+    k = min(SMOTENC_K, len(rows) - 1)
+    if n_new == 0:
+        return []
+    feats = schema.features
+    cols = [schema.index_of(a.name) for a in feats]
+    numeric_mask = np.array([a.kind == NUMERIC for a in feats])
+    num = np.array(
+        [[float(r[j]) if numeric_mask[i] else 0.0 for i, j in enumerate(cols)] for r in rows]
+    )[:, numeric_mask]
+    cat = np.array(
+        [a.code_indices([r[j] for r in rows]) for a, j in zip(feats, cols) if a.kind != NUMERIC],
+        dtype=np.intp,
+    ).reshape(-1, len(rows)).T
+    penalty = _reference_penalty(table, cls)
+    dist2 = ((num[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
+    dist2 += (penalty**2) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
+    m = len(rows)
+    neighbor_lists = []
+    for i in range(m):
+        order = np.argsort(dist2[i], kind="stable")
+        neighbor_lists.append([int(o) for o in order if o != i][:k])
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_new):
+        ri = int(rng.integers(0, m))
+        neighbors = neighbor_lists[ri]
+        si = neighbors[int(rng.integers(0, len(neighbors)))]
+        u = float(rng.random())
+        r_row, s_row = rows[ri], rows[si]
+        cells = list(r_row)
+        for attr, j in zip(feats, cols):
+            if attr.kind == NUMERIC:
+                cells[j] = float(r_row[j]) + u * (float(s_row[j]) - float(r_row[j]))
+            else:
+                votes = {}
+                for ni in neighbors:
+                    code = rows[ni][j]
+                    votes[code] = votes.get(code, 0) + 1
+                top = max(votes.values())
+                winners = [c for c in attr.codes if votes.get(c, 0) == top]
+                cells[j] = winners[0] if len(winners) == 1 else r_row[j]
+        cells[label_idx] = cls
+        out.append(tuple(cells))
+    return out
+
+
+def _typed(rows):
+    return [[(type(cell), cell) for cell in row] for row in rows]
+
+
+def _tied_corpus(schema, n, seed):
+    """Rows with every categorical uniform over its codes and heights on a
+    coarse grid, so that distances and votes tie often."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        cells = [
+            float(rng.integers(170, 174)) if a.kind == NUMERIC else a.codes[int(rng.integers(0, len(a.codes)))]
+            for a in schema.attributes
+        ]
+        rows.append(tuple(cells))
+    return Table(schema, tuple(rows))
+
+
+@pytest.mark.parametrize("corpus", [
+    ("synth", 60, 1), ("synth", 150, 2), ("synth", 300, 3), ("synth", 1087, 4),
+    ("tied", 40, 5), ("tied", 120, 6), ("tied", 400, 7),
+])
+def test_smotenc_matches_reference(schema, corpus):
+    kind, n, seed = corpus
+    table = small_corpus(n, seed=seed) if kind == "synth" else _tied_corpus(schema, n, seed)
+    checked = 0
+    for cls, count in class_histogram(table).items():
+        if count < 2:
+            continue
+        for n_new in (0, 1, 37):
+            new = smotenc_generate(table, cls, n_new, seed=100 + n_new)
+            assert _typed(new) == _typed(_reference_smotenc(table, cls, n_new, seed=100 + n_new))
+            checked += 1
+    assert checked >= 6  # two classes or more
+
+
+def test_categorical_penalty_falls_back_to_table_past_blank_cells(schema):
+    # a class constant in height takes the table-wide std, blank cells left out
+    rows = [make_row(schema, height=175.0) for _ in range(3)]
+    rows += [make_row(schema, cls="RW", height=h) for h in (170.0, 181.5, None, 176.0)]
+    table = Table(schema, tuple(rows))
+    num, _ = _feature_arrays(table)
+    member = np.array([r[schema.label_index] == "HR" for r in rows])
+    assert categorical_penalty(num, member) == _reference_penalty(table, "HR")
+    assert categorical_penalty(num, member) == float(np.std([175.0] * 3 + [170.0, 181.5, 176.0]))
+
+
 def test_categorical_penalty_is_height_std(schema):
     table = small_corpus(400, seed=10)
     i_h = schema.index_of("height")
     i_lab = schema.label_index
     heights = [r[i_h] for r in table.rows if r[i_lab] == "AW"]
-    assert categorical_penalty(table, "AW") == pytest.approx(float(np.std(heights)))
+    member = np.array([r[i_lab] == "AW" for r in table.rows])
+    num, _ = _feature_arrays(table)
+    assert categorical_penalty(num, member) == pytest.approx(float(np.std(heights)))
 
 
 class TestPlan:
@@ -184,7 +325,9 @@ class TestPlan:
         counts = {"RW": 20, "AW": 30, "CS": 3, "CT": 3, "HR": 2, "MR": 3, "LR": 5}
         plan = default_augment_plan(counts, schema.class_codes, total=100, smote_cap=10)
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
+        doc = {stage: {str(c): t for c, t in targets.items()}
+               for stage, targets in (("stage1", plan.stage1), ("stage2", plan.stage2))}
+        path.write_text(json.dumps(doc), encoding="utf-8")
         back = load_plan(path, schema)
         assert back == plan
 

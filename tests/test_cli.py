@@ -80,7 +80,9 @@ def test_augment_train_correlate_stats_plot_chain(tmp_path, schema):
     counts = class_histogram(corpus)
     plan = default_augment_plan(counts, schema.class_codes, total=600, smote_cap=50)
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
+    plan_doc = {stage: {str(c): t for c, t in targets.items()}
+                for stage, targets in (("stage1", plan.stage1), ("stage2", plan.stage2))}
+    plan_path.write_text(json.dumps(plan_doc), encoding="utf-8")
     tws = tmp_path / "tws.csv"
     assert run(["augment", "--in", src, "--plan", plan_path, "--out", tws,
                 "--seed", 3, "--epochs", 20]) == 0
@@ -323,6 +325,9 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("synth", lambda d: {**d, "conditionals": {**d["conditionals"], "weapon": {
         **d["conditionals"]["weapon"], "HR": {"2": True}}}}),
     ("synth", lambda d: {**d, "couplings": [{**d["couplings"][0], "source": "hairstyle"}, d["couplings"][1]]}),
+    ("synth", lambda d: {**d, "couplings": [
+        {**d["couplings"][0], "mapping": {"0": d["couplings"][0]["mapping"]["0"]}}, d["couplings"][1]]}),
+    ("synth", lambda d: {**d, "couplings": [{**d["couplings"][0], "target": "height"}, d["couplings"][1]]}),
     ("pipeline", {"features": 5}),
     ("pipeline", [1]),
     ("pipeline", {"n_rows": "50"}),
@@ -336,6 +341,7 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("synth", _NOT_UTF8),
     ("pipeline", _NOT_UTF8),
     ("importance", b'{"importance": [["a", Infinity], ["b", 0.5]]}'),
+    ("importance", b'{"importance": [["height", 1e400], ["weapon", 0.5]]}'),
     ("heatmap", b'{"attributes": ["a"], "matrix_full_precision": [[Infinity]]}'),
     ("box", json.dumps({"classes": ["RW"], "panels": [{"attribute": "height", "box": {"RW": {
         **_BOX, "q1": float("inf")}}}]}).encode()),
@@ -348,12 +354,13 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "plan-stage1-list", "plan-text-target", "plan-undeclared-class", "spec-without-height-model", "spec-class-weights-list",
     "spec-top-level-array", "spec-short-height-entry", "spec-text-probability", "spec-text-height-mean",
     "spec-bool-height-sigma", "spec-negative-height-sigma", "spec-long-height-entry", "spec-bool-probability",
-    "spec-coupling-source-drawn-later",
+    "spec-coupling-source-drawn-later", "spec-coupling-source-code-unmapped", "spec-coupling-numeric-target",
     "config-features-number",
     "config-top-level-array", "config-text-int", "config-float-count", "config-stages-unknown",
     "config-zero-count", "config-negative-rows", "config-deleted-key",
     "plot-not-utf8", "plan-not-utf8", "spec-not-utf8", "config-not-utf8",
-    "importance-infinite-weight", "heatmap-infinite-cell", "box-infinite-q1", "plan-negative-infinite-target",
+    "importance-infinite-weight", "importance-overflowing-weight", "heatmap-infinite-cell", "box-infinite-q1",
+    "plan-negative-infinite-target",
     "csv-not-utf8", "csv-field-over-limit",
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, write_spec, command, document):

@@ -1,6 +1,8 @@
-"""Property test at the JSON output boundary: `write_json` either writes a
-document that `read_json` reads back equal, or raises one data error naming
-the file and writes nothing, as for a document holding `NaN` or `Infinity`."""
+"""Property tests at the JSON boundary: `write_json` either writes a document
+that `read_json` reads back equal, or raises one data error naming the file
+and writes nothing, as for a document holding `NaN` or `Infinity`; and
+`read_json` reads a number token as its float, or, when the token overflows a
+float, raises one data error naming the file."""
 
 import math
 import re
@@ -49,3 +51,19 @@ def test_document_reads_back_or_is_one_data_error(doc):
             with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
                 write_json(path, doc)
             assert not list(Path(tmp).iterdir())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["1", "-2.5", "9.99"]), st.integers(-400, 400))
+def test_number_token_reads_finite_or_is_one_data_error(mantissa, exponent):
+    token = f"{mantissa}e{exponent}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(f'{{"x": [{token}, 0.5]}}', encoding="utf-8")
+        if math.isfinite(float(token)):
+            event("finite")
+            assert read_json(path, lambda d: d, "document") == {"x": [float(token), 0.5]}
+        else:
+            event("overflows")
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: non-finite number {token} ')}"):
+                read_json(path, lambda d: d, "document")

@@ -1,9 +1,8 @@
 """Property tests at the synthesis-spec boundary: an edit of the default spec's
 document either loads, with every probability and height a float and every
-sigma non-negative, and `twkit synth --spec` writes its CSV (or, when a drawn
-code has no coupling mapping, exits 1 with one `error: coupling` line); or it
-is one data error naming the file, which `twkit synth --spec` reports as exit
-1 with one `error:` line and no CSV."""
+sigma non-negative, and `twkit synth --spec` writes its CSV; or it is one data
+error naming the file, which `twkit synth --spec` reports as exit 1 with one
+`error:` line and no CSV."""
 
 import contextlib
 import io
@@ -152,9 +151,5 @@ def test_spec_loads_typed_or_fails_cleanly(default_document, data):
             assert type(mean) is float and type(sigma) is float
             assert math.isfinite(mean) and 0 <= sigma < math.inf
         code, err = _synth(path, out)
-        if code:  # a class drawn from a code the coupling maps nothing for
-            event("synthesis error")
-            assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: coupling ")
-            assert not out.exists()
-        else:
-            assert out.exists()
+        assert (code, err) == (0, "")
+        assert out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,21 @@ def test_negative_height_sigma_rejected(schema):
         bad.validate(schema)
     with pytest.raises(DataError, match=r"^height_model 'RW': sigma must be >= 0, got -4.0$"):
         synthesize_corpus(bad, 10, seed=1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"source": "height"}, "coupling 'position': source and target must be categorical"),
+    ({"mapping": {0: {2: 1.0}}}, "coupling 'position': no mapping for corps=1"),
+    ({"mapping": {0: {2: 1.0}, 1: {0: 0.5, 7: 0.5}}}, "coupling 'position': undeclared code 7"),
+])
+def test_coupling_rules(schema, edit, message):
+    # every code a coupling's source can draw maps to declared target codes,
+    # so a spec that validates also synthesises
+    spec = default_synthesis_spec()
+    couplings = (dataclasses.replace(spec.couplings[0], **edit),) + spec.couplings[1:]
+    bad = dataclasses.replace(spec, couplings=couplings)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        bad.validate(schema)
 
 
 def test_n_must_be_positive():
