@@ -9,7 +9,7 @@ i, frac = divmod(p*(n-1), 1).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,29 +120,27 @@ def correlation_matrix(table: Table, attrs: list[str] | None = None) -> Correlat
     return CorrelationMatrix(tuple(attrs), values)
 
 
+class _FieldDocument:
+    """A stats dataclass's JSON document: one key per field, in field order, tuples as lists.
+    `from_dict` reads each field by name (a missing key is a KeyError) and lists back as tuples."""
+
+    def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls(*(tuple(v) if isinstance(v, list) else v for v in (doc[f.name] for f in fields(cls))))
+
+
 @dataclass(frozen=True)
-class BoxStats:
+class BoxStats(_FieldDocument):
     q1: float
     median: float
     q3: float
     whisker_low: float
     whisker_high: float
     outliers: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BoxStats":
-        return cls(doc["q1"], doc["median"], doc["q3"], doc["whisker_low"], doc["whisker_high"],
-                   tuple(doc["outliers"]))
 
 
 def _quantile(sorted_values: np.ndarray, p: float) -> float:
@@ -176,7 +174,7 @@ def box_stats(values) -> BoxStats:
 
 
 @dataclass(frozen=True)
-class ViolinStats:
+class ViolinStats(_FieldDocument):
     grid: tuple[float, ...]
     density: tuple[float, ...]
     q1: float
@@ -184,22 +182,6 @@ class ViolinStats:
     q3: float
     min: float
     max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "density": list(self.density),
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ViolinStats":
-        return cls(tuple(doc["grid"]), tuple(doc["density"]), doc["q1"], doc["median"], doc["q3"],
-                   doc["min"], doc["max"])
 
 
 def kde(values, bandwidth: float | None = None, grid_size: int = 128) -> ViolinStats:

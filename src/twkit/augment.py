@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Codec, EncodedMatrix, decode_cells, encode, label_indices
+from .encoding import Codec, EncodedMatrix, build_codec, decode_cells, encode, label_indices
 from .errors import DataError, TrainingDiverged
 from .jsonio import integer, read_json
 from .nn import (
@@ -298,6 +298,7 @@ class AugmentPlan:
     stage2: dict[Code, int]
 
     def validate(self, counts: dict[Code, int]) -> None:
+        """stage2 >= stage1 >= count per class, and a class under 2 rows is held at its count."""
         for cls, count in counts.items():
             s1 = self.stage1.get(cls, count)
             s2 = self.stage2.get(cls, count)
@@ -306,6 +307,8 @@ class AugmentPlan:
                     f"plan for class {cls!r} must satisfy stage2 >= stage1 >= count "
                     f"({s2} >= {s1} >= {count})"
                 )
+            if count < 2 and s2 > count:
+                raise DataError(f"plan grows class {cls!r}, which has {count} row(s): augmenting needs >= 2")
 
 
 def load_plan(path, schema: Schema) -> AugmentPlan:
@@ -401,7 +404,7 @@ def two_stage_augment(
         label_idx = schema.label_index
         train_table = Table(schema, tuple(r for r in rows if r[label_idx] not in held))
         feature_names = tuple(a.name for a in schema.features)
-        encoded = encode(train_table, attributes=feature_names)
+        encoded = encode(train_table, codec_source=build_codec(train_table, feature_names))
         model = train_table_cgan(
             encoded, label_indices(train_table), cgan_config or CganConfig(),
             derive_seed(seed, "cgan"), schema,

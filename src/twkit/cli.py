@@ -41,9 +41,8 @@ from .synth import default_synthesis_spec, load_spec, synthesize_corpus
 from .table import class_histogram, kfold_stratified, load_augmented_csv, save_csv, split_stratified
 
 
-def _load_table(path, schema):
-    table, _ = load_augmented_csv(path, schema)
-    return table
+def _load_table(path):
+    return load_augmented_csv(path, default_schema())[0]
 
 
 # -- individual commands ---------------------------------------------------------
@@ -59,8 +58,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     if args.method == "sta":
         out = impute_sta(table)
     elif args.method == "mice":
@@ -74,8 +72,7 @@ def cmd_impute(args) -> int:
 
 
 def cmd_eval_impute(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     report = evaluate_imputation(
         table,
         features=args.features.split(","),
@@ -91,9 +88,14 @@ def cmd_eval_impute(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
-    plan = load_plan(args.plan, schema) if args.plan else None
+    table = _load_table(args.infile)
+    plan = None
+    if args.plan:
+        plan = load_plan(args.plan, table.schema)
+        try:
+            plan.validate(class_histogram(table))
+        except DataError as exc:  # a target this table cannot reach is the plan file's error
+            raise DataError(f"{args.plan}: {exc}") from None
     result = two_stage_augment(
         table,
         plan=plan,
@@ -130,12 +132,11 @@ def _single_split_fit(table, model, seed, test_fraction):
 
 
 def cmd_train(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     if args.folds:
         folds = kfold_stratified(table, args.folds, derive_seed(args.seed, "folds"))
         for _, test in folds:  # every fold is checked before the first fit
-            require_two_classes(label_indices(test), schema.class_codes)
+            require_two_classes(label_indices(test), table.schema.class_codes)
         fold_docs = []
         for f, (train, test) in enumerate(folds):
             metrics, _ = fit_and_score(
@@ -160,8 +161,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     _, forest, codec = _single_split_fit(table, "rf", args.seed, args.test_fraction)
     payload = _importance_payload(forest, codec)
     write_json(args.out, payload)
@@ -170,8 +170,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     attrs = args.attrs.split(",") if args.attrs else None
     matrix = correlation_matrix(table, attrs)
     write_json(args.out, matrix.to_dict())
@@ -203,8 +202,7 @@ def _stats_payload(table, attrs):
 
 
 def cmd_stats(args) -> int:
-    schema = default_schema()
-    table = _load_table(args.infile, schema)
+    table = _load_table(args.infile)
     attrs = args.attrs.split(",")
     write_json(args.out, _stats_payload(table, attrs))
     print(f"wrote box/violin statistics for {len(attrs)} attribute(s) to {args.out}")
@@ -485,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("plot", help="render a figure from an analysis JSON")
-    p.add_argument("--kind", choices=["importance", "box", "violin", "heatmap"], required=True)
+    p.add_argument("--kind", choices=FIGURES, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--title", default=None)

@@ -97,21 +97,11 @@ def build_codec(table: Table, attributes: tuple[str, ...] | None = None) -> Code
     return Codec(tuple(blocks))
 
 
-def encode(
-    table: Table,
-    codec_source: Codec | None = None,
-    attributes: tuple[str, ...] | None = None,
-) -> EncodedMatrix:
-    """Embed a table; reuse `codec_source` so two tables share one embedding.
-
-    A numeric value outside the reused codec range clamps to the range.
-    """
-    if codec_source is None:
-        codec = build_codec(table, attributes)
-    elif attributes is not None and tuple(attributes) != codec_source.attributes:
-        raise CodecError("attribute selection conflicts with the reused codec")
-    else:
-        codec = codec_source
+def encode(table: Table, codec_source: Codec | None = None) -> EncodedMatrix:
+    """Embed a table under `codec_source`, so two tables share one embedding,
+    or else under `build_codec(table)`. A numeric value outside the reused
+    codec range clamps to the range."""
+    codec = build_codec(table) if codec_source is None else codec_source
 
     values = np.zeros((len(table), codec.width), dtype=np.float64)
     for block in codec.blocks:

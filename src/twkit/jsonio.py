@@ -2,9 +2,11 @@
 spaces, with a trailing newline (reports, specs, the manifest). A document
 that cannot be read or decoded, that holds `NaN`, `Infinity` or `-Infinity`
 (which Python's `json` accepts but JSON does not) or a number that overflows
-a float (which Python's `json` reads as infinite), or that its reader's
-`parse` rejects, raises one `DataError` naming the file. Writing a document
-that holds one of those numbers raises the same error and writes nothing."""
+a float (which Python's `json` reads as infinite), that nests too deep to
+read, or that its reader's `parse` rejects, raises one `DataError` naming the
+file. Writing serialises the whole document before it opens the file: a
+non-finite float raises the same error, a value `json` cannot serialise its
+TypeError, and neither writes a byte."""
 
 from __future__ import annotations
 
@@ -15,26 +17,13 @@ import sys
 from .errors import DataError, TwkitError
 
 
-def _check_finite(path, value) -> None:
-    """Raise, before a byte is written, the error that `json.dump(...,
-    allow_nan=False)` would raise part-way through writing `value`."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DataError(f"{path}: Out of range float values are not JSON compliant: {value!r}")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(path, key)
-            _check_finite(path, item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_finite(path, item)
-
-
 def write_json(path, doc) -> None:
-    _check_finite(path, doc)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite float
+        raise DataError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def integer(key: str, value) -> int:
@@ -65,17 +54,17 @@ def _finite(token: str) -> float:
 
 def read_json(path, parse, what: str):
     """`parse(doc)` for the document at `path`. `parse` rejects a malformed
-    document by raising LookupError, TypeError, ValueError or AttributeError,
-    as indexing, `int()` and `.items()` do on the wrong shape, or by raising
-    a twkit error, whose text the `DataError` keeps."""
+    document by raising LookupError, TypeError, ValueError, AttributeError or
+    ArithmeticError, as indexing, `int()`, `.items()` and `float()` of a huge
+    integer do, or by raising a twkit error, whose text the `DataError` keeps."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, a non-finite number or bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a non-finite number, deep nesting
         raise DataError(f"{path}: {exc}") from exc
     try:
         return parse(doc)
     except TwkitError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise DataError(f"{path}: malformed {what}: {exc!r}") from exc

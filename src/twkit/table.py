@@ -117,6 +117,14 @@ class Table:
         return self.replace_rows(rows)
 
 
+def _parse_cell(path, r: int, attr, token: str) -> Cell:
+    """The cell a stripped field of data row `r` holds, or the data error naming the file and row."""
+    try:
+        return None if token in MISSING_TOKENS else attr.parse_token(token)
+    except SchemaError as exc:
+        raise DataError(f"{path}: row {r + 1}: {exc}") from None
+
+
 def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
     """Read and validate a CSV whose header matches the schema attribute names,
     plus the `origin` column the augmenter writes, if present.
@@ -160,11 +168,7 @@ def load_augmented_csv(path, schema: Schema) -> tuple[Table, list[str] | None]:
         for attr, pos, memo in columns:
             token = raw[pos]
             if token not in memo:
-                stripped = token.strip()
-                try:
-                    memo[token] = None if stripped in MISSING_TOKENS else attr.parse_token(stripped)
-                except SchemaError as exc:
-                    raise DataError(f"{path}: row {r + 1}: {exc}") from None
+                memo[token] = _parse_cell(path, r, attr, token.strip())
             cells.append(memo[token])
         rows.append(tuple(cells))
         if origin_col is not None:
@@ -199,10 +203,13 @@ def _format_column(attr, column: list[Cell]) -> list[str]:
 
 
 def save_csv(table: Table, path, origins: list[str] | None = None) -> None:
-    """Write a table (optionally with an `origin` metadata column) as CSV."""
+    """Write a table (and an `origin` column if given) as CSV; a numeric cell the reader rejects raises first."""
     if origins is not None and len(origins) != len(table):
         raise DataError("origins length does not match row count")
     columns = [_format_column(attr, table.column(attr.name)) for attr in table.schema.attributes]
+    for attr, fields in zip(table.schema.attributes, columns):
+        for r, field in enumerate(fields if attr.kind != CATEGORICAL else ()):
+            _parse_cell(path, r, attr, field)
     if origins is not None:
         columns.append(origins)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ from twkit.augment import (
     train_table_cgan,
     two_stage_augment,
 )
-from twkit.encoding import encode, label_indices
+from twkit.encoding import build_codec, encode, label_indices
 from twkit.errors import DataError
 from twkit.schema import NUMERIC
 from twkit.table import Table, class_histogram
@@ -321,6 +321,12 @@ class TestPlan:
         with pytest.raises(DataError):
             plan.validate({"HR": 5})
 
+    @pytest.mark.parametrize("count, stage1, stage2", [(0, 0, 3), (0, 2, 2), (1, 1, 4), (1, 3, 3)])
+    def test_plan_growing_a_class_under_two_rows_rejected(self, count, stage1, stage2):
+        plan = AugmentPlan(stage1={"HR": stage1}, stage2={"HR": stage2})
+        with pytest.raises(DataError, match=f"^plan grows class 'HR', which has {count} row"):
+            plan.validate({"HR": count})
+
     def test_plan_json_round_trip(self, tmp_path, schema):
         counts = {"RW": 20, "AW": 30, "CS": 3, "CT": 3, "HR": 2, "MR": 3, "LR": 5}
         plan = default_augment_plan(counts, schema.class_codes, total=100, smote_cap=10)
@@ -350,13 +356,13 @@ class TestCgan:
 
     def test_sample_zero_rows(self, schema):
         table = small_corpus(600, seed=0)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         model = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=12, schema=schema)
         assert sample_table_cgan(model, "RW", 0, seed=13) == []
 
     def test_samples_schema_valid_and_labeled(self, schema):
         table = small_corpus(600, seed=0)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         model = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=12, schema=schema)
         rows = sample_table_cgan(model, "AW", 40, seed=14)
         assert len(rows) == 40
@@ -367,7 +373,7 @@ class TestCgan:
         from twkit.nn import forward
 
         table = small_corpus(600, seed=0)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         model = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=12, schema=schema)
         rng = np.random.default_rng(0)
         z = rng.standard_normal((50, CGAN_NOISE_DIM))
@@ -378,7 +384,7 @@ class TestCgan:
 
     def test_deterministic(self, schema):
         table = small_corpus(600, seed=0)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         m1 = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=15, schema=schema)
         m2 = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=15, schema=schema)
         for w1, w2 in zip(m1.generator.weights, m2.generator.weights):
@@ -387,7 +393,7 @@ class TestCgan:
 
     def test_unknown_class_rejected(self, schema):
         table = small_corpus(600, seed=0)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         model = train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=12, schema=schema)
         with pytest.raises(DataError):
             sample_table_cgan(model, "XX", 3, seed=17)
@@ -396,7 +402,7 @@ class TestCgan:
         rows = tuple(make_row(schema, cls="RW", height=170.0 + i) for i in range(6))
         rows += (make_row(schema, cls="HR"),)
         table = Table(schema, rows)
-        enc = encode(table, attributes=tuple(a.name for a in schema.features))
+        enc = encode(table, build_codec(table, tuple(a.name for a in schema.features)))
         with pytest.raises(DataError):
             train_table_cgan(enc, label_indices(table), FAST_CGAN, seed=18, schema=schema)
 

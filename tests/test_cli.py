@@ -32,6 +32,22 @@ def test_synth_with_spec_file(tmp_path, schema, write_spec):
     assert out_a.read_text() == out_b.read_text()
 
 
+def test_synth_non_finite_height_exits_1(tmp_path, capsys, write_spec):
+    from dataclasses import replace
+
+    from twkit.synth import default_synthesis_spec
+
+    spec = default_synthesis_spec()
+    spec_path = tmp_path / "spec.json"
+    write_spec(replace(spec, height_model={**spec.height_model, "RW": (178.0, 1e308)}), spec_path)
+    out = tmp_path / "big.csv"
+    assert run(["synth", "--n", 30, "--seed", 1, "--spec", spec_path, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and not captured.out
+    assert captured.err.splitlines() == [f"error: {out}: row 16: height: non-finite value 'inf'"]
+    assert not out.exists()
+
+
 def test_impute_sta_round_trip(tmp_path, schema, corpus_200):
     from twkit.table import inject_missing, save_csv
 
@@ -348,6 +364,13 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("augment", b'{"stage1": {"RW": -Infinity}, "stage2": {}}'),
     ("impute", b"height\n\xff\n"),
     ("impute", b"height\n" + b"1" * 131073 + b"\n"),
+    ("importance", b"[" * 100_000),
+    ("pipeline", b"[" * 100_000),
+    ("importance", b'{"importance": [["height", 1' + b"0" * 400 + b'], ["weapon", 0.5]]}'),
+    ("heatmap", b'{"attributes": ["a"], "matrix_full_precision": [[1' + b"0" * 400 + b']]}'),
+    ("box", json.dumps({"classes": ["RW"], "panels": [{"attribute": "height", "box": {"RW": {
+        **_BOX, "q1": 10 ** 400}}}]}).encode()),
+    ("augment", {"stage1": {"RW": 10}, "stage2": {"RW": 10}}),
 ], ids=[
     "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
@@ -362,6 +385,8 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "importance-infinite-weight", "importance-overflowing-weight", "heatmap-infinite-cell", "box-infinite-q1",
     "plan-negative-infinite-target",
     "csv-not-utf8", "csv-field-over-limit",
+    "importance-nested-too-deep", "config-nested-too-deep", "importance-400-digit-weight",
+    "heatmap-400-digit-cell", "box-400-digit-q1", "plan-target-below-count",
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, write_spec, command, document):
     from twkit.synth import default_synthesis_spec

@@ -118,7 +118,7 @@ def test_codec_reuse_and_strict(schema):
 
 def test_feature_only_codec(schema, corpus_200):
     names = tuple(a.name for a in schema.features)
-    enc = encode(corpus_200, attributes=names)
+    enc = encode(corpus_200, build_codec(corpus_200, names))
     assert enc.codec.attributes == names
     with pytest.raises(CodecError):
         decode(enc, schema)  # label not covered
@@ -171,7 +171,7 @@ def test_encode_matches_per_cell_reference(corpus_200, seed):
     features = tuple(a.name for a in corpus_200.schema.features)
     for table in (corpus_200, injected, _with_int_heights(injected)):
         for attributes in (None, features):
-            enc = encode(table, attributes=attributes)
+            enc = encode(table, build_codec(table, attributes))
             assert enc.values.tobytes() == _encode_reference(table, enc.codec).tobytes()
 
 

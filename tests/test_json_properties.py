@@ -2,7 +2,8 @@
 that `read_json` reads back equal, or raises one data error naming the file
 and writes nothing, as for a document holding `NaN` or `Infinity`; and
 `read_json` reads a number token as its float, or, when the token overflows a
-float, raises one data error naming the file."""
+float, raises one data error naming the file. A value `json` cannot serialise
+raises before `write_json` opens the file."""
 
 import math
 import re
@@ -67,3 +68,10 @@ def test_number_token_reads_finite_or_is_one_data_error(mantissa, exponent):
             event("overflows")
             with pytest.raises(DataError, match=f"^{re.escape(f'{path}: non-finite number {token} ')}"):
                 read_json(path, lambda d: d, "document")
+
+
+def test_unserialisable_value_raises_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(path, {"a": 1, "b": object()})
+    assert not path.exists()

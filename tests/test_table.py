@@ -353,6 +353,18 @@ def test_save_csv_matches_per_cell_writer(tmp_path, schema, corpus_200):
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("height, text", [
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"), (10 ** 400, "1" + "0" * 400),
+])
+def test_save_csv_rejects_a_cell_the_reader_rejects(tmp_path, schema, height, text):
+    rows = [BASE_ROW, _with(BASE_ROW, height=None), _with(BASE_ROW, height=height)]
+    path = tmp_path / "out.csv"
+    message = f"{path}: row 3: height: non-finite value {text!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        save_csv(Table(schema, tuple(rows)), path)
+    assert not path.exists()
+
+
 def _blanked(table, cells):
     rows = [list(row) for row in table.rows]
     for i, j in cells:
