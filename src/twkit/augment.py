@@ -292,13 +292,19 @@ def cgan_class_agreement(model: TableCganModel) -> float:
 # -- plans and the two-stage pipeline ---------------------------------------------
 
 
+# The most rows a plan's stage-2 targets may add up to. It bounds the arrays
+# SMOTENC and the CGAN allocate; the default plan asks for 1,800.
+MAX_PLAN_ROWS = 1_000_000
+
+
 @dataclass(frozen=True)
 class AugmentPlan:
     stage1: dict[Code, int]
     stage2: dict[Code, int]
 
     def validate(self, counts: dict[Code, int]) -> None:
-        """stage2 >= stage1 >= count per class, and a class under 2 rows is held at its count."""
+        """stage2 >= stage1 >= count per class, a class under 2 rows is held at
+        its count, and the stage-2 targets add up to at most MAX_PLAN_ROWS."""
         for cls, count in counts.items():
             s1 = self.stage1.get(cls, count)
             s2 = self.stage2.get(cls, count)
@@ -309,6 +315,9 @@ class AugmentPlan:
                 )
             if count < 2 and s2 > count:
                 raise DataError(f"plan grows class {cls!r}, which has {count} row(s): augmenting needs >= 2")
+        total = sum(self.stage2.get(cls, count) for cls, count in counts.items())
+        if total > MAX_PLAN_ROWS:
+            raise DataError(f"plan asks for {total} rows, more than the {MAX_PLAN_ROWS} allowed")
 
 
 def load_plan(path, schema: Schema) -> AugmentPlan:

@@ -6,10 +6,16 @@ scaled numerics) and integer class indices. Categorical splits are one-vs-rest
 per code, which in the one-hot view sends the rows at 0 left.
 
 Trees grow in lockstep: one grower serves a single tree and all of a
-forest's trees. Each step takes the next pre-order node of every unfinished
-tree and searches the nodes' splits together, in batches of a bounded number
-of rows. Each node draws its candidate columns from its own tree's seed in
-its tree's pre-order, so a tree grown beside others is the tree grown alone.
+forest's trees. Each step takes, from every unfinished tree, its next
+pre-order nodes up to and including the next one that may be impure (the
+children known to be pure before it are leaves), and searches the impure
+nodes' splits together, in batches of a bounded number of rows. No step does
+Python work per node: every tree's rows live in one permutation, a node is a
+segment of it, a split partitions its segment in place (left rows first),
+and each tree's stack of segments is a row of one integer array, popped and
+pushed for all trees at once. Each node draws its candidate columns from its
+own tree's seed in its tree's pre-order, so a tree grown beside others is
+the tree grown alone.
 The draws of a step's nodes are vectorised across trees, and each node's
 candidates equal `np.sort(rng.choice(d, size=s, replace=False))` for
 `rng = np.random.default_rng(seed)`: the bounded draws of Floyd's sampling
@@ -144,7 +150,8 @@ def _scan_splits(pair, values, labels, counts, parent_gini, s):
 
 
 def _split_nodes(X, y, binary, rows, node, candidates, counts):
-    """Best Gini-decrease split of each node in a batch, and its children.
+    """Best Gini-decrease split of each node in a batch, and its rows
+    partitioned by side.
 
     `X` is C-contiguous. `rows` holds the nodes' rows one node after another
     and `node` the node of each row. Row i of `candidates` holds node i's
@@ -169,9 +176,11 @@ def _split_nodes(X, y, binary, rows, node, candidates, counts):
     only when the values up to it are distinct; for a 0/1 column it is 0.0
     when two or more rows are 0 and 0.5 otherwise.
 
-    Returns (feature, threshold, decrease, children): feature is -1 where a
-    node has no split, and children[2 * i] and children[2 * i + 1] are node
-    i's left and right rows in the order of `rows`, empty when it has none.
+    Returns (feature, threshold, decrease, order, n_left): feature is -1
+    where a node has no split. `order` holds the rows of the split nodes
+    ordered by (node, side), left first, each side's rows in the order of
+    `rows`, and n_left[i] is how many of node i's rows go left (0 when it has
+    no split).
     """
     m, s = candidates.shape
     k = counts.shape[1]
@@ -202,32 +211,18 @@ def _split_nodes(X, y, binary, rows, node, candidates, counts):
     keep = (feature >= 0)[node]
     rows, node = rows[keep], node[keep]
     side = 2 * node + ~(X[rows, feature[node]] <= out_threshold[node])  # NaN goes right
-    bounds = np.r_[0, np.bincount(side, minlength=2 * m).cumsum()].tolist()
-    rows = rows[np.argsort(side, kind="stable")]
-    # copies, so that a child waiting on its tree's stack does not keep the
-    # whole batch's array alive
-    children = [rows[a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
-    return feature, out_threshold, out_decrease, children
+    n_left = np.bincount(side, minlength=2 * m)[::2]
+    return feature, out_threshold, out_decrease, rows[np.argsort(side, kind="stable")], n_left
 
 
 # The most rows one batch of the split search holds, which bounds the
 # (rows x candidates) arrays it allocates. A step's nodes are cut into batches
 # of at most this many rows; a node with more rows goes alone.
-GROW_BATCH_ROWS = 2048
+GROW_BATCH_ROWS = 8192
 
-
-def _batches(step):
-    """Cut one step's (tree, rows, parent) nodes into runs of at most
-    GROW_BATCH_ROWS rows; a node with more rows is a run of its own."""
-    batch, total = [], 0
-    for item in step:
-        if batch and total + len(item[1]) > GROW_BATCH_ROWS:
-            yield batch
-            batch, total = [], 0
-        batch.append(item)
-        total += len(item[1])
-    if batch:
-        yield batch
+# How many entries each tree's stack holds at first; it grows when a push
+# needs more.
+GROW_STACK_DEPTH = 16
 
 
 # How many nodes' candidates a tree draws at a time.
@@ -360,15 +355,27 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     Tree t takes every row of X in order or, when `boot_seeds` is given,
     the bootstrap sample of len(X) rows drawn from `boot_seeds[t]`;
     `seeds[t]` seeds its candidate draws. Each step pops the next pre-order
-    node of every unfinished tree. Its class counts come from one bincount
-    over (node, class); a pure node is a leaf, and an impure one is split by
-    `_split_nodes`, or is a leaf when no split exists. When `subset` < d the
-    impure nodes draw their candidates together (`_CandidateDraws`), each
-    from a fresh PCG64 on its tree's seed: the k-th node of a tree to draw
-    gets the k-th `np.sort(rng.choice(d, size=subset, replace=False))` of
+    nodes of every unfinished tree, down to its first one that may be
+    impure: a pushed child is marked pure when its labels agree, and such a
+    node is a leaf that needs no draw, so it need not wait a step of its
+    own. The nodes' class counts come from one bincount over (node, class); a
+    pure node is a leaf, and an impure one is split by `_split_nodes`, or is
+    a leaf when no split exists. When `subset` < d the impure nodes draw
+    their candidates together (`_CandidateDraws`), each from a fresh PCG64
+    on its tree's seed: the k-th node of a tree to draw gets the k-th
+    `np.sort(rng.choice(d, size=subset, replace=False))` of
     `rng = np.random.default_rng(seed)`. A split pushes its right child,
     then its left, so each tree draws in its own pre-order and grows exactly
     as it would alone.
+
+    One permutation, `perm`, holds every tree's rows, tree t's sample in its
+    own span, and a node is a segment [start, stop) of it. A split writes
+    its rows back into its segment, left rows first, so its children are the
+    two parts. Each tree's stack is a row of one (start, stop, parent, may be
+    impure) array with a depth per tree, grown when a push needs more room:
+    every step pops the top entries of each unfinished tree at once, cuts the
+    popped nodes into batches from their sizes, and pushes every split node's
+    children in one assignment.
 
     Each batch's node fields and trees are written by slice to the end of a
     growable store, so every tree's nodes are stored in its pre-order. A
@@ -384,9 +391,10 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     if y.min(initial=0) < 0 or y.max(initial=0) >= n_classes:
         raise DataError(f"class indices must lie in [0, {n_classes})")
     if boot_seeds is None:
-        samples = [np.arange(n)]
+        perm = np.arange(n)
     else:
-        samples = [np.random.default_rng(boot).integers(0, n, size=n) for boot in boot_seeds]
+        perm = np.concatenate([np.random.default_rng(boot).integers(0, n, size=n) for boot in boot_seeds])
+    n_trees = len(perm) // n
     binary = ((X == 0) | (X == 1)).all(axis=0)
     store = {
         "n_samples": np.empty(0, dtype=np.int64), "counts": np.empty((0, n_classes), dtype=np.int64),
@@ -395,16 +403,35 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     }
     draws = _CandidateDraws([np.random.PCG64(seed) for seed in seeds], d, subset) if subset < d else None
     size = 0  # nodes stored
-    stacks = [[(sample, -1)] for sample in samples]  # (rows, parent's index if a right child)
-    active = list(range(len(samples)))
-    while active:
-        for batch in _batches([(t, *stacks[t].pop()) for t in active]):
-            m = len(batch)
-            trees = np.array([t for t, _, _ in batch])
-            sizes = np.array([len(rows) for _, rows, _ in batch])
-            parents = np.array([parent for _, _, parent in batch])
-            rows = np.concatenate([rows for _, rows, _ in batch])
+    # stack[:, t, i] is entry i of tree t's stack: (start, stop, parent's
+    # store index if a right child else -1, 0 if the node is known pure else 1)
+    stack = np.zeros((4, n_trees, GROW_STACK_DEPTH), dtype=np.intp)
+    stack[:, :, 0] = np.arange(n_trees) * n, np.arange(1, n_trees + 1) * n, np.full(n_trees, -1), np.ones(n_trees)
+    depth = np.ones(n_trees, dtype=np.intp)
+    active = np.arange(n_trees)
+    while len(active):
+        # each tree pops its entries from the top down to its topmost one that
+        # may be impure (or to the bottom): its next nodes in pre-order, all
+        # but the last known to be leaves
+        top = depth[active]
+        maybe_impure = np.where(stack[3, active], np.arange(stack.shape[2]), 0)
+        depth[active] = np.maximum.accumulate(maybe_impure, axis=1)[np.arange(len(active)), top - 1]
+        popped = top - depth[active]
+        owners = np.repeat(active, popped)
+        entry = np.repeat(top - 1 + popped.cumsum() - popped, popped) - np.arange(len(owners))
+        starts, stops, parents = stack[:3, owners, entry]
+        ends = (stops - starts).cumsum()
+        first = 0
+        while first < len(owners):
+            base = ends[first - 1] if first else 0
+            last = max(int(np.searchsorted(ends, base + GROW_BATCH_ROWS, side="right")), first + 1)
+            batch = slice(first, last)
+            first, m = last, last - first
+            trees, start, stop, parent = owners[batch], starts[batch], stops[batch], parents[batch]
+            sizes = stop - start
             node = np.repeat(np.arange(m), sizes)
+            at_row = np.arange(len(node)) + np.repeat(start - (sizes.cumsum() - sizes), sizes)  # into perm
+            rows = perm[at_row]
             counts = np.bincount(node * n_classes + y[rows], minlength=m * n_classes).reshape(m, n_classes)
             if size + m > len(store["tree"]):
                 capacity = max(2 * len(store["tree"]), size + m)
@@ -412,27 +439,38 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
             new = slice(size, size + m)
             store["n_samples"][new], store["counts"][new], store["tree"][new] = sizes, counts, trees
             store["feature"][new], store["threshold"][new], store["decrease"][new], store["right"][new] = -1, 0, 0, -1
-            is_right = parents >= 0
-            store["right"][parents[is_right]] = size + is_right.nonzero()[0]
+            is_right = parent >= 0
+            store["right"][parent[is_right]] = size + is_right.nonzero()[0]
             impure = np.count_nonzero(counts, axis=1) > 1
             if impure.any():
-                impure_trees = trees[impure]
                 if draws is not None:
-                    candidates = draws.draw(impure_trees)
+                    candidates = draws.draw(trees[impure])
                 else:
-                    candidates = np.broadcast_to(np.arange(d), (len(impure_trees), d))
+                    candidates = np.broadcast_to(np.arange(d), (np.count_nonzero(impure), d))
                 keep = impure[node]
                 at = size + impure.nonzero()[0]
-                f, thr, dec, children = _split_nodes(
+                f, thr, dec, order, n_left = _split_nodes(
                     X, y, binary, rows[keep], (impure.cumsum() - 1)[node[keep]], candidates, counts[impure]
                 )
                 store["feature"][at], store["threshold"][at], store["decrease"][at] = f, thr, dec
-                for i, (t, split, parent) in enumerate(zip(impure_trees.tolist(), (f >= 0).tolist(), at.tolist())):
-                    if split:
-                        stacks[t].append((children[2 * i + 1], parent))
-                        stacks[t].append((children[2 * i], -1))
+                has_split = f >= 0
+                split = impure.copy()
+                split[impure] = has_split
+                perm[at_row[split[node]]] = order
+                t, free = trees[split], depth[trees[split]]
+                if len(t) and free.max() + 2 > stack.shape[2]:
+                    stack = np.pad(stack, ((0, 0), (0, 0), (0, max(stack.shape[2], free.max() + 2 - stack.shape[2]))))
+                n_left = n_left[has_split]
+                middle = start[split] + n_left
+                # each child's rows in `order`, left then right, none empty
+                halves = np.column_stack([n_left, stop[split] - middle]).ravel()
+                edges, labels = halves.cumsum() - halves, y[order]
+                mixed = np.minimum.reduceat(labels, edges) != np.maximum.reduceat(labels, edges)
+                stack[:, t, free] = middle, stop[split], at[has_split], mixed[1::2]
+                stack[:, t, free + 1] = start[split], middle, np.full(len(t), -1), mixed[::2]
+                depth[t] += 2
             size += m
-        active = [t for t in active if stacks[t]]
+        active = np.flatnonzero(depth)
     tree = store.pop("tree")[:size]
     order = np.argsort(tree, kind="stable")
     position = np.empty(size, dtype=np.intp)
@@ -440,7 +478,7 @@ def _grow(X, y, n_classes, subset, seeds, boot_seeds=None) -> Forest:
     nodes = {name: a[:size][order] for name, a in store.items()}
     right = nodes["right"]
     right[right >= 0] = position[right[right >= 0]]
-    tree_sizes = np.bincount(tree, minlength=len(samples))
+    tree_sizes = np.bincount(tree, minlength=n_trees)
     return Forest(trees=tree_sizes.cumsum() - tree_sizes, **nodes)
 
 

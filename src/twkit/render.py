@@ -7,6 +7,7 @@ with a single root <svg> element, and nothing references external resources.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -29,6 +30,11 @@ class PlotSpec:
 def _fmt(x: float) -> str:
     out = f"{x:.2f}"
     return "0.00" if out == "-0.00" else out
+
+
+# A character outside XML 1.0's Char production: a control character other
+# than tab, line feed and carriage return, a lone surrogate, U+FFFE or U+FFFF.
+_NOT_XML = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class _Svg:
@@ -64,9 +70,13 @@ class _Svg:
         self.parts.append(f'<polygon points="{coords}" fill="{fill}"{s}/>')
 
     def text(self, x, y, content, size=theme.FONT_SIZE, anchor="start", fill=theme.AXIS_COLOR):
+        content = str(content)
+        bad = _NOT_XML.search(content)
+        if bad:
+            raise DataError(f"text {content!r} holds {bad.group()!r}, which XML 1.0 cannot hold")
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="{theme.FONT_FAMILY}" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{escape(str(content))}</text>'
+            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{escape(content)}</text>'
         )
 
     def finish(self) -> str:

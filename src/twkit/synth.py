@@ -20,6 +20,10 @@ from .table import Table
 
 _SUM_TOL = 1e-9
 
+# numpy's normal draws lie within 14 sigmas of the mean, so a height model
+# whose mean ± HEIGHT_SIGMAS sigmas is finite never draws an infinite height.
+HEIGHT_SIGMAS = 40
+
 Distribution = dict[Code, float]
 
 
@@ -75,9 +79,13 @@ class SynthesisSpec:
         for cls in schema.class_codes:
             if cls not in self.height_model:
                 raise DataError(f"height_model: no entry for class {cls!r}")
-            sigma = self.height_model[cls][1]
+            mean, sigma = self.height_model[cls]
             if not sigma >= 0:
                 raise DataError(f"height_model {cls!r}: sigma must be >= 0, got {sigma}")
+            if not np.isfinite(abs(mean) + HEIGHT_SIGMAS * sigma):
+                raise DataError(
+                    f"height_model {cls!r}: mean ± {HEIGHT_SIGMAS} sigma must be finite, got [{mean}, {sigma}]"
+                )
 
 
 def _check_distribution(name: str, dist: Distribution) -> None:

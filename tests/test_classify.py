@@ -82,9 +82,7 @@ class TestTree:
         tree = train_tree(X, y, 2, subset=2, seed=0)
         proba = _TreeModel(tree).predict_proba(X)
         assert (np.argmax(proba, axis=1) == y).all()
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-        assert depth(tree) == 2
+        assert _depth(tree) == 2
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1, 1]])
     def test_label_out_of_range_rejected(self, labels):
@@ -163,6 +161,11 @@ def _walk(tree):
     return [tree] if tree.is_leaf else [tree] + _walk(tree.left) + _walk(tree.right)
 
 
+def _depth(tree):
+    """The most splits on a path from the root to a leaf."""
+    return 0 if tree.is_leaf else 1 + max(_depth(tree.left), _depth(tree.right))
+
+
 def _reference_tree(X, y, n_classes, subset, seed):
     """`train_tree` built on `_reference_best_split` as linked `_Node`s,
     drawing candidates in the same pre-order."""
@@ -223,19 +226,23 @@ class TestSplitSearchOracle:
                 candidates = np.sort([rng.choice(X.shape[1], size=size, replace=False) for _ in nodes], axis=1)
                 counts = np.array([np.bincount(y[idx], minlength=n_classes) for idx in nodes])
                 node = np.repeat(np.arange(len(nodes)), [len(idx) for idx in nodes])
-                feature, threshold, decrease, children = _split_nodes(
+                feature, threshold, decrease, order, n_left = _split_nodes(
                     X, y, binary, np.concatenate(nodes), node, candidates, counts
                 )
+                # the split nodes' rows, node after node, left rows first
+                at = 0
                 for i, idx in enumerate(nodes):
                     want = _reference_best_split(X, y, idx, candidates[i], n_classes)
                     assert (feature[i] < 0) == (want is None)
                     if want is None:
-                        assert len(children[2 * i]) == len(children[2 * i + 1]) == 0
+                        assert n_left[i] == 0
                         continue
                     assert (float(decrease[i]), int(feature[i]), float(threshold[i])) == want[:3]
-                    np.testing.assert_array_equal(children[2 * i], want[3])
-                    np.testing.assert_array_equal(children[2 * i + 1], want[4])
+                    middle, at = at + n_left[i], at + len(idx)
+                    np.testing.assert_array_equal(order[at - len(idx):middle], want[3])
+                    np.testing.assert_array_equal(order[middle:at], want[4])
                     checked += 1
+                assert at == len(order)
         assert checked > 50
 
     @pytest.mark.parametrize("subset, bootstrap", [(None, False), (7, False), (7, True), (3, True)])
@@ -499,6 +506,20 @@ class TestForest:
         # node larger than the cap goes alone
         _, X, y, forest = corpus_forest
         monkeypatch.setattr(classify, "GROW_BATCH_ROWS", 6)
+        assert _same_store(train_forest(X, y, 7, seed=3), forest)
+
+    def test_stacks_grow_past_their_first_depth(self, corpus_forest, monkeypatch):
+        # a stack that starts with room for one entry must grow at its tree's
+        # first split and again as the tree deepens (it holds up to depth + 1
+        # entries); the tree and its stored layout stay those of the
+        # one-node-at-a-time oracle
+        _, X, y, forest = corpus_forest
+        monkeypatch.setattr(classify, "GROW_STACK_DEPTH", 1)
+        want = _reference_tree(X, y, 7, X.shape[1], 9)
+        assert _depth(want) >= 4
+        tree = train_tree(X, y, 7, X.shape[1], seed=9)
+        assert _preorder(tree) == _preorder(want)
+        assert _store_slice(tree.store, 0) == _flatten(want)
         assert _same_store(train_forest(X, y, 7, seed=3), forest)
 
     def test_proba_sums_to_one(self, corpus_forest):

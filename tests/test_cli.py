@@ -44,7 +44,10 @@ def test_synth_non_finite_height_exits_1(tmp_path, capsys, write_spec):
     assert run(["synth", "--n", 30, "--seed", 1, "--spec", spec_path, "--out", out]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and not captured.out
-    assert captured.err.splitlines() == [f"error: {out}: row 16: height: non-finite value 'inf'"]
+    # the spec is rejected before a row is drawn, naming the spec, not the CSV
+    assert captured.err.splitlines() == [
+        f"error: {spec_path}: height_model 'RW': mean ± 40 sigma must be finite, got [178.0, 1e+308]"
+    ]
     assert not out.exists()
 
 
@@ -371,6 +374,9 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     ("box", json.dumps({"classes": ["RW"], "panels": [{"attribute": "height", "box": {"RW": {
         **_BOX, "q1": 10 ** 400}}}]}).encode()),
     ("augment", {"stage1": {"RW": 10}, "stage2": {"RW": 10}}),
+    ("synth", lambda d: {**d, "height_model": {**d["height_model"], "RW": [178.0, 1e308]}}),
+    ("augment", {"stage1": {}, "stage2": {"AW": 10**11}}),
+    ("importance", {"importance": [["a\u0000b", 0.5], ["w", 0.2]]}),
 ], ids=[
     "box-panel-without-box", "box-class-missing", "violin-empty-grid", "importance-one-element-pair",
     "importance-text-weight", "importance-not-an-object", "heatmap-ragged-matrix", "plan-without-stage2",
@@ -387,6 +393,7 @@ _NOT_UTF8 = b'{"stage1": "\xff"}'
     "csv-not-utf8", "csv-field-over-limit",
     "importance-nested-too-deep", "config-nested-too-deep", "importance-400-digit-weight",
     "heatmap-400-digit-cell", "box-400-digit-q1", "plan-target-below-count",
+    "spec-height-sigma-overflows", "plan-target-over-bound", "importance-control-character",
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, corpus_200, write_spec, command, document):
     from twkit.synth import default_synthesis_spec

@@ -3,12 +3,14 @@
 `twkit plot` exiting 0, or is one data error naming the file, reported as
 exit 1 with one `error:` line and no figure; and an edit of a valid plan
 either augments a small corpus, with `twkit augment --epochs 1` exiting 0, or
-is one data error naming the plan file, with no CSV written."""
+is one data error naming the plan file, with no CSV written. Every figure
+written is well-formed XML, whatever characters its text and title hold."""
 
 import contextlib
 import io
 import json
 import tempfile
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from twkit.analyze import CorrelationMatrix, box_stats, kde
+from twkit.augment import MAX_PLAN_ROWS
 from twkit.cli import main
 from twkit.synth import default_synthesis_spec, synthesize_corpus
 from twkit.table import class_histogram, save_csv
@@ -63,9 +66,14 @@ def _strings(doc):
         yield doc
 
 
+# short strings of any characters, control characters and the ones XML 1.0
+# cannot hold (a lone surrogate, U+FFFE, U+FFFF) drawn often
+TEXT = st.text(st.characters() | st.sampled_from("\x00\x01\x08\x0b\x0c\x1b\x1f\x7f\t\n\r\ud800\ufffe\uffff"), max_size=4)
+
+
 def _values(names, numbers):
     return st.recursive(
-        st.one_of(st.booleans(), st.none(), st.sampled_from(names), st.text(max_size=4), numbers),
+        st.one_of(st.booleans(), st.none(), st.sampled_from(names), TEXT, numbers),
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(names), inner, max_size=2),
         max_leaves=4,
     )
@@ -141,10 +149,13 @@ PAYLOAD_NUMBERS = st.one_of(
 @given(data=st.data())
 def test_payload_renders_or_fails_cleanly(kind, data):
     doc = data.draw(edited(PAYLOADS[kind], PAYLOAD_NUMBERS))
+    title = data.draw(st.none() | TEXT)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "payload.json", Path(tmp) / "figure.svg"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        _check(["plot", "--kind", kind, "--in", path, "--out", out], path, out)
+        _check(["plot", "--kind", kind, "--in", path, "--out", out] + ([f"--title={title}"] if title else []), path, out)
+        if out.exists():
+            ElementTree.parse(out)
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +176,10 @@ def test_plan_augments_or_fails_cleanly(small_corpus, data):
         "stage1": {c: n + 3 if n >= 2 else n for c, n in counts.items()},
         "stage2": {c: n + 6 if n >= 2 else n for c, n in counts.items()},
     }
-    # a target stays within [-2, largest count + 40]: larger ones are not
-    # drawn, as SMOTENC allocates every row it is asked for
+    # a target lies within [-2, largest count + 40] or just above the plan
+    # bound, which is rejected before any row is allocated
     top = max(counts.values()) + 40
-    doc = data.draw(edited(base, st.integers(-2, top) | st.floats(-2, top)))
+    doc = data.draw(edited(base, st.integers(-2, top) | st.floats(-2, top) | st.just(MAX_PLAN_ROWS + 1)))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "plan.json", Path(tmp) / "tws.csv"
         path.write_text(json.dumps(doc), encoding="utf-8")
